@@ -149,13 +149,11 @@ def connectivity_cost(n: int, m: int) -> int:
         raise ValueError(f"connectivity cost needs n >= 2, got {n}")
     if n > m:
         raise ValueError(f"n ({n}) must not exceed m ({m})")
-    c = 1
-    for k in range(m - 1, n - 1, -1):
-        c = _ceil_div((k + 1) * c, k - 1)
-    return c
+    return _connectivity_table(m)[n]
 
 
 def _connectivity_table(m: int) -> dict[int, int]:
+    """connectivity_cost(n, m) for every n in [2, m], from one pass of the recursion."""
     table = {m: 1}
     c = 1
     for k in range(m - 1, 1, -1):

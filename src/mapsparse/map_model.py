@@ -206,6 +206,65 @@ def _write_text(sink: Union[str, Path, IO[bytes], IO[str]], text: str) -> None:
         sink.write(text.encode("utf-8"))
 
 
+def _parse_keyframe(entry, where: str) -> Keyframe:
+    pose = _require(entry, "pose", where)
+    intr = _require(entry, "intrinsics", where)
+    q = _require(pose, "q", where + ".pose")
+    t = _require(pose, "t", where + ".pose")
+    if len(q) != 4 or len(t) != 3:
+        raise MapFormatError(f"{where}.pose: q must have 4 entries and t must have 3")
+    return Keyframe(
+        id=int(_require(entry, "id", where)),
+        seq_index=int(_require(entry, "seq_index", where)),
+        timestamp=float(_require(entry, "timestamp", where)),
+        pose=Pose(q=tuple(float(x) for x in q), t=tuple(float(x) for x in t)),
+        intrinsics=CameraIntrinsics(
+            fx=float(_require(intr, "fx", where + ".intrinsics")),
+            fy=float(_require(intr, "fy", where + ".intrinsics")),
+            cx=float(_require(intr, "cx", where + ".intrinsics")),
+            cy=float(_require(intr, "cy", where + ".intrinsics")),
+            width=int(_require(intr, "width", where + ".intrinsics")),
+            height=int(_require(intr, "height", where + ".intrinsics")),
+        ),
+    )
+
+
+def _parse_point(entry, where: str) -> MapPoint:
+    xyz = _require(entry, "xyz", where)
+    if len(xyz) != 3:
+        raise MapFormatError(f"{where}: xyz must have 3 entries")
+    return MapPoint(id=int(_require(entry, "id", where)), position=tuple(float(x) for x in xyz))
+
+
+def _parse_observation(entry, where: str) -> Observation:
+    uv = _require(entry, "uv", where)
+    if len(uv) != 2:
+        raise MapFormatError(f"{where}: uv must have 2 entries")
+    return Observation(
+        point_id=int(_require(entry, "point", where)),
+        keyframe_id=int(_require(entry, "frame", where)),
+        u=float(uv[0]),
+        v=float(uv[1]),
+    )
+
+
+def _parse_records(doc: dict, key: str, parse) -> list:
+    """Parse ``doc[key]`` record by record; any failure names the record."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise MapFormatError(f"'{key}' must be an array")
+    records = []
+    for i, entry in enumerate(entries):
+        where = f"{key}[{i}]"
+        try:
+            records.append(parse(entry, where))
+        except MapFormatError:
+            raise
+        except (TypeError, ValueError, OverflowError) as e:
+            raise MapFormatError(f"{where}: {e}") from e
+    return records
+
+
 def load_map(source: Source) -> SlamMap:
     """Parse a JSON map file and return a validated :class:`SlamMap`.
 
@@ -222,58 +281,11 @@ def load_map(source: Source) -> SlamMap:
     if not isinstance(doc, dict):
         raise MapFormatError("top-level value must be an object")
 
-    keyframes = []
-    for i, entry in enumerate(doc.get("keyframes", [])):
-        where = f"keyframes[{i}]"
-        pose = _require(entry, "pose", where)
-        intr = _require(entry, "intrinsics", where)
-        q = _require(pose, "q", where + ".pose")
-        t = _require(pose, "t", where + ".pose")
-        if len(q) != 4 or len(t) != 3:
-            raise MapFormatError(f"{where}.pose: q must have 4 entries and t must have 3")
-        keyframes.append(
-            Keyframe(
-                id=int(_require(entry, "id", where)),
-                seq_index=int(_require(entry, "seq_index", where)),
-                timestamp=float(_require(entry, "timestamp", where)),
-                pose=Pose(q=tuple(float(x) for x in q), t=tuple(float(x) for x in t)),
-                intrinsics=CameraIntrinsics(
-                    fx=float(_require(intr, "fx", where + ".intrinsics")),
-                    fy=float(_require(intr, "fy", where + ".intrinsics")),
-                    cx=float(_require(intr, "cx", where + ".intrinsics")),
-                    cy=float(_require(intr, "cy", where + ".intrinsics")),
-                    width=int(_require(intr, "width", where + ".intrinsics")),
-                    height=int(_require(intr, "height", where + ".intrinsics")),
-                ),
-            )
-        )
-
-    points = []
-    for i, entry in enumerate(doc.get("points", [])):
-        where = f"points[{i}]"
-        xyz = _require(entry, "xyz", where)
-        if len(xyz) != 3:
-            raise MapFormatError(f"{where}: xyz must have 3 entries")
-        points.append(
-            MapPoint(id=int(_require(entry, "id", where)), position=tuple(float(x) for x in xyz))
-        )
-
-    observations = []
-    for i, entry in enumerate(doc.get("observations", [])):
-        where = f"observations[{i}]"
-        uv = _require(entry, "uv", where)
-        if len(uv) != 2:
-            raise MapFormatError(f"{where}: uv must have 2 entries")
-        observations.append(
-            Observation(
-                point_id=int(_require(entry, "point", where)),
-                keyframe_id=int(_require(entry, "frame", where)),
-                u=float(uv[0]),
-                v=float(uv[1]),
-            )
-        )
-
-    slam_map = SlamMap(keyframes, points, observations)
+    slam_map = SlamMap(
+        _parse_records(doc, "keyframes", _parse_keyframe),
+        _parse_records(doc, "points", _parse_point),
+        _parse_records(doc, "observations", _parse_observation),
+    )
     report = validate(slam_map)
     if not report.ok:
         raise MapIntegrityError("; ".join(report.violations))

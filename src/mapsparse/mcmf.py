@@ -1,16 +1,40 @@
 """Integer minimum-cost maximum-flow on the layered graph, plus optimality certificates.
 
-The solver runs successive shortest augmenting paths with vertex potentials:
-each phase computes reduced-cost shortest distances with Dijkstra (all costs
-are non-negative), lifts the potentials, and then saturates every remaining
-shortest path at once with a level-restricted blocking flow. Augmentation
-order is fixed (lowest edge index first), so results are reproducible.
+:func:`solve` first checks, in O(E), whether any source edge can bind: a
+point's source edge cannot bind when its capacity is at least the sum of the
+point's outgoing capacities. ``build_graph`` always builds such graphs (a
+point seen by n keyframes has capacity n(n-1)/2 and exactly that many
+capacity-1 pair edges). The points then pass on whatever their pairs ask
+for, so the problem splits into independent pairs. The maximum flow is the
+sum over pairs of min(M, in-capacity), every maximum flow fills each pair to
+that level, and the cheapest way to do so is for each pair to fill itself
+with the candidates of lowest cc(point) + cs(point, pair), in that order.
+That closed form is one lexsort and a segmented running sum over the
+point->pair edges.
+
+Tie rule: among candidates of equal cc + cs, the lower edge index is taken
+first. ``build_graph`` emits the point->pair edges in point-id order, so on
+its graphs the lower point id wins.
+
+Graphs where some source edge can bind (DIMACS inputs, random test graphs),
+or whose capacity and cost sums could leave int64, go to the general solver,
+``_solve_ssp``. It runs successive shortest augmenting paths with vertex
+potentials: each phase computes reduced-cost shortest distances with Dijkstra
+(all costs are non-negative), lifts the potentials, and then saturates every
+remaining shortest path at once with a level-restricted blocking flow.
+Augmentation order is fixed (lowest edge index first), so results are
+reproducible. It stays the reference the closed form is tested against.
+
+:func:`verify_optimality` picks its certificate the same way: per-pair
+cheapest-fill checks in O(E) when no source edge can bind, and the
+residual-graph certificate (reachability plus Bellman-Ford) otherwise.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +74,91 @@ def _residual_arrays(graph: FlowGraph):
     return head, cap, cost, adj
 
 
+class _Pairwise(NamedTuple):
+    """Edge arrays of a graph whose source edges cannot bind."""
+
+    tail: np.ndarray
+    head: np.ndarray
+    cap: np.ndarray
+    cost: np.ndarray
+    is_source: np.ndarray  # per edge: leaves the source
+    is_sink: np.ndarray  # per edge: enters the sink
+    middle: np.ndarray  # indices of the point->pair edges
+    key: np.ndarray  # cc(tail) + cs, per point->pair edge
+    budget: np.ndarray  # per vertex: capacity of its pair->sink edge, else 0
+
+
+def _pairwise(graph: FlowGraph) -> _Pairwise | None:
+    """Edge arrays for the per-pair closed form, or None where it does not apply.
+
+    It applies when every point's source-edge capacity covers the sum of its
+    outgoing capacities (a point without a source edge counts as capacity 0)
+    and every flow and cost sum stays below 2**62.
+    """
+    edges = graph.edges
+    m = graph.n_edges
+    try:
+        cap = np.fromiter((e.capacity for e in edges), np.int64, m)
+    except OverflowError:
+        return None
+    tail = np.fromiter((e.tail for e in edges), np.int64, m)
+    head = np.fromiter((e.head for e in edges), np.int64, m)
+    cost = np.fromiter((e.cost for e in edges), np.int64, m)
+    if m and int(cap.max()) * max(int(cost.max()), 1) * m >= _INF:
+        return None
+    n = graph.n_vertices
+    is_source = tail == graph.source_index
+    is_sink = head == graph.sink_index
+    middle = np.flatnonzero(~(is_source | is_sink))
+    source_cap = np.zeros(n, np.int64)
+    source_cap[head[is_source]] = cap[is_source]
+    out_cap = np.zeros(n, np.int64)
+    np.add.at(out_cap, tail[middle], cap[middle])
+    if (out_cap > source_cap).any():
+        return None
+    cc = np.zeros(n, np.int64)
+    cc[head[is_source]] = cost[is_source]
+    budget = np.zeros(n, np.int64)
+    budget[tail[is_sink]] = cap[is_sink]
+    key = cc[tail[middle]] + cost[middle]
+    return _Pairwise(tail, head, cap, cost, is_source, is_sink, middle, key, budget)
+
+
+def _solve_pairwise(graph: FlowGraph, pw: _Pairwise) -> FlowResult:
+    """Fill each pair to its budget with its cheapest candidates (see module doc)."""
+    order = np.lexsort((pw.middle, pw.key, pw.head[pw.middle]))
+    mid = pw.middle[order]
+    pair = pw.head[mid]
+    cap = pw.cap[mid]
+    before = np.cumsum(cap) - cap  # units ahead of each candidate, over all pairs
+    starts = np.flatnonzero(np.diff(pair, prepend=-1))
+    before -= np.repeat(before[starts], np.diff(starts, append=len(pair)))
+    taken = np.clip(pw.budget[pair] - before, 0, cap)
+
+    flows = np.zeros(len(pw.cap), np.int64)
+    flows[mid] = taken
+    through = np.zeros(graph.n_vertices, np.int64)  # flow through each point and pair
+    np.add.at(through, pw.tail[mid], taken)
+    np.add.at(through, pair, taken)
+    flows[pw.is_source] = through[pw.head[pw.is_source]]
+    flows[pw.is_sink] = through[pw.tail[pw.is_sink]]
+    return FlowResult(tuple(flows.tolist()), int(flows[pw.is_source].sum()), int(flows @ pw.cost))
+
+
 def solve(graph: FlowGraph) -> FlowResult:
-    """Maximum s-t flow of minimum total cost, deterministic for fixed input."""
+    """Maximum s-t flow of minimum total cost, deterministic for fixed input.
+
+    Uses the per-pair closed form when no source edge can bind, and
+    successive shortest paths otherwise (see the module docstring).
+    """
+    pw = _pairwise(graph)
+    if pw is None:
+        return _solve_ssp(graph)
+    return _solve_pairwise(graph, pw)
+
+
+def _solve_ssp(graph: FlowGraph) -> FlowResult:
+    """Successive shortest paths on any layered graph; the general reference solver."""
     n = graph.n_vertices
     s = graph.source_index
     t = graph.sink_index
@@ -224,6 +331,58 @@ def max_flow_oracle(graph: FlowGraph) -> int:
 
 def verify_optimality(graph: FlowGraph, result: FlowResult) -> bool:
     """Certify the solved flow: feasible, maximal, and of minimum cost.
+
+    Uses the O(E) per-pair certificate when no source edge can bind, and the
+    residual-graph certificate otherwise (see the module docstring).
+    """
+    if len(result.edge_flows) != graph.n_edges:
+        return False
+    pw = _pairwise(graph)
+    if pw is None:
+        return _verify_residual(graph, result)
+    return _verify_pairwise(graph, pw, result)
+
+
+def _verify_pairwise(graph: FlowGraph, pw: _Pairwise, result: FlowResult) -> bool:
+    """Per-pair certificate for graphs whose source edges cannot bind.
+
+    True iff the flow respects capacities and conservation, every pair
+    carries min(M, its in-capacity) (so the flow is maximal), and in every
+    pair the costliest cc + cs carrying flow is no dearer than the cheapest
+    cc + cs with spare capacity (so no exchange lowers the cost).
+    """
+    try:
+        flows = np.array(result.edge_flows, dtype=np.int64)
+    except OverflowError:  # beyond int64 is beyond every capacity
+        return False
+    if ((flows < 0) | (flows > pw.cap)).any():
+        return False
+    net = np.zeros(graph.n_vertices, np.int64)
+    np.add.at(net, pw.head, flows)
+    np.subtract.at(net, pw.tail, flows)
+    net[[graph.source_index, graph.sink_index]] = 0
+    if net.any():
+        return False
+
+    pair = pw.head[pw.middle]
+    used = flows[pw.middle]
+    cap = pw.cap[pw.middle]
+    inflow = np.zeros(graph.n_vertices, np.int64)
+    np.add.at(inflow, pair, used)
+    in_cap = np.zeros(graph.n_vertices, np.int64)
+    np.add.at(in_cap, pair, cap)
+    if (inflow != np.minimum(pw.budget, in_cap)).any():
+        return False
+
+    dearest_used = np.full(graph.n_vertices, -1, np.int64)
+    np.maximum.at(dearest_used, pair[used > 0], pw.key[used > 0])
+    cheapest_spare = np.full(graph.n_vertices, np.iinfo(np.int64).max, np.int64)
+    np.minimum.at(cheapest_spare, pair[used < cap], pw.key[used < cap])
+    return bool((dearest_used <= cheapest_spare).all())
+
+
+def _verify_residual(graph: FlowGraph, result: FlowResult) -> bool:
+    """Residual-graph certificate for any layered graph.
 
     True iff the flow respects capacities and conservation, the residual
     graph admits no augmenting s-t path (maximality), and it contains no

@@ -16,7 +16,7 @@ from mapsparse import _quat
 from mapsparse.baselines import select_radius_suppressed
 from mapsparse.flow_graph import GraphConfig, baseline_cost, connectivity_cost, spatial_cost
 from mapsparse.map_model import validate
-from mapsparse.mcmf import max_flow_oracle, solve, verify_optimality
+from mapsparse.mcmf import _pairwise, _solve_ssp, max_flow_oracle, solve, verify_optimality
 from mapsparse.metrics import Trajectory, ate, ate_rot, attribute_C, attribute_F, attribute_S, transform_trajectory
 from mapsparse.sparsifier import SelectionResult, SparsifyConfig, apply_selection, sparsify
 from mapsparse.synth import SynthConfig, generate, perturb_trajectory
@@ -125,18 +125,24 @@ def test_criterion_1_cost_function_exactness():
 def test_criterion_2_solver_matches_oracle_on_1000_graphs():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260808)
-    flow_matches = certificates = 0
+    flow_matches = certificates = closed_forms = closed_form_matches = 0
     for _ in range(1000):
         graph = random_layered_graph(rng, max_vertices=20, cap_max=5, cost_max=10)
         assert graph.n_vertices <= 20
         result = solve(graph)
         flow_matches += result.total_flow == max_flow_oracle(graph)
         certificates += verify_optimality(graph, result)
+        if _pairwise(graph) is not None:
+            ssp = _solve_ssp(graph)
+            closed_forms += 1
+            closed_form_matches += (result.total_flow, result.total_cost) == (ssp.total_flow, ssp.total_cost)
     elapsed = time.perf_counter() - t0
     assert flow_matches == 1000
     assert certificates == 1000
+    assert closed_form_matches == closed_forms > 0
     assert elapsed < 10.0
-    print(f"\n[acceptance] criterion 2 (oracle equivalence): PASS 1000/1000 in {elapsed:.1f}s")
+    print(f"\n[acceptance] criterion 2 (oracle equivalence): PASS 1000/1000 "
+          f"({closed_forms} in closed form, all equal to SSP) in {elapsed:.1f}s")
 
 
 def test_criterion_3_exhaustive_min_cost_on_200_graphs():

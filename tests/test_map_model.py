@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,29 @@ def test_load_missing_field_is_named():
     del doc["keyframes"][0]["pose"]
     with pytest.raises(MapFormatError, match="pose"):
         load_map(io.StringIO(json.dumps(doc)))
+
+
+def _with(section, field, raw):
+    """MINIMAL as JSON text, with the first record's field set to the raw JSON value."""
+    doc = json.loads(json.dumps(MINIMAL))
+    doc[section][0][field] = "@"
+    return json.dumps(doc).replace('"@"', raw)
+
+
+@pytest.mark.parametrize(
+    "text, record",
+    [
+        pytest.param('{"keyframes": [5]}', "keyframes[0]", id="keyframe-not-object"),
+        pytest.param(_with("points", "xyz", "5"), "points[0]", id="xyz-number"),
+        pytest.param(_with("observations", "uv", "null"), "observations[0]", id="uv-null"),
+        pytest.param(_with("points", "id", "1e400"), "points[0]", id="id-overflow"),
+        pytest.param(_with("points", "id", '"x"'), "points[0]", id="id-string"),
+        pytest.param(_with("points", "xyz", '[1, 2, "a"]'), "points[0]", id="xyz-string-entry"),
+    ],
+)
+def test_load_malformed_record_raises_format_error(text, record):
+    with pytest.raises(MapFormatError, match=re.escape(record)):
+        load_map(io.StringIO(text))
 
 
 def test_round_trip_identity_on_synthetic_map():

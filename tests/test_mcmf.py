@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,17 @@ from flow_cases import (
     random_tiny_graph,
 )
 from mapsparse.flow_graph import FlowEdge, FlowGraph, GraphConfig, build_graph
-from mapsparse.mcmf import FlowResult, max_flow_oracle, solve, verify_optimality
+from mapsparse.mcmf import (
+    FlowResult,
+    _pairwise,
+    _solve_ssp,
+    _verify_residual,
+    max_flow_oracle,
+    solve,
+    verify_optimality,
+)
+from mapsparse.synth import SynthConfig, generate
+from test_acceptance import CLUSTER_M, CLUSTER_SYNTH, SWEEP_SYNTH
 
 
 def test_single_path():
@@ -73,6 +84,18 @@ def test_four_frame_fixture_matches_exhaustive_search(four_frame_map):
             best_flow, best_cost = flow, cost
     assert result.total_flow == best_flow
     assert result.total_cost == best_cost
+
+
+def test_equal_cost_tie_goes_to_lower_edge_index():
+    # both candidates cost 1 + 2; the pair admits one, and edge 2 precedes edge 3
+    graph = build_layered(
+        [(1, 1), (1, 1)],
+        [(0, 0, 1, 2), (1, 0, 1, 2)],
+        [(1, 0)],
+    )
+    result = solve(graph)
+    assert result.edge_flows == (1, 0, 1, 0, 1)
+    assert result == _solve_ssp(graph)
 
 
 def test_zero_flow_is_not_optimal():
@@ -161,3 +184,65 @@ def test_solve_is_deterministic():
     a = solve(graph)
     b = solve(graph)
     assert a == b
+
+
+@pytest.fixture(scope="module")
+def map_sweep():
+    """build_graph outputs on the acceptance maps, M in {50, 100, 200}, seeds 0-5, both solvers' flows."""
+    cells = []
+    for seed in range(6):
+        slam_map, _ = generate(SynthConfig(seed=seed, **SWEEP_SYNTH))
+        for m_value in (50, 100, 200):
+            graph = build_graph(slam_map, GraphConfig(capacity_m=m_value))
+            cells.append((graph, solve(graph), _solve_ssp(graph)))
+    return cells
+
+
+def test_closed_form_matches_ssp_on_map_sweep(map_sweep):
+    for graph, closed, ssp in map_sweep:
+        assert _pairwise(graph) is not None
+        assert (closed.total_flow, closed.total_cost) == (ssp.total_flow, ssp.total_cost)
+        assert closed.edge_flows == ssp.edge_flows
+
+
+def test_both_certificates_accept_map_sweep(map_sweep):
+    for graph, closed, _ in map_sweep:
+        assert verify_optimality(graph, closed)
+        assert _verify_residual(graph, closed)
+
+
+def test_both_certificates_reject_a_cheaper_unused_candidate():
+    # the acceptance suite's clustered map: small, so Bellman-Ford's n passes stay cheap
+    slam_map, _ = generate(SynthConfig(seed=0, **CLUSTER_SYNTH))
+    graph = build_graph(slam_map, GraphConfig(capacity_m=CLUSTER_M))
+    result = solve(graph)
+    flows = list(result.edge_flows)
+    source_edge = {e.head: i for i, e in enumerate(graph.edges) if e.tail == graph.source_index}
+
+    def key(i):
+        e = graph.edges[i]
+        return graph.edges[source_edge[e.tail]].cost + e.cost
+
+    by_pair: dict[int, list[int]] = {}
+    for i, e in enumerate(graph.edges):
+        if e.tail != graph.source_index and e.head != graph.sink_index:
+            by_pair.setdefault(e.head, []).append(i)
+    # a used candidate and a strictly dearer unused one in the same pair
+    used, dearer = next(
+        (u, d)
+        for members in by_pair.values()
+        for u in members
+        for d in members
+        if flows[u] == 1 and flows[d] == 0 and key(d) > key(u)
+    )
+    flows[used], flows[dearer] = 0, 1
+    flows[source_edge[graph.edges[used].tail]] -= 1
+    flows[source_edge[graph.edges[dearer].tail]] += 1
+    swapped = FlowResult(
+        tuple(flows),
+        result.total_flow,
+        result.total_cost + key(dearer) - key(used),
+    )
+    assert not flow_violations(graph, swapped)
+    assert not verify_optimality(graph, swapped)
+    assert not _verify_residual(graph, swapped)
