@@ -10,8 +10,8 @@ edges carry the baseline cost and the per-pair budget capacity M.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -77,15 +77,47 @@ class GraphConfig:
             raise GraphError("disabled_cost must be >= 0")
 
 
+# Layer of each vertex kind; an edge must go from one layer to the next.
+_LAYER = {"source": 0, "point": 1, "pair": 2, "sink": 3}
+_NO_LAYER = -10  # any other kind: no edge may touch it
+
+
 class FlowGraph:
     """Immutable layered DAG; vertex 0 is always usable via ``source_index``.
 
-    The constructor enforces the layering (source->point, point->pair,
-    pair->sink only), rejects parallel edges, and requires capacity >= 1 and
-    cost >= 0 on every edge.
+    Edges are held as four read-only int64 arrays, ``tail``, ``head``,
+    ``capacity`` and ``cost``, indexed by edge; ``edges`` views them as
+    :class:`FlowEdge` objects. Construction enforces the layering
+    (source->point, point->pair, pair->sink only), rejects parallel edges,
+    and requires capacity in [1, 2**62) and cost in [0, 2**62) on every edge.
     """
 
     def __init__(self, vertices, edges):
+        edges = tuple(edges)
+        k = len(edges)
+        try:
+            columns = [
+                np.fromiter((getattr(e, name) for e in edges), np.int64, k)
+                for name in ("tail", "head", "capacity", "cost")
+            ]
+        except OverflowError as e:
+            raise GraphError("edge fields must lie in [0, 2**62)") from e
+        self._set(vertices, *columns)
+
+    @classmethod
+    def from_arrays(cls, vertices, tail, head, capacity, cost) -> FlowGraph:
+        """Graph from per-edge integer sequences, checked as the constructor checks edges."""
+        try:
+            columns = [np.array(a, dtype=np.int64) for a in (tail, head, capacity, cost)]
+        except OverflowError as e:
+            raise GraphError("edge fields must lie in [0, 2**62)") from e
+        if len({a.shape for a in columns}) != 1 or columns[0].ndim != 1:
+            raise GraphError("tail, head, capacity and cost must be 1-d and of equal length")
+        graph = cls.__new__(cls)
+        graph._set(vertices, *columns)
+        return graph
+
+    def _set(self, vertices, tail, head, capacity, cost) -> None:
         self.vertices: tuple = tuple(vertices)
         self.vertex_index: dict = {v: i for i, v in enumerate(self.vertices)}
         if len(self.vertex_index) != len(self.vertices):
@@ -95,27 +127,45 @@ class FlowGraph:
         self.source_index: int = self.vertex_index[SOURCE]
         self.sink_index: int = self.vertex_index[SINK]
 
-        self.edges: tuple[FlowEdge, ...] = tuple(edges)
-        self._edge_by_pair: dict[tuple[int, int], int] = {}
-        self.point_source_edge: dict[int, int] = {}
-        self.pair_sink_edge: dict[tuple[int, int], int] = {}
-        for i, e in enumerate(self.edges):
-            tail_kind = self.vertices[e.tail][0]
-            head_kind = self.vertices[e.head][0]
-            if (tail_kind, head_kind) not in (("source", "point"), ("point", "pair"), ("pair", "sink")):
-                raise GraphError(f"edge {self.vertices[e.tail]} -> {self.vertices[e.head]} breaks layering")
-            if e.capacity < 1:
-                raise GraphError("edge capacity must be >= 1")
-            if not 0 <= e.cost < _COST_LIMIT:
+        n = len(self.vertices)
+        if len(tail) and not (0 <= min(tail.min(), head.min()) and max(tail.max(), head.max()) < n):
+            raise GraphError("edge endpoint is not a vertex index")
+        layer = np.array([_LAYER.get(v[0], _NO_LAYER) for v in self.vertices], np.int64)
+        tail_layer = layer[tail]
+        head_layer = layer[head]
+        bad = np.flatnonzero((head_layer != tail_layer + 1) | (tail_layer < 0))
+        if len(bad):
+            i = bad[0]
+            raise GraphError(f"edge {self.vertices[tail[i]]} -> {self.vertices[head[i]]} breaks layering")
+        if len(tail):
+            if capacity.min() < 1 or capacity.max() >= _COST_LIMIT:
+                raise GraphError("edge capacity must be in [1, 2**62)")
+            if cost.min() < 0 or cost.max() >= _COST_LIMIT:
                 raise GraphError("edge cost must be in [0, 2**62)")
-            key = (e.tail, e.head)
-            if key in self._edge_by_pair:
-                raise GraphError(f"parallel edge {self.vertices[e.tail]} -> {self.vertices[e.head]}")
-            self._edge_by_pair[key] = i
-            if tail_kind == "source":
-                self.point_source_edge[self.vertices[e.head][1]] = i
-            elif head_kind == "sink":
-                self.pair_sink_edge[self.vertices[e.tail][1:]] = i
+        # A sort, not np.unique: numpy's hash-based unique took 1.1 s on the
+        # 1.3M keys of a 10000x150 map, against 0.02 s for this.
+        key = np.sort(tail * n + head)
+        repeated = key[1:][key[1:] == key[:-1]]
+        if len(repeated):
+            t, h = divmod(int(repeated[0]), n)
+            raise GraphError(f"parallel edge {self.vertices[t]} -> {self.vertices[h]}")
+
+        for a in (tail, head, capacity, cost):
+            a.flags.writeable = False
+        self.tail: np.ndarray = tail
+        self.head: np.ndarray = head
+        self.capacity: np.ndarray = capacity
+        self.cost: np.ndarray = cost
+        self.edges: EdgeView = EdgeView(tail, head, capacity, cost)
+
+        from_source = np.flatnonzero(tail_layer == 0)
+        self.point_source_edge: dict[int, int] = {
+            self.vertices[h][1]: i for i, h in zip(from_source.tolist(), head[from_source].tolist())
+        }
+        into_sink = np.flatnonzero(head_layer == 3)
+        self.pair_sink_edge: dict[tuple[int, int], int] = {
+            self.vertices[t][1:]: i for i, t in zip(into_sink.tolist(), tail[into_sink].tolist())
+        }
 
     @property
     def n_vertices(self) -> int:
@@ -123,15 +173,44 @@ class FlowGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.tail)
 
-    def edge_between(self, tail_vertex, head_vertex) -> int | None:
-        """Edge index for a (tail, head) vertex-id pair, or None."""
-        ti = self.vertex_index.get(tail_vertex)
-        hi = self.vertex_index.get(head_vertex)
-        if ti is None or hi is None:
-            return None
-        return self._edge_by_pair.get((ti, hi))
+
+class EdgeView(Sequence):
+    """Read-only sequence of a graph's edges as :class:`FlowEdge`, built one at a time.
+
+    ``view[i]`` builds edge i alone, so indexing a few edges of a large
+    graph stays cheap. Compares equal to any sequence of equal edges.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, tail: np.ndarray, head: np.ndarray, capacity: np.ndarray, cost: np.ndarray):
+        self._columns = (tail, head, capacity, cost)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        tail, head, capacity, cost = self._columns
+        return FlowEdge(tail.item(i), head.item(i), capacity.item(i), cost.item(i))
+
+    def __iter__(self):
+        return map(FlowEdge, *(c.tolist() for c in self._columns))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EdgeView):
+            return all(np.array_equal(a, b) for a, b in zip(self._columns, other._columns))
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"EdgeView({len(self)} edges)"
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -210,29 +289,61 @@ def baseline_cost(d: float) -> int:
     return math.ceil(10.0 / (0.1 * d + 1.0))
 
 
-def _nearby_counts(slam_map: SlamMap, box_width: int, box_height: int) -> dict[tuple[int, int], int]:
-    """Nearby-keypoint count for every observation, batched per keyframe."""
+# Candidate (keypoint, neighbour) pairs tested at once by _nearby_counts: a
+# block's arrays stay in cache (timed 2x faster than 2**20 on the benchmark
+# maps), and memory stays bounded where many keypoints share one strip.
+_STRIP_BLOCK = 1 << 16
+
+# 10**0 .. 10**18, every power of ten below 2**63, for exact digit counts.
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _nearby_counts(slam_map: SlamMap, box_width: int, box_height: int) -> np.ndarray:
+    """nearby_count of every observation, aligned with ``slam_map.observation_arrays()``.
+
+    Per keyframe the keypoints are sorted by u, and each one's candidates
+    are the keypoints in a strip of half-width box_width/2 + 1 around its u
+    (two searchsorted calls). Each candidate then takes the exact closed box
+    test of :func:`nearby_count`; the strip only narrows the candidates, so
+    rounding in the strip bounds cannot change a count.
+    """
+    _, frame, u, v = slam_map.observation_arrays()
     half_u = box_width / 2.0
     half_v = box_height / 2.0
-    out: dict[tuple[int, int], int] = {}
-    for kf in slam_map.keyframes:
-        pids = slam_map.points_of_frame(kf.id)
-        if not pids:
-            continue
-        uv = np.array(
-            [(o.u, o.v) for o in (slam_map.observation(p, kf.id) for p in pids)]
-        )
-        k = len(pids)
-        counts = np.zeros(k, dtype=int)
-        # k x k distance masks in blocks to bound memory on dense frames
-        block = 1024
-        for lo in range(0, k, block):
-            hi = min(lo + block, k)
-            du = np.abs(uv[lo:hi, 0:1] - uv[None, :, 0].reshape(1, k))
-            dv = np.abs(uv[lo:hi, 1:2] - uv[None, :, 1].reshape(1, k))
-            counts[lo:hi] = ((du <= half_u) & (dv <= half_v)).sum(axis=1) - 1
-        for pid, c in zip(pids, counts):
-            out[(pid, kf.id)] = int(c)
+    order = np.lexsort((u, frame))
+    frame, u, v = frame[order], u[order], v[order]
+    k = len(order)
+
+    lo = np.empty(k, np.int64)
+    hi = np.empty(k, np.int64)
+    bounds = np.flatnonzero(np.diff(frame)) + 1
+    for a, b in zip(np.r_[0, bounds].tolist(), np.r_[bounds, k].tolist()):
+        strip = u[a:b]
+        lo[a:b] = a + np.searchsorted(strip, strip - (half_u + 1), "left")
+        hi[a:b] = a + np.searchsorted(strip, strip + (half_u + 1), "right")
+
+    counts = np.empty(k, np.int64)
+    width = hi - lo
+    reach = np.cumsum(width)  # candidates of keypoints 0..i
+    a = 0
+    while a < k:
+        done = reach[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(reach, done + _STRIP_BLOCK, "right")))
+        w = width[a:b]
+        row_end = np.cumsum(w)
+        j = np.arange(row_end[-1]) + np.repeat(lo[a:b] - (row_end - w), w)
+        du = u[j]
+        du -= np.repeat(u[a:b], w)
+        dv = v[j]
+        dv -= np.repeat(v[a:b], w)
+        near = np.abs(du, out=du) <= half_u
+        near &= np.abs(dv, out=dv) <= half_v
+        counts[a:b] = np.diff(np.cumsum(near)[row_end - 1], prepend=0)
+        a = b
+    # Every strip holds its own keypoint, which nearby_count does not count.
+    counts -= (np.abs(u - u) <= half_u) & (np.abs(v - v) <= half_v)
+    out = np.empty(k, np.int64)
+    out[order] = counts
     return out
 
 
@@ -241,58 +352,73 @@ def build_graph(slam_map: SlamMap, config: GraphConfig) -> FlowGraph:
 
     Deterministic: vertices and edges are emitted in sorted id order, and the
     connectivity recursion anchor m is the maximum observer count over the
-    eligible points of this map.
+    eligible points of this map. Point->pair edges follow each point's frame
+    pairs in ``itertools.combinations`` order.
     """
-    eligible = [
-        (pt.id, slam_map.frames_of_point(pt.id))
-        for pt in slam_map.points
-        if len(slam_map.frames_of_point(pt.id)) >= 2
-    ]
-    if not eligible:
+    point, frame, _, _ = slam_map.observation_arrays()
+    k = len(point)
+    # Observations come in one run per point, frames ascending.
+    starts = np.flatnonzero(np.diff(point, prepend=-1))
+    n_run = np.diff(starts, append=k)
+    eligible = n_run >= 2
+    if not eligible.any():
         raise GraphError("no map point is observed by at least two keyframes")
+    n = n_run[eligible]
+    n_points = len(n)
+    m = int(n.max())
 
-    m = max(len(frames) for _, frames in eligible)
-    cc_table = _connectivity_table(m)
-    nearby = _nearby_counts(slam_map, config.box_width, config.box_height)
+    # Every (observation, later observation of the same point): one edge each.
+    run_end = np.repeat(starts + n_run, n_run)
+    later = run_end - np.arange(k) - 1
+    first = np.repeat(np.arange(k), later)
+    second = np.arange(len(first)) + np.repeat(np.arange(k) + 1 - (np.cumsum(later) - later), later)
+    n_frames = len(slam_map.keyframes)
+    pair_keys, pair_of = np.unique(frame[first] * n_frames + frame[second], return_inverse=True)
+    n_pairs = len(pair_keys)
+    point_rank = np.repeat(np.cumsum(eligible) - 1, n_run)
 
-    pair_ids: set[tuple[int, int]] = set()
-    for _, frames in eligible:
-        pair_ids.update(combinations(frames, 2))
-    pairs = sorted(pair_ids)
-
+    frame_ids = [kf.id for kf in slam_map.keyframes]
+    pairs = [
+        (frame_ids[a], frame_ids[b])
+        for a, b in zip((pair_keys // n_frames).tolist(), (pair_keys % n_frames).tolist())
+    ]
     vertices = [SOURCE]
-    vertices.extend(point_vertex(pid) for pid, _ in eligible)
+    vertices.extend(point_vertex(slam_map.points[i].id) for i in point[starts[eligible]].tolist())
     vertices.extend(pair_vertex(a, b) for a, b in pairs)
     vertices.append(SINK)
-    index = {v: i for i, v in enumerate(vertices)}
-    src = index[SOURCE]
-    snk = index[SINK]
+    snk = len(vertices) - 1
 
-    edges: list[FlowEdge] = []
-    for pid, frames in eligible:
-        n = len(frames)
-        cost = cc_table[n] if config.enable_cc else config.disabled_cost
-        edges.append(FlowEdge(src, index[point_vertex(pid)], point_capacity(n), cost))
+    if config.enable_cc:
+        cc_table = _connectivity_table(m)
+        source_cost = np.array([0, 0] + [cc_table[c] for c in range(2, m + 1)], np.int64)[n]
+    else:
+        source_cost = np.full(n_points, config.disabled_cost, np.int64)
 
-    for pid, frames in eligible:
-        pi = index[point_vertex(pid)]
-        for a, b in combinations(frames, 2):
-            if config.enable_cs:
-                cost = spatial_cost(nearby[(pid, a)], nearby[(pid, b)])
-            else:
-                cost = config.disabled_cost
-            edges.append(FlowEdge(pi, index[pair_vertex(a, b)], 1, cost))
+    if config.enable_cs:
+        nearby = _nearby_counts(slam_map, config.box_width, config.box_height)
+        product = nearby[first] * nearby[second] + 1
+        middle_cost = np.searchsorted(_POWERS_OF_TEN, product, "right") - 1
+    else:
+        middle_cost = np.full(len(first), config.disabled_cost, np.int64)
 
-    centers = {kf.id: kf.pose.center() for kf in slam_map.keyframes}
-    for a, b in pairs:
-        if config.enable_cb:
-            d = float(np.linalg.norm(centers[a] - centers[b])) * config.baseline_scale
-            cost = baseline_cost(d)
-        else:
-            cost = config.disabled_cost
-        edges.append(FlowEdge(index[pair_vertex(a, b)], snk, config.capacity_m, cost))
+    if config.enable_cb:
+        centers = {kf.id: kf.pose.center() for kf in slam_map.keyframes}
+        sink_cost = [
+            baseline_cost(float(np.linalg.norm(centers[a] - centers[b])) * config.baseline_scale)
+            for a, b in pairs
+        ]
+    else:
+        sink_cost = [config.disabled_cost] * n_pairs
 
-    return FlowGraph(vertices, edges)
+    point_index = np.arange(1, n_points + 1)
+    pair_index = np.arange(n_points + 1, n_points + 1 + n_pairs)
+    return FlowGraph.from_arrays(
+        vertices,
+        np.concatenate([np.zeros(n_points, np.int64), 1 + point_rank[first], pair_index]),
+        np.concatenate([point_index, n_points + 1 + pair_of, np.full(n_pairs, snk)]),
+        np.concatenate([n * (n - 1) // 2, np.ones(len(first), np.int64), np.full(n_pairs, config.capacity_m)]),
+        np.concatenate([source_cost, middle_cost, np.array(sink_cost, np.int64)]),
+    )
 
 
 def to_dimacs(graph: FlowGraph, supply: int) -> str:

@@ -135,6 +135,7 @@ class SlamMap:
             points_of[obs.keyframe_id].append(obs.point_id)
         self._frames_of_point = {p: tuple(sorted(f)) for p, f in frames_of.items()}
         self._points_of_frame = {k: tuple(sorted(p)) for k, p in points_of.items()}
+        self._observation_arrays: tuple[np.ndarray, ...] | None = None
 
     @property
     def n_keyframes(self) -> int:
@@ -171,6 +172,34 @@ class SlamMap:
         """Ids of points observed in the keyframe, sorted ascending."""
         return self._points_of_frame[keyframe_id]
 
+    def observation_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(point, frame, u, v) of every indexed observation, in (point id, frame id) order.
+
+        ``point`` and ``frame`` are int64 positions in :attr:`points` and
+        :attr:`keyframes` (the first entry of a repeated id), so they sort
+        exactly as the ids do and never overflow, whatever the ids; ``u`` and
+        ``v`` are float64. Built on the first call; the arrays are read-only.
+        """
+        if self._observation_arrays is None:
+            point_pos: dict[int, int] = {}
+            for i, pt in enumerate(self.points):
+                point_pos.setdefault(pt.id, i)
+            frame_pos: dict[int, int] = {}
+            for i, kf in enumerate(self.keyframes):
+                frame_pos.setdefault(kf.id, i)
+            keys = self._obs_by_key
+            k = len(keys)
+            arrays = (
+                np.fromiter((point_pos[p] for p, _ in keys), np.int64, k),
+                np.fromiter((frame_pos[f] for _, f in keys), np.int64, k),
+                np.fromiter((o.u for o in keys.values()), np.float64, k),
+                np.fromiter((o.v for o in keys.values()), np.float64, k),
+            )
+            for a in arrays:
+                a.flags.writeable = False
+            self._observation_arrays = arrays
+        return self._observation_arrays
+
 
 def maps_equal(a: SlamMap, b: SlamMap) -> bool:
     """Exact field-by-field equality (floats compared bitwise)."""
@@ -206,6 +235,20 @@ def _write_text(sink: Union[str, Path, IO[bytes], IO[str]], text: str) -> None:
         sink.write(text.encode("utf-8"))
 
 
+def _int(x, where: str, field: str) -> int:
+    """A JSON integer; booleans, floats and strings are refused, never coerced."""
+    if type(x) is not int:
+        raise MapFormatError(f"{where}: {field} must be an integer, got {x!r}")
+    return x
+
+
+def _num(x, where: str, field: str) -> float:
+    """A JSON number (integer or float) as a float; booleans and strings are refused."""
+    if type(x) is not float and type(x) is not int:
+        raise MapFormatError(f"{where}: {field} must be a number, got {x!r}")
+    return float(x)
+
+
 def _parse_keyframe(entry, where: str) -> Keyframe:
     pose = _require(entry, "pose", where)
     intr = _require(entry, "intrinsics", where)
@@ -213,18 +256,22 @@ def _parse_keyframe(entry, where: str) -> Keyframe:
     t = _require(pose, "t", where + ".pose")
     if len(q) != 4 or len(t) != 3:
         raise MapFormatError(f"{where}.pose: q must have 4 entries and t must have 3")
+    iw = where + ".intrinsics"
     return Keyframe(
-        id=int(_require(entry, "id", where)),
-        seq_index=int(_require(entry, "seq_index", where)),
-        timestamp=float(_require(entry, "timestamp", where)),
-        pose=Pose(q=tuple(float(x) for x in q), t=tuple(float(x) for x in t)),
+        id=_int(_require(entry, "id", where), where, "id"),
+        seq_index=_int(_require(entry, "seq_index", where), where, "seq_index"),
+        timestamp=_num(_require(entry, "timestamp", where), where, "timestamp"),
+        pose=Pose(
+            q=tuple(_num(x, where, "pose.q") for x in q),
+            t=tuple(_num(x, where, "pose.t") for x in t),
+        ),
         intrinsics=CameraIntrinsics(
-            fx=float(_require(intr, "fx", where + ".intrinsics")),
-            fy=float(_require(intr, "fy", where + ".intrinsics")),
-            cx=float(_require(intr, "cx", where + ".intrinsics")),
-            cy=float(_require(intr, "cy", where + ".intrinsics")),
-            width=int(_require(intr, "width", where + ".intrinsics")),
-            height=int(_require(intr, "height", where + ".intrinsics")),
+            fx=_num(_require(intr, "fx", iw), iw, "fx"),
+            fy=_num(_require(intr, "fy", iw), iw, "fy"),
+            cx=_num(_require(intr, "cx", iw), iw, "cx"),
+            cy=_num(_require(intr, "cy", iw), iw, "cy"),
+            width=_int(_require(intr, "width", iw), iw, "width"),
+            height=_int(_require(intr, "height", iw), iw, "height"),
         ),
     )
 
@@ -233,7 +280,10 @@ def _parse_point(entry, where: str) -> MapPoint:
     xyz = _require(entry, "xyz", where)
     if len(xyz) != 3:
         raise MapFormatError(f"{where}: xyz must have 3 entries")
-    return MapPoint(id=int(_require(entry, "id", where)), position=tuple(float(x) for x in xyz))
+    return MapPoint(
+        id=_int(_require(entry, "id", where), where, "id"),
+        position=tuple(_num(x, where, "xyz") for x in xyz),
+    )
 
 
 def _parse_observation(entry, where: str) -> Observation:
@@ -241,10 +291,10 @@ def _parse_observation(entry, where: str) -> Observation:
     if len(uv) != 2:
         raise MapFormatError(f"{where}: uv must have 2 entries")
     return Observation(
-        point_id=int(_require(entry, "point", where)),
-        keyframe_id=int(_require(entry, "frame", where)),
-        u=float(uv[0]),
-        v=float(uv[1]),
+        point_id=_int(_require(entry, "point", where), where, "point"),
+        keyframe_id=_int(_require(entry, "frame", where), where, "frame"),
+        u=_num(uv[0], where, "uv"),
+        v=_num(uv[1], where, "uv"),
     )
 
 

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flow_graph import SINK, SOURCE, FlowEdge, FlowGraph, GraphError, pair_vertex, point_vertex
+from .flow_graph import SINK, SOURCE, FlowGraph, GraphError, pair_vertex, point_vertex
 
 _INF = 1 << 62
 
@@ -95,15 +95,8 @@ def _pairwise(graph: FlowGraph) -> _Pairwise | None:
     outgoing capacities (a point without a source edge counts as capacity 0)
     and every flow and cost sum stays below 2**62.
     """
-    edges = graph.edges
+    tail, head, cap, cost = graph.tail, graph.head, graph.capacity, graph.cost
     m = graph.n_edges
-    try:
-        cap = np.fromiter((e.capacity for e in edges), np.int64, m)
-    except OverflowError:
-        return None
-    tail = np.fromiter((e.tail for e in edges), np.int64, m)
-    head = np.fromiter((e.head for e in edges), np.int64, m)
-    cost = np.fromiter((e.cost for e in edges), np.int64, m)
     if m and int(cap.max()) * max(int(cost.max()), 1) * m >= _INF:
         return None
     n = graph.n_vertices
@@ -442,16 +435,25 @@ def _verify_residual(graph: FlowGraph, result: FlowResult) -> bool:
     return not changed
 
 
+def _ints(fields: list[str], lineno: int, form: str) -> list[int]:
+    """The integer fields of one DIMACS record, or a GraphError naming the line."""
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise GraphError(f"line {lineno}: expected integers in '{form}'") from None
+
+
 def parse_dimacs(text: str) -> tuple[FlowGraph, int]:
     """Parse a DIMACS min-cost-flow file describing a layered graph.
 
     Layer membership is recovered from the arc pattern: heads of source arcs
     become point vertices, tails of sink arcs become pair vertices. Returns
-    the graph and the declared supply.
+    the graph and the declared supply. Malformed records raise
+    :class:`GraphError` naming the line.
     """
     n_decl = None
     supplies: dict[int, int] = {}
-    raw_arcs: list[tuple[int, int, int, int, int]] = []
+    raw_arcs: list[list[int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts or parts[0] == "c":
@@ -459,13 +461,16 @@ def parse_dimacs(text: str) -> tuple[FlowGraph, int]:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "min":
                 raise GraphError(f"line {lineno}: expected 'p min N M'")
-            n_decl = int(parts[2])
+            n_decl, _ = _ints(parts[2:], lineno, "p min N M")
         elif parts[0] == "n":
-            supplies[int(parts[1])] = int(parts[2])
+            if len(parts) != 3:
+                raise GraphError(f"line {lineno}: expected 'n ID FLOW'")
+            node, flow = _ints(parts[1:], lineno, "n ID FLOW")
+            supplies[node] = flow
         elif parts[0] == "a":
             if len(parts) != 6:
                 raise GraphError(f"line {lineno}: expected 'a from to low cap cost'")
-            raw_arcs.append(tuple(int(x) for x in parts[1:]))
+            raw_arcs.append(_ints(parts[1:], lineno, "a from to low cap cost"))
         else:
             raise GraphError(f"line {lineno}: unknown record '{parts[0]}'")
     if n_decl is None:
@@ -489,11 +494,16 @@ def parse_dimacs(text: str) -> tuple[FlowGraph, int]:
 
     vertices = [SOURCE] + [vertex_of[p] for p in points] + [vertex_of[p] for p in pairs] + [SINK]
     index = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    for tl, h, low, capacity, cost in raw_arcs:
+    for tl, h, low, _, _ in raw_arcs:
         if low != 0:
             raise GraphError("only zero lower bounds are supported")
         if tl not in vertex_of or h not in vertex_of:
             raise GraphError(f"arc {tl}->{h} does not fit the layered structure")
-        edges.append(FlowEdge(index[vertex_of[tl]], index[vertex_of[h]], capacity, cost))
-    return FlowGraph(vertices, edges), supply
+    tail, head, _, capacity, cost = zip(*raw_arcs) if raw_arcs else ((),) * 5
+    return FlowGraph.from_arrays(
+        vertices,
+        [index[vertex_of[tl]] for tl in tail],
+        [index[vertex_of[h]] for h in head],
+        capacity,
+        cost,
+    ), supply

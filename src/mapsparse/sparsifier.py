@@ -99,11 +99,19 @@ def select_points(result: FlowResult, graph: FlowGraph, theta_ratio: float) -> s
     """
     frac = Fraction(theta_ratio)
     num, den = frac.numerator, frac.denominator
-    kept = set()
-    for pid, ei in graph.point_source_edge.items():
-        if result.edge_flows[ei] * den > num * graph.edges[ei].capacity:
-            kept.add(pid)
-    return kept
+    return {
+        pid
+        for pid, flow, cap in _source_edges(result, graph)
+        if flow * den > num * cap
+    }
+
+
+def _source_edges(result: FlowResult, graph: FlowGraph):
+    """(point id, flow, capacity) of every source edge, as Python ints."""
+    source_edges = list(graph.point_source_edge.values())
+    caps = graph.capacity[source_edges].tolist()
+    flows = result.edge_flows
+    return [(pid, flows[ei], cap) for (pid, ei), cap in zip(graph.point_source_edge.items(), caps)]
 
 
 def cull_keyframes(slam_map: SlamMap, kept_points: set[int], keyframe_min_points: int) -> set[int]:
@@ -143,10 +151,7 @@ def sparsify(slam_map: SlamMap, config: SparsifyConfig) -> SelectionResult:
     dropped = {pt.id for pt in slam_map.points} - kept
     culled = cull_keyframes(slam_map, kept, config.keyframe_min_points)
 
-    point_flow = {
-        pid: (result.edge_flows[ei], graph.edges[ei].capacity)
-        for pid, ei in graph.point_source_edge.items()
-    }
+    point_flow = {pid: (flow, cap) for pid, flow, cap in _source_edges(result, graph)}
     return SelectionResult(
         kept_point_ids=frozenset(kept),
         dropped_point_ids=frozenset(dropped),

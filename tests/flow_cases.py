@@ -4,7 +4,20 @@ import itertools
 
 import numpy as np
 
-from mapsparse.flow_graph import SINK, SOURCE, FlowEdge, FlowGraph, pair_vertex, point_vertex
+from mapsparse.flow_graph import (
+    SINK,
+    SOURCE,
+    FlowEdge,
+    FlowGraph,
+    GraphError,
+    baseline_cost,
+    connectivity_cost,
+    nearby_count,
+    pair_vertex,
+    point_capacity,
+    point_vertex,
+    spatial_cost,
+)
 
 
 def build_layered(source_edges, middle_edges, sink_edges):
@@ -126,3 +139,58 @@ def flow_violations(graph, result):
     if sum(f * e.cost for f, e in zip(result.edge_flows, graph.edges)) != result.total_cost:
         problems.append("total_cost does not match per-edge sum")
     return problems
+
+
+def build_graph_oracle(slam_map, config):
+    """Scalar reference for ``build_graph``: one FlowEdge at a time, every cost
+    from its single-value function. Returns (vertices, edges,
+    point_source_edge, pair_sink_edge)."""
+    eligible = [
+        (pt.id, slam_map.frames_of_point(pt.id))
+        for pt in slam_map.points
+        if len(slam_map.frames_of_point(pt.id)) >= 2
+    ]
+    if not eligible:
+        raise GraphError("no map point is observed by at least two keyframes")
+    m = max(len(frames) for _, frames in eligible)
+    pairs = sorted({ab for _, frames in eligible for ab in itertools.combinations(frames, 2)})
+
+    vertices = [SOURCE]
+    vertices.extend(point_vertex(pid) for pid, _ in eligible)
+    vertices.extend(pair_vertex(a, b) for a, b in pairs)
+    vertices.append(SINK)
+    index = {v: i for i, v in enumerate(vertices)}
+    src = index[SOURCE]
+    snk = index[SINK]
+
+    edges = []
+    point_source_edge = {}
+    for pid, frames in eligible:
+        n = len(frames)
+        cost = connectivity_cost(n, m) if config.enable_cc else config.disabled_cost
+        point_source_edge[pid] = len(edges)
+        edges.append(FlowEdge(src, index[point_vertex(pid)], point_capacity(n), cost))
+
+    counts = {}
+
+    def nearby(pid, fid):
+        if (pid, fid) not in counts:
+            counts[(pid, fid)] = nearby_count(slam_map, pid, fid, config.box_width, config.box_height)
+        return counts[(pid, fid)]
+
+    for pid, frames in eligible:
+        for a, b in itertools.combinations(frames, 2):
+            cost = spatial_cost(nearby(pid, a), nearby(pid, b)) if config.enable_cs else config.disabled_cost
+            edges.append(FlowEdge(index[point_vertex(pid)], index[pair_vertex(a, b)], 1, cost))
+
+    centers = {kf.id: kf.pose.center() for kf in slam_map.keyframes}
+    pair_sink_edge = {}
+    for a, b in pairs:
+        if config.enable_cb:
+            d = float(np.linalg.norm(centers[a] - centers[b])) * config.baseline_scale
+            cost = baseline_cost(d)
+        else:
+            cost = config.disabled_cost
+        pair_sink_edge[(a, b)] = len(edges)
+        edges.append(FlowEdge(index[pair_vertex(a, b)], snk, config.capacity_m, cost))
+    return vertices, edges, point_source_edge, pair_sink_edge

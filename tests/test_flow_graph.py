@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_map
+from flow_cases import build_graph_oracle
+from mapsparse.cli import _window_maps
 from mapsparse.flow_graph import (
+    SINK,
+    SOURCE,
+    FlowEdge,
+    FlowGraph,
     GraphConfig,
     GraphError,
     baseline_cost,
@@ -87,9 +95,7 @@ class TestNearbyCount:
 
     def test_batch_counts_match_single_queries(self):
         slam_map, _ = generate(SynthConfig(n_points=80, n_keyframes=6, dropout=0.2, seed=12))
-        batch = _nearby_counts(slam_map, 64, 48)
-        for (pid, fid), count in batch.items():
-            assert count == nearby_count(slam_map, pid, fid)
+        assert_counts_match(slam_map, 64, 48)
 
 
 class TestSpatialCost:
@@ -227,6 +233,144 @@ class TestBuildGraph:
             assert order[graph.vertices[e.head][0]] == order[graph.vertices[e.tail][0]] + 1
 
 
+def assert_counts_match(slam_map, box_width, box_height):
+    batch = _nearby_counts(slam_map, box_width, box_height)
+    point, frame, _, _ = slam_map.observation_arrays()
+    assert len(batch) == len(point) == slam_map.n_observations
+    for p, f, count in zip(point, frame, batch):
+        pid, fid = slam_map.points[p].id, slam_map.keyframes[f].id
+        assert count == nearby_count(slam_map, pid, fid, box_width, box_height)
+
+
+def assert_matches_oracle(slam_map, config):
+    try:
+        vertices, edges, point_source_edge, pair_sink_edge = build_graph_oracle(slam_map, config)
+    except GraphError:
+        with pytest.raises(GraphError):
+            build_graph(slam_map, config)
+        return
+    graph = build_graph(slam_map, config)
+    assert list(graph.vertices) == vertices
+    assert list(graph.edges) == edges
+    assert graph.point_source_edge == point_source_edge
+    assert graph.pair_sink_edge == pair_sink_edge
+
+
+@st.composite
+def grid_maps(draw):
+    """Small maps whose keypoints sit on an 8 px grid, so that du == 32.0 and
+    dv == 24.0 (the default box edges) and duplicate uv both occur; points
+    may be seen by fewer than two frames."""
+    n_frames = draw(st.integers(2, 5))
+    u = st.integers(0, 12).map(lambda i: 100.0 + 8.0 * i)
+    v = st.integers(0, 9).map(lambda i: 100.0 + 8.0 * i)
+    point_obs = {}
+    for i in range(draw(st.integers(1, 10))):
+        frames = draw(st.lists(st.integers(0, n_frames - 1), unique=True, max_size=n_frames))
+        point_obs[3 * i + 5] = [(f, draw(u), draw(v)) for f in frames]
+    centers = [(0, 0, draw(st.integers(0, 60))) for _ in range(n_frames)]
+    return make_map(centers, point_obs)
+
+
+graph_configs = st.builds(
+    GraphConfig,
+    capacity_m=st.integers(1, 4),
+    box_width=st.sampled_from([64, 63, 65, 1, 17]),
+    box_height=st.sampled_from([48, 47, 49, 1, 9]),
+    enable_cc=st.booleans(),
+    enable_cs=st.booleans(),
+    enable_cb=st.booleans(),
+)
+
+
+class TestBuildGraphMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(slam_map=grid_maps(), config=graph_configs)
+    def test_small_grid_maps(self, slam_map, config):
+        assert_counts_match(slam_map, config.box_width, config.box_height)
+        assert_matches_oracle(slam_map, config)
+
+    def test_box_edges_are_closed(self):
+        slam_map = make_map(
+            [(0, 0, 0), (0, 0, 5)],
+            {1: [(0, 100, 100), (1, 100, 100)], 2: [(0, 132, 124), (1, 68, 76)], 3: [(0, 100, 100), (1, 300, 300)]},
+        )
+        assert list(_nearby_counts(slam_map, 64, 48)) == [2, 1, 2, 1, 2, 0]
+        assert list(_nearby_counts(slam_map, 63, 47)) == [1, 0, 0, 0, 1, 0]
+        for config in (GraphConfig(capacity_m=2), GraphConfig(capacity_m=2, box_width=63, box_height=47)):
+            assert_matches_oracle(slam_map, config)
+
+    # Reduced maps of each benchmark workload's shape (perfbench/workloads.py).
+    @pytest.mark.parametrize(
+        "synth, window",
+        [
+            pytest.param(dict(n_points=2000, n_keyframes=20, trajectory="circle",
+                              trajectory_scale=2.0, extent=12.0, dropout=0.4), 0, id="dense_whole"),
+            pytest.param(dict(n_points=16000, n_keyframes=6, trajectory="circle",
+                              trajectory_scale=6.0, extent=12.0, dropout=0.85), 0, id="wide_keypoints"),
+            pytest.param(dict(n_points=400, n_keyframes=20, trajectory="line",
+                              trajectory_scale=60.0, extent=60.0, dropout=0.4), 10, id="windowed"),
+        ],
+    )
+    def test_workload_shaped_maps(self, synth, window):
+        slam_map, _ = generate(SynthConfig(seed=4, **synth))
+        maps = list(_window_maps(slam_map, window)) if window else [slam_map]
+        for sub in maps:
+            assert_matches_oracle(sub, GraphConfig(capacity_m=20))
+
+
+class TestFlowGraphArrays:
+    def test_edges_view_is_a_sequence_of_flow_edges(self, four_frame_map):
+        graph = build_graph(four_frame_map, GraphConfig(capacity_m=2))
+        expected = tuple(
+            FlowEdge(int(t), int(h), int(c), int(w))
+            for t, h, c, w in zip(graph.tail, graph.head, graph.capacity, graph.cost)
+        )
+        assert len(graph.edges) == graph.n_edges == len(expected)
+        assert graph.edges == expected
+        assert expected == graph.edges
+        assert tuple(graph.edges) == expected
+        assert graph.edges[0] == expected[0]
+        assert graph.edges[-1] == expected[-1]
+        assert graph.edges[2:5] == expected[2:5]
+        assert graph.edges != expected[:-1]
+        with pytest.raises(IndexError):
+            graph.edges[len(expected)]
+        with pytest.raises(ValueError):
+            graph.capacity[0] = 5
+
+    def test_constructor_and_from_arrays_agree(self, four_frame_map):
+        graph = build_graph(four_frame_map, GraphConfig(capacity_m=2))
+        rebuilt = FlowGraph(graph.vertices, graph.edges)
+        assert rebuilt.edges == graph.edges
+        assert rebuilt.point_source_edge == graph.point_source_edge
+        assert rebuilt.pair_sink_edge == graph.pair_sink_edge
+
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            pytest.param((0, 2, 1, 0), id="source-to-pair"),
+            pytest.param((1, 3, 1, 0), id="endpoint-out-of-range"),
+            pytest.param((0, 1, 0, 0), id="capacity-zero"),
+            pytest.param((0, 1, 1 << 62, 0), id="capacity-2**62"),
+            pytest.param((0, 1, 1 << 64, 0), id="capacity-beyond-int64"),
+            pytest.param((0, 1, 1, -1), id="cost-negative"),
+            pytest.param((0, 1, 1, 1 << 62), id="cost-2**62"),
+        ],
+    )
+    def test_rejects_bad_edges(self, edge):
+        vertices = [SOURCE, point_vertex(0), SINK]
+        with pytest.raises(GraphError):
+            FlowGraph(vertices, [FlowEdge(*edge)])
+        with pytest.raises(GraphError):
+            FlowGraph.from_arrays(vertices, *([x] for x in edge))
+
+    def test_rejects_parallel_edges(self):
+        vertices = [SOURCE, point_vertex(0), SINK]
+        with pytest.raises(GraphError, match="parallel"):
+            FlowGraph(vertices, [FlowEdge(0, 1, 1, 0), FlowEdge(0, 1, 2, 0)])
+
+
 class TestGraphConfig:
     def test_validation(self):
         with pytest.raises(GraphError):
@@ -254,3 +398,21 @@ class TestDimacs:
         reparsed = solve(parsed)
         assert reparsed.total_flow == result.total_flow
         assert reparsed.total_cost == result.total_cost
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param("n 1", "line 3", id="short-node"),
+            pytest.param("a 1 2 0 x 1", "line 3", id="non-integer-arc"),
+            pytest.param("p min x 3", "line 3", id="non-integer-problem"),
+            pytest.param(f"a 1 2 0 {1 << 62} 1", "capacity", id="capacity-2**62"),
+            pytest.param(f"a 1 2 0 {1 << 64} 1", "2\\*\\*62", id="capacity-beyond-int64"),
+        ],
+    )
+    def test_malformed_input_raises_graph_error(self, line, message):
+        records = ["p min 4 3", "n 1 1", "a 1 2 0 1 0", "n 4 -1", "a 2 3 0 1 0", "a 3 4 0 1 0"]
+        assert parse_dimacs("\n".join(records))[1] == 1
+        records[2] = line
+        text = "\n".join(records)
+        with pytest.raises(GraphError, match=message):
+            parse_dimacs(text)

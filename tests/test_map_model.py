@@ -87,6 +87,15 @@ def _with(section, field, raw):
         pytest.param(_with("points", "id", "1e400"), "points[0]", id="id-overflow"),
         pytest.param(_with("points", "id", '"x"'), "points[0]", id="id-string"),
         pytest.param(_with("points", "xyz", '[1, 2, "a"]'), "points[0]", id="xyz-string-entry"),
+        pytest.param(_with("points", "id", "true"), "points[0]", id="id-bool"),
+        pytest.param(_with("observations", "point", '"0"'), "observations[0]", id="point-string"),
+        pytest.param(_with("points", "id", "1.9"), "points[0]", id="id-float"),
+        pytest.param(
+            json.dumps(MINIMAL).replace('"width": 640', '"width": 640.7', 1), "keyframes[0]", id="width-float"
+        ),
+        pytest.param(_with("keyframes", "seq_index", '"1"'), "keyframes[0]", id="seq-index-string"),
+        pytest.param(_with("observations", "uv", '["5", 3]'), "observations[0]", id="uv-string-entry"),
+        pytest.param(_with("points", "xyz", "[true, 0, 1]"), "points[0]", id="xyz-bool-entry"),
     ],
 )
 def test_load_malformed_record_raises_format_error(text, record):
