@@ -18,7 +18,7 @@ from .map_model import SlamMap
 def _connectivity_order(slam_map: SlamMap) -> list[int]:
     """Point ids by descending observer count, ties broken by lower id."""
     return sorted(
-        (pt.id for pt in slam_map.points),
+        slam_map.points.id.tolist(),
         key=lambda pid: (-len(slam_map.frames_of_point(pid)), pid),
     )
 

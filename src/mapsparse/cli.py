@@ -9,10 +9,19 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import baselines, metrics, synth
 from .flow_graph import GraphConfig, GraphError
 from .map_model import SlamMap, load_map, save_map
-from .sparsifier import SelectionResult, SparsifyConfig, apply_selection, cull_keyframes, sparsify
+from .sparsifier import (
+    SelectionResult,
+    SparsifyConfig,
+    apply_selection,
+    cull_keyframes,
+    sparsify,
+    underviewed_points,
+)
 
 _STRATEGIES = ("flow", "topm", "grid", "radius")
 
@@ -108,14 +117,23 @@ def _cmd_generate(args) -> int:
 
 
 def _window_maps(slam_map: SlamMap, window: int):
+    """Sub-maps of consecutive runs of ``window`` keyframes by seq_index, with
+    their observations and the points those observe; ``slam_map`` is valid."""
     frames = sorted(slam_map.keyframes, key=lambda kf: kf.seq_index)
-    for lo in range(0, len(frames), window):
-        chunk = frames[lo : lo + window]
-        ids = {kf.id for kf in chunk}
-        obs = [o for o in slam_map.observations if o.keyframe_id in ids]
-        pids = {o.point_id for o in obs}
-        points = [pt for pt in slam_map.points if pt.id in pids]
-        yield SlamMap(chunk, points, obs)
+    points, obs = slam_map.points, slam_map.observations
+    rank = {kf.id: i for i, kf in enumerate(frames)}
+    window_of_frame = np.array([rank[kf.id] // window for kf in slam_map.keyframes], np.int64)
+    _, frame, _, _ = slam_map.observation_arrays()
+    window_of_obs = window_of_frame[frame]
+    for w, lo in enumerate(range(0, len(frames), window)):
+        on_obs = window_of_obs == w
+        on_point = np.isin(points.id, obs.point_id[on_obs])
+        yield SlamMap.from_arrays(
+            frames[lo : lo + window],
+            points.id[on_point],
+            points.xyz[on_point],
+            *(column[on_obs] for column in (obs.point_id, obs.keyframe_id, obs.u, obs.v)),
+        )
 
 
 def _baseline_select(slam_map: SlamMap, strategy: str, budget: int) -> set[int]:
@@ -132,11 +150,9 @@ def _selection_from_ids(slam_map: SlamMap, kept: set[int], min_kf_points: int, s
     """Wrap a bare kept-point set (baseline or windowed run) as a SelectionResult."""
     return SelectionResult(
         kept_point_ids=frozenset(kept),
-        dropped_point_ids=frozenset(pt.id for pt in slam_map.points if pt.id not in kept),
+        dropped_point_ids=frozenset(slam_map.points.id.tolist()) - kept,
         culled_keyframe_ids=frozenset(cull_keyframes(slam_map, kept, min_kf_points)),
-        underviewed_point_ids=frozenset(
-            pt.id for pt in slam_map.points if len(slam_map.frames_of_point(pt.id)) < 2
-        ),
+        underviewed_point_ids=underviewed_points(slam_map),
         point_flow={},
         total_flow=None,
         total_cost=None,

@@ -10,12 +10,11 @@ edges carry the baseline cost and the per-pair budget capacity M.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .map_model import SlamMap
+from .map_model import ColumnView, SlamMap
 
 SOURCE = ("source",)
 SINK = ("sink",)
@@ -176,41 +175,15 @@ class FlowGraph:
         return len(self.tail)
 
 
-class EdgeView(Sequence):
+class EdgeView(ColumnView):
     """Read-only sequence of a graph's edges as :class:`FlowEdge`, built one at a time.
 
     ``view[i]`` builds edge i alone, so indexing a few edges of a large
     graph stays cheap. Compares equal to any sequence of equal edges.
     """
 
-    __slots__ = ("_columns",)
-
-    def __init__(self, tail: np.ndarray, head: np.ndarray, capacity: np.ndarray, cost: np.ndarray):
-        self._columns = (tail, head, capacity, cost)
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        tail, head, capacity, cost = self._columns
-        return FlowEdge(tail.item(i), head.item(i), capacity.item(i), cost.item(i))
-
-    def __iter__(self):
-        return map(FlowEdge, *(c.tolist() for c in self._columns))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, EdgeView):
-            return all(np.array_equal(a, b) for a, b in zip(self._columns, other._columns))
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return len(self) == len(other) and all(x == y for x, y in zip(self, other))
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"EdgeView({len(self)} edges)"
+    __slots__ = ()
+    _record_type = FlowEdge
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -383,7 +356,7 @@ def build_graph(slam_map: SlamMap, config: GraphConfig) -> FlowGraph:
         for a, b in zip((pair_keys // n_frames).tolist(), (pair_keys % n_frames).tolist())
     ]
     vertices = [SOURCE]
-    vertices.extend(point_vertex(slam_map.points[i].id) for i in point[starts[eligible]].tolist())
+    vertices.extend(point_vertex(pid) for pid in slam_map.points.id[point[starts[eligible]]].tolist())
     vertices.extend(pair_vertex(a, b) for a, b in pairs)
     vertices.append(SINK)
     snk = len(vertices) - 1

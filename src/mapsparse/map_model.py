@@ -1,14 +1,17 @@
 """SLAM map data model: keyframes, map points, observations, and covisibility.
 
 Everything here is immutable after construction; a :class:`SlamMap` builds its
-point<->keyframe indices once and can be shared freely across threads.
+point<->keyframe indices once and can be shared freely across threads. It
+keeps its keyframes as objects and its points and observations, the bulk of a
+map, as read-only numpy columns.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 from typing import IO, Iterable, Union
@@ -94,8 +97,133 @@ class ValidationReport:
         return not self.violations
 
 
+class ColumnView(Sequence):
+    """Read-only sequence of records over equal-length numpy columns, built one at a time.
+
+    ``view[i]`` builds record i alone, so reading a few records of a large
+    map or graph stays cheap. Compares equal to any sequence of equal
+    records. A subclass names its ``_record_type``, whose fields are the
+    columns in order.
+    """
+
+    __slots__ = ("_columns",)
+    _record_type: type
+
+    def __init__(self, *columns: np.ndarray):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        return self._record(i)
+
+    def _record(self, i):
+        return self._record_type(*(c.item(i) for c in self._columns))
+
+    def __iter__(self):
+        return map(self._record_type, *(c.tolist() for c in self._columns))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return all(np.array_equal(a, b) for a, b in zip(self._columns, other._columns))
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)} records)"
+
+
+class PointView(ColumnView):
+    """A map's points as :class:`MapPoint`; columns ``id`` (int64) and ``xyz`` ((P, 3) float64)."""
+
+    __slots__ = ()
+
+    @property
+    def id(self) -> np.ndarray:
+        return self._columns[0]
+
+    @property
+    def xyz(self) -> np.ndarray:
+        return self._columns[1]
+
+    def _record(self, i) -> MapPoint:
+        return MapPoint(self.id.item(i), tuple(self.xyz[i].tolist()))
+
+    def __iter__(self):
+        return map(MapPoint, self.id.tolist(), map(tuple, self.xyz.tolist()))
+
+
+class ObservationView(ColumnView):
+    """A map's observations as :class:`Observation`; columns ``point_id`` and
+    ``keyframe_id`` (int64), ``u`` and ``v`` (float64)."""
+
+    __slots__ = ()
+    _record_type = Observation
+
+    @property
+    def point_id(self) -> np.ndarray:
+        return self._columns[0]
+
+    @property
+    def keyframe_id(self) -> np.ndarray:
+        return self._columns[1]
+
+    @property
+    def u(self) -> np.ndarray:
+        return self._columns[2]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._columns[3]
+
+
+def _point_columns(points: Iterable[MapPoint]) -> tuple[np.ndarray, np.ndarray]:
+    points = tuple(points)
+    return (
+        np.array([p.id for p in points], np.int64),
+        np.array([p.position for p in points], np.float64).reshape(len(points), 3),
+    )
+
+
+def _observation_columns(observations: Iterable[Observation]) -> tuple[np.ndarray, ...]:
+    observations = tuple(observations)
+    return (
+        np.array([o.point_id for o in observations], np.int64),
+        np.array([o.keyframe_id for o in observations], np.int64),
+        np.array([o.u for o in observations], np.float64),
+        np.array([o.v for o in observations], np.float64),
+    )
+
+
+def _repeats(sorted_ids: np.ndarray) -> np.ndarray:
+    """Whether each entry of a sorted array equals the one before it."""
+    out = np.zeros(len(sorted_ids), bool)
+    out[1:] = sorted_ids[1:] == sorted_ids[:-1]
+    return out
+
+
+def _positions(sorted_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Index of the first entry equal to each key in ``sorted_ids``, or -1 where there is none."""
+    pos = np.searchsorted(sorted_ids, keys)
+    found = pos < len(sorted_ids)
+    found[found] = sorted_ids[pos[found]] == keys[found]
+    return np.where(found, pos, -1)
+
+
 class SlamMap:
     """Immutable map container with derived point<->keyframe indices.
+
+    ``keyframes`` is a tuple of :class:`Keyframe` sorted by id. ``points`` is
+    a :class:`PointView` over the columns ``id`` and ``xyz``, sorted by id;
+    ``observations`` is an :class:`ObservationView` over the columns
+    ``point_id``, ``keyframe_id``, ``u`` and ``v``, sorted by (point id,
+    keyframe id). Both sorts are stable, and every id must fit in int64.
 
     Duplicate or dangling observations are tolerated at construction (so that
     :func:`validate` can report them); indices only reflect the first
@@ -108,34 +236,101 @@ class SlamMap:
         points: Iterable[MapPoint],
         observations: Iterable[Observation],
     ):
-        self.keyframes: tuple[Keyframe, ...] = tuple(sorted(keyframes, key=lambda k: k.id))
-        self.points: tuple[MapPoint, ...] = tuple(sorted(points, key=lambda p: p.id))
-        self.observations: tuple[Observation, ...] = tuple(
-            sorted(observations, key=lambda o: (o.point_id, o.keyframe_id))
+        point_columns = points._columns if isinstance(points, PointView) else _point_columns(points)
+        if isinstance(observations, ObservationView):
+            observation_columns = observations._columns
+        else:
+            observation_columns = _observation_columns(observations)
+        self._set(keyframes, *point_columns, *observation_columns)
+
+    @classmethod
+    def from_arrays(cls, keyframes, point_id, xyz, obs_point_id, obs_keyframe_id, u, v) -> SlamMap:
+        """Map from point columns (id, (P, 3) xyz) and observation columns
+        (point id, keyframe id, u, v) in any order; the arrays are copied."""
+        slam_map = cls.__new__(cls)
+        slam_map._set(
+            keyframes,
+            np.asarray(point_id, np.int64),
+            np.asarray(xyz, np.float64),
+            np.asarray(obs_point_id, np.int64),
+            np.asarray(obs_keyframe_id, np.int64),
+            np.asarray(u, np.float64),
+            np.asarray(v, np.float64),
         )
+        return slam_map
 
-        self._kf_by_id = {}
-        for kf in self.keyframes:
-            self._kf_by_id.setdefault(kf.id, kf)
-        self._pt_by_id = {}
-        for pt in self.points:
-            self._pt_by_id.setdefault(pt.id, pt)
+    def _set(self, keyframes, point_id, xyz, obs_point_id, obs_keyframe_id, u, v) -> None:
+        observation_columns = (obs_point_id, obs_keyframe_id, u, v)
+        if (
+            point_id.ndim != 1
+            or xyz.shape != (len(point_id), 3)
+            or any(c.shape != obs_point_id.shape or c.ndim != 1 for c in observation_columns)
+        ):
+            raise ValueError("points need ids (P,) and xyz (P, 3); observations need four 1-d columns of one length")
+        self.keyframes: tuple[Keyframe, ...] = tuple(sorted(keyframes, key=lambda k: k.id))
+        self._keyframe_ids = np.array([kf.id for kf in self.keyframes], np.int64)
+        self._keyframe_row: dict[int, int] = {}
+        for i, kf in enumerate(self.keyframes):
+            self._keyframe_row.setdefault(kf.id, i)
 
-        self._obs_by_key: dict[tuple[int, int], Observation] = {}
-        frames_of: dict[int, list[int]] = {p: [] for p in self._pt_by_id}
-        points_of: dict[int, list[int]] = {k: [] for k in self._kf_by_id}
-        for obs in self.observations:
-            key = (obs.point_id, obs.keyframe_id)
-            if key in self._obs_by_key:
-                continue
-            if obs.point_id not in self._pt_by_id or obs.keyframe_id not in self._kf_by_id:
-                continue
-            self._obs_by_key[key] = obs
-            frames_of[obs.point_id].append(obs.keyframe_id)
-            points_of[obs.keyframe_id].append(obs.point_id)
-        self._frames_of_point = {p: tuple(sorted(f)) for p, f in frames_of.items()}
-        self._points_of_frame = {k: tuple(sorted(p)) for k, p in points_of.items()}
-        self._observation_arrays: tuple[np.ndarray, ...] | None = None
+        order = np.argsort(point_id, kind="stable")
+        point_id, xyz = point_id[order], xyz[order]
+        order = np.lexsort((obs_keyframe_id, obs_point_id))
+        point, frame, u, v = (c[order] for c in observation_columns)
+
+        # Row of each observation's point and keyframe (the first entry of a
+        # repeated id), or -1 where the id is missing.
+        point_pos = _positions(point_id, point)
+        frame_pos = _positions(self._keyframe_ids, frame)
+        first = np.ones(len(point), bool)  # first observation of its (point, keyframe) pair
+        first[1:] = (point[1:] != point[:-1]) | (frame[1:] != frame[:-1])
+        indexed = first & (point_pos >= 0) & (frame_pos >= 0)
+        self._indexed: np.ndarray | None = None if indexed.all() else np.flatnonzero(indexed)
+        arrays = (point_pos, frame_pos, u, v)
+        if self._indexed is not None:
+            arrays = tuple(a[self._indexed] for a in arrays)
+        for a in (self._keyframe_ids, point_id, xyz, point, frame, u, v, point_pos, frame_pos, first, *arrays):
+            a.flags.writeable = False
+
+        self.points: PointView = PointView(point_id, xyz)
+        self.observations: ObservationView = ObservationView(point, frame, u, v)
+        self._obs_point_pos = point_pos
+        self._obs_frame_pos = frame_pos
+        self._obs_first = first
+        self._observation_arrays = arrays
+        # The indexed observations of the point in row i are rows
+        # point_offsets[i]:point_offsets[i + 1] of observation_arrays().
+        self._point_offsets = np.searchsorted(arrays[0], np.arange(len(point_id) + 1))
+
+    @cached_property
+    def _point_row(self) -> dict[int, int]:
+        ids = self.points.id
+        return dict(zip(ids[::-1].tolist(), range(len(ids) - 1, -1, -1)))
+
+    @cached_property
+    def _frames_by_point(self) -> list[tuple[int, ...]]:
+        """frames_of_point of each point row, built on the first call."""
+        frames = self._keyframe_ids[self._observation_arrays[1]].tolist()
+        bounds = self._point_offsets.tolist()
+        return [tuple(frames[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def _points_by_frame(self) -> list[tuple[int, ...]]:
+        """points_of_frame of each keyframe row, built on the first call."""
+        point, frame, _, _ = self._observation_arrays
+        order = np.argsort(frame, kind="stable")  # (keyframe, point id) order
+        points = self.points.id[point[order]].tolist()
+        bounds = np.searchsorted(frame[order], np.arange(len(self.keyframes) + 1)).tolist()
+        return [tuple(points[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def _observation_by_key(self) -> dict[tuple[int, int], Observation]:
+        """Every indexed observation by (point id, keyframe id), built on the first lookup."""
+        columns = self.observations._columns
+        if self._indexed is not None:
+            columns = [c[self._indexed] for c in columns]
+        point, frame, u, v = (c.tolist() for c in columns)
+        return dict(zip(zip(point, frame), map(Observation, point, frame, u, v)))
 
     @property
     def n_keyframes(self) -> int:
@@ -150,63 +345,53 @@ class SlamMap:
         return len(self.observations)
 
     def keyframe(self, keyframe_id: int) -> Keyframe:
-        return self._kf_by_id[keyframe_id]
+        return self.keyframes[self._keyframe_row[keyframe_id]]
 
     def point(self, point_id: int) -> MapPoint:
-        return self._pt_by_id[point_id]
+        return self.points[self._point_row[point_id]]
 
     def has_keyframe(self, keyframe_id: int) -> bool:
-        return keyframe_id in self._kf_by_id
+        return keyframe_id in self._keyframe_row
 
     def has_point(self, point_id: int) -> bool:
-        return point_id in self._pt_by_id
+        return point_id in self._point_row
 
     def observation(self, point_id: int, keyframe_id: int) -> Observation | None:
-        return self._obs_by_key.get((point_id, keyframe_id))
+        return self._observation_by_key.get((point_id, keyframe_id))
 
     def frames_of_point(self, point_id: int) -> tuple[int, ...]:
         """Ids of keyframes observing the point, sorted ascending."""
-        return self._frames_of_point[point_id]
+        return self._frames_by_point[self._point_row[point_id]]
 
     def points_of_frame(self, keyframe_id: int) -> tuple[int, ...]:
         """Ids of points observed in the keyframe, sorted ascending."""
-        return self._points_of_frame[keyframe_id]
+        return self._points_by_frame[self._keyframe_row[keyframe_id]]
+
+    def observer_counts(self) -> np.ndarray:
+        """``len(frames_of_point(p.id))`` for every entry ``p`` of :attr:`points`, as int64."""
+        ids = self.points.id
+        return np.diff(self._point_offsets)[np.searchsorted(ids, ids)]
 
     def observation_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(point, frame, u, v) of every indexed observation, in (point id, frame id) order.
 
         ``point`` and ``frame`` are int64 positions in :attr:`points` and
         :attr:`keyframes` (the first entry of a repeated id), so they sort
-        exactly as the ids do and never overflow, whatever the ids; ``u`` and
-        ``v`` are float64. Built on the first call; the arrays are read-only.
+        exactly as the ids do; ``u`` and ``v`` are float64. On a map whose
+        every observation is indexed, ``u`` and ``v`` are the
+        :attr:`observations` columns themselves. The arrays are read-only.
         """
-        if self._observation_arrays is None:
-            point_pos: dict[int, int] = {}
-            for i, pt in enumerate(self.points):
-                point_pos.setdefault(pt.id, i)
-            frame_pos: dict[int, int] = {}
-            for i, kf in enumerate(self.keyframes):
-                frame_pos.setdefault(kf.id, i)
-            keys = self._obs_by_key
-            k = len(keys)
-            arrays = (
-                np.fromiter((point_pos[p] for p, _ in keys), np.int64, k),
-                np.fromiter((frame_pos[f] for _, f in keys), np.int64, k),
-                np.fromiter((o.u for o in keys.values()), np.float64, k),
-                np.fromiter((o.v for o in keys.values()), np.float64, k),
-            )
-            for a in arrays:
-                a.flags.writeable = False
-            self._observation_arrays = arrays
         return self._observation_arrays
 
 
 def maps_equal(a: SlamMap, b: SlamMap) -> bool:
-    """Exact field-by-field equality (floats compared bitwise)."""
-    return (
-        a.keyframes == b.keyframes
-        and a.points == b.points
-        and a.observations == b.observations
+    """Exact equality: keyframes field by field, point and observation columns bitwise."""
+
+    def columns(m: SlamMap):
+        return (*m.points._columns, *m.observations._columns)
+
+    return a.keyframes == b.keyframes and all(
+        np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip(columns(a), columns(b))
     )
 
 
@@ -235,10 +420,16 @@ def _write_text(sink: Union[str, Path, IO[bytes], IO[str]], text: str) -> None:
         sink.write(text.encode("utf-8"))
 
 
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
+
 def _int(x, where: str, field: str) -> int:
-    """A JSON integer; booleans, floats and strings are refused, never coerced."""
+    """A JSON integer within int64; booleans, floats and strings are refused, never coerced."""
     if type(x) is not int:
         raise MapFormatError(f"{where}: {field} must be an integer, got {x!r}")
+    if not _INT64_MIN <= x <= _INT64_MAX:
+        raise MapFormatError(f"{where}: {field} must fit in a signed 64-bit integer, got {x!r}")
     return x
 
 
@@ -247,6 +438,16 @@ def _num(x, where: str, field: str) -> float:
     if type(x) is not float and type(x) is not int:
         raise MapFormatError(f"{where}: {field} must be a number, got {x!r}")
     return float(x)
+
+
+def _all_int(column: list) -> bool:
+    """Whether every entry is a JSON integer; np.array(column, np.int64) checks the range."""
+    return set(map(type, column)) <= {int}
+
+
+def _all_num(column: list) -> bool:
+    """Whether :func:`_num` accepts every entry."""
+    return set(map(type, column)) <= {int, float}
 
 
 def _parse_keyframe(entry, where: str) -> Keyframe:
@@ -298,11 +499,15 @@ def _parse_observation(entry, where: str) -> Observation:
     )
 
 
-def _parse_records(doc: dict, key: str, parse) -> list:
-    """Parse ``doc[key]`` record by record; any failure names the record."""
+def _section(doc: dict, key: str) -> list:
     entries = doc.get(key, [])
     if not isinstance(entries, list):
         raise MapFormatError(f"'{key}' must be an array")
+    return entries
+
+
+def _parse_records(entries: list, key: str, parse) -> list:
+    """Parse the records of section ``key`` one by one; any failure names the record."""
     records = []
     for i, entry in enumerate(entries):
         where = f"{key}[{i}]"
@@ -315,142 +520,250 @@ def _parse_records(doc: dict, key: str, parse) -> list:
     return records
 
 
+def _load_points(entries: list) -> tuple[np.ndarray, np.ndarray]:
+    """(id, xyz) columns of the points section, checked column by column.
+
+    When a column fails a check, the records are parsed one by one, which
+    raises the error naming the first bad record.
+    """
+    try:
+        ids = [e["id"] for e in entries]
+        xyz = [e["xyz"] for e in entries]
+        if _all_int(ids) and set(map(len, xyz)) <= {3}:
+            flat = [x for p in xyz for x in p]
+            if _all_num(flat):
+                return np.array(ids, np.int64), np.array(flat, np.float64).reshape(-1, 3)
+    except (KeyError, TypeError, OverflowError):
+        pass
+    return _point_columns(_parse_records(entries, "points", _parse_point))
+
+
+def _load_observations(entries: list) -> tuple[np.ndarray, ...]:
+    """(point, frame, u, v) columns of the observations section, checked as :func:`_load_points` does."""
+    try:
+        point = [e["point"] for e in entries]
+        frame = [e["frame"] for e in entries]
+        uv = [e["uv"] for e in entries]
+        if _all_int(point) and _all_int(frame) and set(map(len, uv)) <= {2}:
+            flat = [x for w in uv for x in w]
+            if _all_num(flat):
+                uv = np.array(flat, np.float64).reshape(-1, 2)
+                return np.array(point, np.int64), np.array(frame, np.int64), uv[:, 0], uv[:, 1]
+    except (KeyError, TypeError, OverflowError):
+        pass
+    return _observation_columns(_parse_records(entries, "observations", _parse_observation))
+
+
 def load_map(source: Source) -> SlamMap:
     """Parse a JSON map file and return a validated :class:`SlamMap`.
 
     Raises :class:`MapFormatError` with a line/field location on malformed
     input, and :class:`MapIntegrityError` naming the offending ids when the
     parsed map violates invariants (e.g. an observation referencing a
-    missing point).
+    missing point). Every integer field must fit in int64.
     """
     text = _read_text(source)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise MapFormatError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # too many digits in an integer, or arrays nested too deep
+        raise MapFormatError(f"parse error: {e}") from e
     if not isinstance(doc, dict):
         raise MapFormatError("top-level value must be an object")
 
-    slam_map = SlamMap(
-        _parse_records(doc, "keyframes", _parse_keyframe),
-        _parse_records(doc, "points", _parse_point),
-        _parse_records(doc, "observations", _parse_observation),
-    )
+    keyframes = _parse_records(_section(doc, "keyframes"), "keyframes", _parse_keyframe)
+    point_id, xyz = _load_points(_section(doc, "points"))
+    slam_map = SlamMap.from_arrays(keyframes, point_id, xyz, *_load_observations(_section(doc, "observations")))
     report = validate(slam_map)
     if not report.ok:
         raise MapIntegrityError("; ".join(report.violations))
     return slam_map
 
 
+# One point and one observation record as json.dumps(doc, indent=1) lays
+# them out inside the document's top-level arrays.
+_POINT_RECORD = '  {\n   "id": %s,\n   "xyz": [\n    %s,\n    %s,\n    %s\n   ]\n  }'
+_OBSERVATION_RECORD = '  {\n   "point": %s,\n   "frame": %s,\n   "uv": [\n    %s,\n    %s\n   ]\n  }'
+
+
+def _json_numbers(column: np.ndarray) -> list:
+    """The column's values, each of which ``%s`` writes as json.dumps would."""
+    values = column.tolist()  # str() of a Python int or float is json's text for it
+    if column.dtype.kind == "f":
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            values[i] = json.dumps(values[i])  # NaN, Infinity, -Infinity
+    return values
+
+
+def _json_records(template: str, columns) -> str:
+    """One ``template`` record per row of the columns, as a top-level array of an ``indent=1`` document."""
+    n = len(columns[0])
+    if not n:
+        return "[]"
+    values = [None] * (n * len(columns))
+    for j, column in enumerate(columns):
+        values[j :: len(columns)] = _json_numbers(column)
+    return "[\n" + ",\n".join([template] * n) % tuple(values) + "\n ]"
+
+
 def save_map(slam_map: SlamMap, sink: Union[str, Path, IO[bytes], IO[str]]) -> None:
-    """Serialize to the JSON map format, arrays sorted by id, full float precision."""
-    doc = {
-        "keyframes": [
-            {
-                "id": kf.id,
-                "seq_index": kf.seq_index,
-                "timestamp": kf.timestamp,
-                "pose": {"q": list(kf.pose.q), "t": list(kf.pose.t)},
-                "intrinsics": {
-                    "fx": kf.intrinsics.fx,
-                    "fy": kf.intrinsics.fy,
-                    "cx": kf.intrinsics.cx,
-                    "cy": kf.intrinsics.cy,
-                    "width": kf.intrinsics.width,
-                    "height": kf.intrinsics.height,
-                },
-            }
-            for kf in slam_map.keyframes
-        ],
-        "points": [{"id": pt.id, "xyz": list(pt.position)} for pt in slam_map.points],
-        "observations": [
-            {"point": o.point_id, "frame": o.keyframe_id, "uv": [o.u, o.v]}
-            for o in slam_map.observations
-        ],
-    }
-    _write_text(sink, json.dumps(doc, indent=1) + "\n")
+    """Serialize to the JSON map format, arrays sorted by id, full float precision.
+
+    Writes the bytes of ``json.dumps(doc, indent=1)`` plus a newline. The
+    points and observations are formatted from the columns with fixed record
+    templates; only the keyframes go through :mod:`json`.
+    """
+    keyframes = [
+        {
+            "id": kf.id,
+            "seq_index": kf.seq_index,
+            "timestamp": kf.timestamp,
+            "pose": {"q": list(kf.pose.q), "t": list(kf.pose.t)},
+            "intrinsics": {
+                "fx": kf.intrinsics.fx,
+                "fy": kf.intrinsics.fy,
+                "cx": kf.intrinsics.cx,
+                "cy": kf.intrinsics.cy,
+                "width": kf.intrinsics.width,
+                "height": kf.intrinsics.height,
+            },
+        }
+        for kf in slam_map.keyframes
+    ]
+    xyz = slam_map.points.xyz
+    obs = slam_map.observations
+    _write_text(
+        sink,
+        '{\n "keyframes": '
+        + json.dumps(keyframes, indent=1).replace("\n", "\n ")  # no strings inside, so every newline is layout
+        + ',\n "points": '
+        + _json_records(_POINT_RECORD, (slam_map.points.id, xyz[:, 0], xyz[:, 1], xyz[:, 2]))
+        + ',\n "observations": '
+        + _json_records(_OBSERVATION_RECORD, (obs.point_id, obs.keyframe_id, obs.u, obs.v))
+        + "\n}\n",
+    )
 
 
 _POSE_TOL = 1e-9
 
 
 def validate(slam_map: SlamMap) -> ValidationReport:
-    """Check every model invariant; violations are reported, never raised."""
+    """Check every model invariant; violations are reported, never raised.
+
+    Every check runs on whole columns; only the flagged records are visited,
+    to word their violations. They come in order: keyframes by id, then
+    consecutive keyframes by seq_index, then points and observations.
+    """
     v: list[str] = []
 
-    seen_kf: set[int] = set()
-    for kf in slam_map.keyframes:
-        if kf.id in seen_kf:
+    keyframes = slam_map.keyframes
+    intr = [kf.intrinsics for kf in keyframes]
+    kf_id = slam_map._keyframe_ids
+    seq = np.array([kf.seq_index for kf in keyframes], np.int64)
+    timestamp = np.array([kf.timestamp for kf in keyframes], np.float64)
+    fx, fy, cx, cy = (np.array([getattr(c, name) for c in intr], np.float64) for name in ("fx", "fy", "cx", "cy"))
+    width = np.array([c.width for c in intr], np.int64)
+    height = np.array([c.height for c in intr], np.int64)
+    q = np.array([kf.pose.q for kf in keyframes], np.float64).reshape(-1, 4)
+    t = np.array([kf.pose.t for kf in keyframes], np.float64).reshape(-1, 3)
+    with np.errstate(all="ignore"):
+        norm_dev = np.abs(np.linalg.norm(q, axis=1) - 1.0)
+        # One keyframe's norm (a dot product) can differ in the last bit from
+        # the batched one, so keyframes anywhere near the tolerance are measured
+        # one by one.
+        for i in np.flatnonzero(~(norm_dev < _POSE_TOL / 2)).tolist():
+            norm_dev[i] = abs(float(np.linalg.norm(q[i])) - 1.0)
+        R = _quat.to_matrix(q)
+        rot_dev = np.abs(R @ np.swapaxes(R, 1, 2) - np.eye(3)).max(axis=(1, 2))
+    repeated = _repeats(kf_id)
+    checks = (
+        kf_id < 0,
+        seq < 0,
+        ~((fx > 0) & (fy > 0)),
+        ~((0 < cx) & (cx < width) & (0 < cy) & (cy < height)),
+        (width < 64) | (height < 48),
+        ~(norm_dev <= _POSE_TOL) | (rot_dev > _POSE_TOL),
+        ~np.isfinite(t).all(axis=1),
+    )
+    for i in np.flatnonzero(repeated | np.any(checks, axis=0)).tolist():
+        kf = keyframes[i]
+        if repeated[i]:
             v.append(f"duplicate keyframe id {kf.id}")
             continue
-        seen_kf.add(kf.id)
-        if kf.id < 0:
+        negative_id, negative_seq, focal, principal, small, _, translation = (c[i] for c in checks)
+        if negative_id:
             v.append(f"keyframe {kf.id}: id must be non-negative")
-        if kf.seq_index < 0:
+        if negative_seq:
             v.append(f"keyframe {kf.id}: seq_index must be non-negative")
-        intr = kf.intrinsics
-        if not (intr.fx > 0 and intr.fy > 0):
+        if focal:
             v.append(f"keyframe {kf.id}: focal lengths must be positive")
-        if not (0 < intr.cx < intr.width) or not (0 < intr.cy < intr.height):
+        if principal:
             v.append(f"keyframe {kf.id}: principal point outside image")
-        if intr.width < 64 or intr.height < 48:
+        if small:
             v.append(f"keyframe {kf.id}: image must be at least 64x48")
-        q = np.array(kf.pose.q)
-        norm_dev = abs(float(np.linalg.norm(q)) - 1.0)
-        if not math.isfinite(norm_dev) or norm_dev > _POSE_TOL:
-            v.append(f"keyframe {kf.id}: quaternion norm deviates from 1 by {norm_dev:.3e}")
-        else:
-            R = _quat.to_matrix(q)
-            dev = float(np.max(np.abs(R @ R.T - np.eye(3))))
-            if dev > _POSE_TOL:
-                v.append(f"keyframe {kf.id}: rotation times its inverse deviates from identity by {dev:.3e}")
-        if not all(math.isfinite(x) for x in kf.pose.t):
+        if not norm_dev[i] <= _POSE_TOL:
+            v.append(f"keyframe {kf.id}: quaternion norm deviates from 1 by {norm_dev[i]:.3e}")
+        elif rot_dev[i] > _POSE_TOL:
+            v.append(f"keyframe {kf.id}: rotation times its inverse deviates from identity by {rot_dev[i]:.3e}")
+        if translation:
             v.append(f"keyframe {kf.id}: non-finite translation")
 
-    ordered = sorted((kf for kf in slam_map.keyframes), key=lambda k: k.seq_index)
-    for a, b in zip(ordered, ordered[1:]):
-        if a.seq_index == b.seq_index:
+    order = np.argsort(seq, kind="stable")
+    same_seq = _repeats(seq[order])[1:]
+    stamp = timestamp[order]
+    for i in np.flatnonzero(same_seq | (stamp[:-1] >= stamp[1:])).tolist():
+        a, b = keyframes[order[i]], keyframes[order[i + 1]]
+        if same_seq[i]:
             v.append(f"keyframes {a.id} and {b.id}: duplicate seq_index {a.seq_index}")
-        elif a.timestamp >= b.timestamp:
-            v.append(
-                f"keyframes {a.id} and {b.id}: seq_index not strictly increasing with timestamp"
-            )
+        else:
+            v.append(f"keyframes {a.id} and {b.id}: seq_index not strictly increasing with timestamp")
 
-    seen_pt: set[int] = set()
-    for pt in slam_map.points:
-        if pt.id in seen_pt:
-            v.append(f"duplicate point id {pt.id}")
+    point_id = slam_map.points.id
+    repeated = _repeats(point_id)
+    negative = ~repeated & (point_id < 0)
+    non_finite = ~repeated & ~np.isfinite(slam_map.points.xyz).all(axis=1)
+    for i in np.flatnonzero(repeated | negative | non_finite).tolist():
+        pid = point_id.item(i)
+        if repeated[i]:
+            v.append(f"duplicate point id {pid}")
             continue
-        seen_pt.add(pt.id)
-        if pt.id < 0:
-            v.append(f"point {pt.id}: id must be non-negative")
-        if not all(math.isfinite(x) for x in pt.position):
-            v.append(f"point {pt.id}: non-finite position")
+        if negative[i]:
+            v.append(f"point {pid}: id must be non-negative")
+        if non_finite[i]:
+            v.append(f"point {pid}: non-finite position")
 
-    seen_obs: set[tuple[int, int]] = set()
-    for obs in slam_map.observations:
-        key = (obs.point_id, obs.keyframe_id)
-        if key in seen_obs:
-            v.append(f"duplicate observation (point {obs.point_id}, frame {obs.keyframe_id})")
-            continue
-        seen_obs.add(key)
-        if obs.point_id not in seen_pt:
-            v.append(f"observation references missing point id {obs.point_id}")
-            continue
-        if obs.keyframe_id not in seen_kf:
-            v.append(f"observation references missing keyframe id {obs.keyframe_id}")
-            continue
-        intr = slam_map.keyframe(obs.keyframe_id).intrinsics
-        if not (0.0 <= obs.u < intr.width):
-            v.append(
-                f"observation (point {obs.point_id}, frame {obs.keyframe_id}): "
-                f"u {obs.u} outside [0, {intr.width})"
-            )
-        if not (0.0 <= obs.v < intr.height):
-            v.append(
-                f"observation (point {obs.point_id}, frame {obs.keyframe_id}): "
-                f"v {obs.v} outside [0, {intr.height})"
-            )
+    obs = slam_map.observations
+    frame_pos = slam_map._obs_frame_pos
+    repeated = ~slam_map._obs_first
+    no_point = ~repeated & (slam_map._obs_point_pos < 0)
+    no_frame = ~repeated & ~no_point & (frame_pos < 0)
+    rows = np.flatnonzero(~(repeated | no_point | no_frame))
+    bad_u = np.zeros(len(obs), bool)
+    bad_v = np.zeros(len(obs), bool)
+    for bad, coord, bound in ((bad_u, obs.u, width), (bad_v, obs.v, height)):
+        x = coord[rows]
+        bad[rows] = ~((0.0 <= x) & (x < bound[frame_pos[rows]]))
+    for i in np.flatnonzero(repeated | no_point | no_frame | bad_u | bad_v).tolist():
+        o = obs[i]
+        if repeated[i]:
+            v.append(f"duplicate observation (point {o.point_id}, frame {o.keyframe_id})")
+        elif no_point[i]:
+            v.append(f"observation references missing point id {o.point_id}")
+        elif no_frame[i]:
+            v.append(f"observation references missing keyframe id {o.keyframe_id}")
+        else:
+            intr = keyframes[frame_pos[i]].intrinsics
+            if bad_u[i]:
+                v.append(
+                    f"observation (point {o.point_id}, frame {o.keyframe_id}): "
+                    f"u {o.u} outside [0, {intr.width})"
+                )
+            if bad_v[i]:
+                v.append(
+                    f"observation (point {o.point_id}, frame {o.keyframe_id}): "
+                    f"v {o.v} outside [0, {intr.height})"
+                )
 
     return ValidationReport(v)
 

@@ -421,18 +421,37 @@ def _verify_residual(graph: FlowGraph, result: FlowResult) -> bool:
     if reach[t]:
         return False
 
-    # (b) minimality: no negative cycle (Bellman-Ford from an all-zero start)
+    # (b) minimality: no negative cycle (Bellman-Ford from an all-zero start).
+    # A pass that changes nothing proves there is none; a cycle among the
+    # predecessor pointers that relaxation keeps is a negative cycle.
     dist = [0] * n
+    pred = [-1] * n
     for it in range(n):
         changed = False
         for u, v, c in arcs:
             nd = dist[u] + c
             if nd < dist[v]:
                 dist[v] = nd
+                pred[v] = u
                 changed = True
         if not changed:
             return True
+        if _has_cycle(pred):
+            return False
     return not changed
+
+
+def _has_cycle(pred: list[int]) -> bool:
+    """Whether following predecessor pointers (-1: none) from some vertex returns to it."""
+    walk_of = [0] * len(pred)  # 1 + the start of the walk that first reached each vertex
+    for start in range(len(pred)):
+        v = start
+        while v != -1 and not walk_of[v]:
+            walk_of[v] = start + 1
+            v = pred[v]
+        if v != -1 and walk_of[v] == start + 1:
+            return True
+    return False
 
 
 def _ints(fields: list[str], lineno: int, form: str) -> list[int]:

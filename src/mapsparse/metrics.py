@@ -242,25 +242,21 @@ def attribute_C(slam_map: SlamMap) -> float:
     """Mean observing-keyframe count per map point."""
     if slam_map.n_points == 0:
         raise MetricsError("map has no points")
-    total = sum(len(slam_map.frames_of_point(pt.id)) for pt in slam_map.points)
-    return total / slam_map.n_points
+    return int(slam_map.observer_counts().sum()) / slam_map.n_points
 
 
 def attribute_F(slam_map: SlamMap) -> int:
     """Largest seq_index span between keyframes observing a common point."""
-    seq_of = {kf.id: kf.seq_index for kf in slam_map.keyframes}
-    best = None
-    for pt in slam_map.points:
-        fids = slam_map.frames_of_point(pt.id)
-        if len(fids) < 2:
-            continue
-        seqs = [seq_of[f] for f in fids]
-        span = max(seqs) - min(seqs)
-        if best is None or span > best:
-            best = span
-    if best is None:
+    seq_of = {kf.id: kf.seq_index for kf in slam_map.keyframes}  # a repeated id: its last entry
+    seq = np.array([seq_of[kf.id] for kf in slam_map.keyframes], np.int64)
+    point, frame, _, _ = slam_map.observation_arrays()
+    starts = np.flatnonzero(np.diff(point, prepend=-1))  # one run of frames per point
+    seen_twice = np.diff(starts, append=len(point)) >= 2
+    if not seen_twice.any():
         raise MetricsError("no point is observed by at least two keyframes")
-    return best
+    seqs = seq[frame]
+    spans = np.maximum.reduceat(seqs, starts) - np.minimum.reduceat(seqs, starts)
+    return int(spans[seen_twice].max())
 
 
 def attribute_S(slam_map: SlamMap, cell_width: int = 64, cell_height: int = 48) -> float:
@@ -273,16 +269,22 @@ def attribute_S(slam_map: SlamMap, cell_width: int = 64, cell_height: int = 48) 
     """
     if slam_map.n_keyframes == 0:
         raise MetricsError("map has no keyframes")
-    percents = []
-    for kf in slam_map.keyframes:
-        cols = math.ceil(kf.intrinsics.width / cell_width)
-        rows = math.ceil(kf.intrinsics.height / cell_height)
-        occupied = set()
-        for pid in slam_map.points_of_frame(kf.id):
-            obs = slam_map.observation(pid, kf.id)
-            occupied.add((int(obs.u // cell_width), int(obs.v // cell_height)))
-        percents.append(100.0 * len(occupied) / (cols * rows))
-    return float(np.mean(percents))
+    _, frame, u, v = slam_map.observation_arrays()
+    col = np.floor_divide(u, cell_width)
+    row = np.floor_divide(v, cell_height)
+    order = np.lexsort((row, col, frame))
+    frame, col, row = frame[order], col[order], row[order]
+    new_cell = np.ones(len(frame), bool)
+    new_cell[1:] = (frame[1:] != frame[:-1]) | (col[1:] != col[:-1]) | (row[1:] != row[:-1])
+    occupied = np.bincount(frame[new_cell], minlength=slam_map.n_keyframes)
+    ids = np.array([kf.id for kf in slam_map.keyframes], np.int64)
+    occupied = occupied[np.searchsorted(ids, ids)]  # a repeated id: the cells of its first entry
+    cells = np.array(
+        [math.ceil(kf.intrinsics.width / cell_width) * math.ceil(kf.intrinsics.height / cell_height)
+         for kf in slam_map.keyframes],
+        np.int64,
+    )
+    return float(np.mean(100.0 * occupied / cells))
 
 
 @dataclass

@@ -7,6 +7,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .flow_graph import FlowGraph, GraphConfig, build_graph
 from .map_model import SlamMap
 from .mcmf import FlowResult, solve
@@ -64,15 +66,20 @@ class SelectionResult:
         return 100.0 * kept / self.n_input_keyframes
 
     def to_json(self, include_timings: bool = True) -> str:
+        """The report: ``json.dumps(doc, indent=2, sort_keys=True)`` of the result's fields.
+
+        The id lists and ``point_flow``, the bulk of a report, are joined as
+        text in the layout json.dumps gives them; the rest goes through json.
+        """
+        bulk = {
+            "kept_point_ids": _json_ints(self.kept_point_ids),
+            "dropped_point_ids": _json_ints(self.dropped_point_ids),
+            "culled_keyframe_ids": _json_ints(self.culled_keyframe_ids),
+            "underviewed_point_ids": _json_ints(self.underviewed_point_ids),
+            "point_flow": _json_point_flow(self.point_flow),
+        }
         doc = {
-            "kept_point_ids": sorted(self.kept_point_ids),
-            "dropped_point_ids": sorted(self.dropped_point_ids),
-            "culled_keyframe_ids": sorted(self.culled_keyframe_ids),
-            "underviewed_point_ids": sorted(self.underviewed_point_ids),
-            "point_flow": {
-                str(pid): {"flow": f, "capacity": c}
-                for pid, (f, c) in sorted(self.point_flow.items())
-            },
+            **{key: key for key in bulk},  # placeholders, replaced below
             "total_flow": self.total_flow,
             "total_cost": self.total_cost,
             "counts": {
@@ -87,7 +94,30 @@ class SelectionResult:
         }
         if include_timings:
             doc["timings_ms"] = {"build": self.build_ms, "solve": self.solve_ms}
-        return json.dumps(doc, indent=2, sort_keys=True)
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        for key, value in bulk.items():
+            text = text.replace(f'"{key}": "{key}"', f'"{key}": {value}', 1)
+        return text
+
+
+# Entries of a list, and one point_flow item, at depth 1 of an indent=2 document.
+_LIST_ITEM_SEP = ",\n    "
+_POINT_FLOW_ITEM = '    "%s": {\n      "capacity": %s,\n      "flow": %s\n    }'
+
+
+def _json_ints(ids) -> str:
+    """Sorted integer ids as json.dumps(indent=2) writes a list at depth 1."""
+    if not ids:
+        return "[]"
+    return "[\n    " + _LIST_ITEM_SEP.join(map(str, sorted(ids))) + "\n  ]"
+
+
+def _json_point_flow(point_flow: dict[int, tuple[int, int]]) -> str:
+    """point_flow as json.dumps(indent=2, sort_keys=True) writes it at depth 1: keys in string order."""
+    if not point_flow:
+        return "{}"
+    items = sorted((str(pid), c, f) for pid, (f, c) in point_flow.items())
+    return "{\n" + ",\n".join(_POINT_FLOW_ITEM % item for item in items) + "\n  }"
 
 
 def select_points(result: FlowResult, graph: FlowGraph, theta_ratio: float) -> set[int]:
@@ -124,14 +154,16 @@ def cull_keyframes(slam_map: SlamMap, kept_points: set[int], keyframe_min_points
         return set()
     by_seq = sorted(slam_map.keyframes, key=lambda k: k.seq_index)
     anchors = {by_seq[0].id, by_seq[-1].id}
-    culled = set()
-    for kf in slam_map.keyframes:
-        if kf.id in anchors:
-            continue
-        count = sum(1 for pid in slam_map.points_of_frame(kf.id) if pid in kept_points)
-        if count < keyframe_min_points:
-            culled.add(kf.id)
-    return culled
+    point, frame, _, _ = slam_map.observation_arrays()
+    kept = np.isin(slam_map.points.id[point], _id_array(kept_points))
+    counts = np.bincount(frame[kept], minlength=slam_map.n_keyframes)
+    # A repeated keyframe id shares the count of its first entry, as points_of_frame does.
+    ids = [kf.id for kf in slam_map.keyframes]
+    counts = counts[np.searchsorted(np.array(ids, np.int64), ids)]
+    return {
+        kid for kid, count in zip(ids, counts.tolist())
+        if count < keyframe_min_points and kid not in anchors
+    }
 
 
 def sparsify(slam_map: SlamMap, config: SparsifyConfig) -> SelectionResult:
@@ -143,12 +175,10 @@ def sparsify(slam_map: SlamMap, config: SparsifyConfig) -> SelectionResult:
     t2 = time.perf_counter()
 
     kept = select_points(result, graph, config.theta_ratio)
-    underviewed = frozenset(
-        pt.id for pt in slam_map.points if len(slam_map.frames_of_point(pt.id)) < 2
-    )
+    underviewed = underviewed_points(slam_map)
     if not config.drop_underviewed:
         kept |= underviewed
-    dropped = {pt.id for pt in slam_map.points} - kept
+    dropped = set(slam_map.points.id.tolist()) - kept
     culled = cull_keyframes(slam_map, kept, config.keyframe_min_points)
 
     point_flow = {pid: (flow, cap) for pid, flow, cap in _source_edges(result, graph)}
@@ -169,13 +199,24 @@ def sparsify(slam_map: SlamMap, config: SparsifyConfig) -> SelectionResult:
 
 def apply_selection(slam_map: SlamMap, selection: SelectionResult) -> SlamMap:
     """New map containing only kept points, surviving keyframes, and their observations."""
-    kept = selection.kept_point_ids
+    kept = _id_array(selection.kept_point_ids)
     culled = selection.culled_keyframe_ids
-    keyframes = [kf for kf in slam_map.keyframes if kf.id not in culled]
-    points = [pt for pt in slam_map.points if pt.id in kept]
-    observations = [
-        o
-        for o in slam_map.observations
-        if o.point_id in kept and o.keyframe_id not in culled
-    ]
-    return SlamMap(keyframes, points, observations)
+    points, obs = slam_map.points, slam_map.observations
+    on_point = np.isin(points.id, kept)
+    on_obs = np.isin(obs.point_id, kept) & ~np.isin(obs.keyframe_id, _id_array(culled))
+    return SlamMap.from_arrays(
+        [kf for kf in slam_map.keyframes if kf.id not in culled],
+        points.id[on_point],
+        points.xyz[on_point],
+        *(column[on_obs] for column in (obs.point_id, obs.keyframe_id, obs.u, obs.v)),
+    )
+
+
+def underviewed_points(slam_map: SlamMap) -> frozenset[int]:
+    """Ids of the points observed by fewer than two keyframes."""
+    return frozenset(slam_map.points.id[slam_map.observer_counts() < 2].tolist())
+
+
+def _id_array(ids) -> np.ndarray:
+    """A set of ids as an int64 array, for np.isin against the map's columns."""
+    return np.fromiter(ids, np.int64, len(ids))

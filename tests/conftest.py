@@ -13,6 +13,17 @@ DEFAULT_INTRINSICS = CameraIntrinsics(fx=525.0, fy=525.0, cx=320.0, cy=240.0, wi
 
 IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 
+# Reduced maps of each benchmark workload's shape (perfbench/workloads.py):
+# SynthConfig arguments other than the seed, and the window its jobs use.
+WORKLOAD_SHAPES = [
+    pytest.param(dict(n_points=2000, n_keyframes=20, trajectory="circle",
+                      trajectory_scale=2.0, extent=12.0, dropout=0.4), 0, id="dense_whole"),
+    pytest.param(dict(n_points=16000, n_keyframes=6, trajectory="circle",
+                      trajectory_scale=6.0, extent=12.0, dropout=0.85), 0, id="wide_keypoints"),
+    pytest.param(dict(n_points=400, n_keyframes=20, trajectory="line",
+                      trajectory_scale=60.0, extent=60.0, dropout=0.4), 10, id="windowed"),
+]
+
 
 def make_map(frame_positions, point_obs, intrinsics=DEFAULT_INTRINSICS):
     """Small-map builder for tests.

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
-from mapsparse.cli import main
-from mapsparse.map_model import load_map, validate
+from map_oracles import window_maps_oracle
+from mapsparse.cli import _window_maps, main
+from mapsparse.map_model import Keyframe, SlamMap, load_map, maps_equal, validate
 from mapsparse.metrics import load_trajectory
+from mapsparse.synth import SynthConfig, generate
 
 
 @pytest.fixture
@@ -94,6 +96,24 @@ def test_sparsify_windowed(generated, tmp_path, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["counts"]["kept_points"] > 0
+
+
+@pytest.mark.parametrize("window", [1, 3, 10, 25])
+@pytest.mark.parametrize("reverse_seq", [False, True])
+def test_window_maps_match_record_by_record_split(window, reverse_seq):
+    slam_map, _ = generate(SynthConfig(n_points=400, n_keyframes=20, trajectory="line",
+                                       trajectory_scale=60.0, extent=60.0, dropout=0.4, seed=4))
+    if reverse_seq:  # windows then run from the highest keyframe id down
+        n = slam_map.n_keyframes
+        slam_map = SlamMap(
+            [Keyframe(kf.id, n - 1 - kf.seq_index, kf.timestamp, kf.pose, kf.intrinsics) for kf in slam_map.keyframes],
+            slam_map.points,
+            slam_map.observations,
+        )
+    got = list(_window_maps(slam_map, window))
+    expected = window_maps_oracle(slam_map, window)
+    assert len(got) == len(expected)
+    assert all(maps_equal(a, b) for a, b in zip(got, expected))
 
 
 def test_metrics_map_attributes(generated, capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_map
+from conftest import WORKLOAD_SHAPES, make_map
 from flow_cases import build_graph_oracle
 from mapsparse.cli import _window_maps
 from mapsparse.flow_graph import (
@@ -300,18 +300,7 @@ class TestBuildGraphMatchesOracle:
         for config in (GraphConfig(capacity_m=2), GraphConfig(capacity_m=2, box_width=63, box_height=47)):
             assert_matches_oracle(slam_map, config)
 
-    # Reduced maps of each benchmark workload's shape (perfbench/workloads.py).
-    @pytest.mark.parametrize(
-        "synth, window",
-        [
-            pytest.param(dict(n_points=2000, n_keyframes=20, trajectory="circle",
-                              trajectory_scale=2.0, extent=12.0, dropout=0.4), 0, id="dense_whole"),
-            pytest.param(dict(n_points=16000, n_keyframes=6, trajectory="circle",
-                              trajectory_scale=6.0, extent=12.0, dropout=0.85), 0, id="wide_keypoints"),
-            pytest.param(dict(n_points=400, n_keyframes=20, trajectory="line",
-                              trajectory_scale=60.0, extent=60.0, dropout=0.4), 10, id="windowed"),
-        ],
-    )
+    @pytest.mark.parametrize("synth, window", WORKLOAD_SHAPES)
     def test_workload_shaped_maps(self, synth, window):
         slam_map, _ = generate(SynthConfig(seed=4, **synth))
         maps = list(_window_maps(slam_map, window)) if window else [slam_map]

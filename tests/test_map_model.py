@@ -1,17 +1,29 @@
 import io
 import json
+import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_map
+from conftest import DEFAULT_INTRINSICS, IDENTITY_Q, WORKLOAD_SHAPES, make_map
+from map_oracles import index_oracle, save_map_oracle, validate_oracle
 from mapsparse.map_model import (
+    CameraIntrinsics,
+    Keyframe,
     MapFormatError,
     MapIntegrityError,
+    MapPoint,
     Observation,
+    Pose,
     SlamMap,
+    _parse_keyframe,
+    _parse_observation,
+    _parse_point,
+    _parse_records,
+    _section,
     covisibility,
     load_map,
     maps_equal,
@@ -96,10 +108,24 @@ def _with(section, field, raw):
         pytest.param(_with("keyframes", "seq_index", '"1"'), "keyframes[0]", id="seq-index-string"),
         pytest.param(_with("observations", "uv", '["5", 3]'), "observations[0]", id="uv-string-entry"),
         pytest.param(_with("points", "xyz", "[true, 0, 1]"), "points[0]", id="xyz-bool-entry"),
+        pytest.param(_with("points", "id", str(2**63)), "points[0]", id="id-above-int64"),
+        pytest.param(_with("observations", "frame", str(-(2**63) - 1)), "observations[0]", id="frame-below-int64"),
     ],
 )
 def test_load_malformed_record_raises_format_error(text, record):
     with pytest.raises(MapFormatError, match=re.escape(record)):
+        load_map(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+        pytest.param('{"points": [{"id": ' + "1" * 5000 + ', "xyz": [0, 0, 0]}]}', id="integer-too-long"),
+    ],
+)
+def test_load_unparseable_document_raises_format_error(text):
+    with pytest.raises(MapFormatError, match="parse error"):
         load_map(io.StringIO(text))
 
 
@@ -253,3 +279,307 @@ def test_round_trip_property(seed, n_points, n_keyframes, dropout):
     buf = io.StringIO()
     save_map(slam_map, buf)
     assert maps_equal(slam_map, load_map(io.StringIO(buf.getvalue())))
+
+
+def _saved(slam_map) -> str:
+    buf = io.StringIO()
+    save_map(slam_map, buf)
+    return buf.getvalue()
+
+
+def _keyframe(kid, seq=None, timestamp=None, q=IDENTITY_Q, t=(0.0, 0.0, 0.0), intrinsics=DEFAULT_INTRINSICS):
+    seq = kid if seq is None else seq
+    return Keyframe(kid, seq, 0.1 * seq if timestamp is None else timestamp, Pose(q, t), intrinsics)
+
+
+# Floats whose JSON text needs care: signed zero, exponents, extremes, non-finite.
+SPECIAL_FLOATS = [0.0, -0.0, 1e-07, 1e16, 1e22, 123456789.125, 5e-324, 1.7976931348623157e308,
+                  math.nan, math.inf, -math.inf]
+any_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+int64s = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def code_built_maps(draw):
+    """Maps built in code: any int64 ids, any floats (non-finite too), sections possibly empty."""
+    keyframes = draw(st.lists(st.builds(
+        Keyframe, int64s, int64s, any_floats,
+        st.builds(Pose, st.tuples(*[any_floats] * 4), st.tuples(*[any_floats] * 3)),
+        st.builds(CameraIntrinsics, any_floats, any_floats, any_floats, any_floats, int64s, int64s),
+    ), max_size=3))
+    points = draw(st.lists(st.builds(MapPoint, int64s, st.tuples(*[any_floats] * 3)), max_size=12))
+    observations = draw(st.lists(st.builds(Observation, int64s, int64s, any_floats, any_floats), max_size=12))
+    return SlamMap(keyframes, points, observations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(slam_map=code_built_maps())
+def test_save_map_writes_the_bytes_of_json_dumps(slam_map):
+    assert _saved(slam_map) == save_map_oracle(slam_map)
+
+
+@pytest.mark.parametrize("synth, window", WORKLOAD_SHAPES)
+def test_save_of_load_reproduces_the_file(synth, window, tmp_path):
+    generated, _ = generate(SynthConfig(seed=4, **synth))
+    text = save_map_oracle(generated)
+    path = tmp_path / "map.json"
+    path.write_text(text, encoding="utf-8")
+    loaded = load_map(path)
+    assert maps_equal(loaded, generated)
+    assert _saved(loaded) == text
+
+
+coords = st.one_of(
+    st.sampled_from([0.0, -0.0, 47.5, 63.5, 64.0, 479.99999999999994, 480.0, 639.9999999999999, 640.0,
+                     -1e-300, math.nan, math.inf, -math.inf]),
+    st.floats(-10.0, 700.0),
+)
+quaternions = st.one_of(
+    st.sampled_from([
+        IDENTITY_Q,
+        (2.0, 0.0, 0.0, 0.0),
+        (0.0, 1.0 + 5e-10, 0.0, 0.0),  # norm within tolerance, rotation not
+        (0.0, 1.0 + 2e-9, 0.0, 0.0),
+        (math.nan, 0.0, 0.0, 0.0),
+        (0.0, 0.0, 0.0, 0.0),
+        (1e200, 0.0, 0.0, 0.0),
+    ]),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+)
+intrinsics = st.builds(
+    CameraIntrinsics,
+    fx=st.sampled_from([525.0, 0.0, -1.0, math.nan]),
+    fy=st.sampled_from([525.0, 0.0]),
+    cx=st.sampled_from([320.0, 0.0, 63.0, 640.0, 700.0]),
+    cy=st.sampled_from([240.0, 0.0, 47.0, 480.0]),
+    width=st.sampled_from([640, 64, 63]),
+    height=st.sampled_from([480, 48, 47]),
+)
+
+
+@st.composite
+def messy_maps(draw):
+    """Small maps with every kind of violation: repeated and dangling ids, boundary u/v, bad poses and orders."""
+    keyframes = draw(st.lists(st.builds(
+        Keyframe, st.integers(-2, 4), st.integers(-1, 4), coords,
+        st.builds(Pose, quaternions, st.tuples(coords, coords, coords)), intrinsics,
+    ), max_size=5))
+    points = draw(st.lists(st.builds(MapPoint, st.integers(-2, 6), st.tuples(coords, coords, coords)), max_size=8))
+    observations = draw(st.lists(
+        st.builds(Observation, st.integers(-2, 7), st.integers(-2, 5), coords, coords), max_size=16
+    ))
+    return SlamMap(keyframes, points, observations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(slam_map=messy_maps())
+def test_validate_matches_record_by_record_oracle(slam_map):
+    assert validate(slam_map).violations == validate_oracle(slam_map)
+
+
+def test_validate_reports_every_violation_kind_as_the_oracle_does():
+    bad_intrinsics = CameraIntrinsics(fx=0.0, fy=525.0, cx=700.0, cy=240.0, width=63, height=480)
+    keyframes = [
+        _keyframe(0),
+        _keyframe(1, intrinsics=bad_intrinsics),
+        _keyframe(1),  # repeated id
+        _keyframe(-2, seq=-1, q=(2.0, 0.0, 0.0, 0.0)),
+        _keyframe(3, q=(0.0, 1.0 + 5e-10, 0.0, 0.0)),  # norm within tolerance, rotation not
+        _keyframe(4, seq=3, t=(math.inf, 0.0, 0.0)),  # repeated seq_index
+        _keyframe(5, seq=5, timestamp=0.0),  # earlier than seq 3
+    ]
+    points = [
+        MapPoint(5, (0.0, 0.0, 1.0)),
+        MapPoint(5, (1.0, 0.0, 1.0)),
+        MapPoint(-1, (0.0, 0.0, 1.0)),
+        MapPoint(7, (math.nan, 0.0, 1.0)),
+    ]
+    observations = [
+        Observation(5, 0, 10.0, 10.0),
+        Observation(5, 0, 20.0, 20.0),
+        Observation(99, 0, 10.0, 10.0),
+        Observation(7, 42, 10.0, 10.0),
+        Observation(7, 0, 640.0, 479.99),
+        Observation(-1, 0, -0.0, 480.0),
+        Observation(5, 3, math.nan, 10.0),
+    ]
+    slam_map = SlamMap(keyframes, points, observations)
+    violations = validate(slam_map).violations
+    assert violations == validate_oracle(slam_map)
+    for kind in [
+        "duplicate keyframe id", "keyframe -2: id must be non-negative", "seq_index must be non-negative",
+        "focal lengths", "principal point", "at least 64x48", "quaternion norm", "rotation times its inverse",
+        "non-finite translation", "duplicate seq_index", "not strictly increasing", "duplicate point id",
+        "point -1: id must be non-negative", "non-finite position", "duplicate observation",
+        "missing point id 99", "missing keyframe id 42", "u 640.0 outside", "v 480.0 outside", "u nan outside",
+    ]:
+        assert any(kind in message for message in violations), kind
+
+
+def test_validate_measures_quaternions_near_the_tolerance_one_at_a_time():
+    # This quaternion's own norm (a dot product) exceeds 1 + 1e-9 by a few
+    # ulps, where a norm taken over a batch of rows may not.
+    q = (-0.3047746039910224, 0.19743447247407622, 0.8087358375867766, 0.46268608888080237)
+    slam_map = SlamMap([_keyframe(0, q=q), _keyframe(1)], [], [])
+    assert validate(slam_map).violations == validate_oracle(slam_map)
+
+
+@settings(max_examples=200, deadline=None)
+@given(slam_map=messy_maps())
+def test_indices_match_record_by_record_oracle(slam_map):
+    frames_of, points_of, obs_by_key = index_oracle(slam_map)
+    for pid, frames in frames_of.items():
+        assert slam_map.has_point(pid)
+        assert slam_map.frames_of_point(pid) == frames
+    for kid, pids in points_of.items():
+        assert slam_map.has_keyframe(kid)
+        assert slam_map.points_of_frame(kid) == pids
+    for o in slam_map.observations:
+        assert repr(slam_map.observation(o.point_id, o.keyframe_id)) == repr(obs_by_key.get((o.point_id, o.keyframe_id)))
+    assert slam_map.observer_counts().tolist() == [len(frames_of[p.id]) for p in slam_map.points]
+
+    point, frame, u, v = slam_map.observation_arrays()
+    ids = slam_map.points.id
+    assert [(ids[p], slam_map.keyframes[f].id) for p, f in zip(point, frame)] == sorted(obs_by_key)
+    assert (np.searchsorted(ids, ids[point]) == point).all()  # first entry of a repeated id
+    assert [repr((x, y)) for x, y in zip(u.tolist(), v.tolist())] == [
+        repr((obs_by_key[key].u, obs_by_key[key].v)) for key in sorted(obs_by_key)
+    ]
+    with pytest.raises(KeyError):
+        slam_map.frames_of_point(100)
+    with pytest.raises(KeyError):
+        slam_map.points_of_frame(100)
+
+
+def test_point_and_observation_views_are_sequences_of_records(four_frame_map):
+    points, obs = four_frame_map.points, four_frame_map.observations
+    expected_points = tuple(MapPoint(i, tuple(x)) for i, x in zip(points.id.tolist(), points.xyz.tolist()))
+    expected_obs = tuple(
+        Observation(*row) for row in zip(obs.point_id.tolist(), obs.keyframe_id.tolist(), obs.u.tolist(), obs.v.tolist())
+    )
+    assert expected_points == (MapPoint(0, (0.0, 0.0, 5.0)), MapPoint(1, (1.0, 0.0, 5.0)), MapPoint(2, (2.0, 0.0, 5.0)))
+    assert expected_obs[0] == Observation(0, 0, 50.0, 50.0)
+    for view, expected in ((points, expected_points), (obs, expected_obs)):
+        assert len(view) == len(expected)
+        assert view == expected
+        assert expected == view
+        assert list(view) == list(expected)
+        assert view[0] == expected[0]
+        assert view[-1] == expected[-1]
+        assert view[1:3] == expected[1:3]
+        assert tuple(reversed(view)) == expected[::-1]
+        assert view != expected[:-1]
+        with pytest.raises(IndexError):
+            view[len(expected)]
+    with pytest.raises(ValueError):
+        points.xyz[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        obs.u[0] = 1.0
+
+
+def test_from_arrays_equals_the_record_constructor():
+    slam_map, _ = generate(SynthConfig(n_points=60, n_keyframes=6, dropout=0.3, seed=2))
+    points, obs = slam_map.points, slam_map.observations
+    backwards = slice(None, None, -1)
+    rebuilt = SlamMap.from_arrays(
+        list(reversed(slam_map.keyframes)),
+        points.id[backwards],
+        points.xyz[backwards],
+        *(c[backwards] for c in (obs.point_id, obs.keyframe_id, obs.u, obs.v)),
+    )
+    assert maps_equal(rebuilt, slam_map)
+    assert maps_equal(SlamMap(slam_map.keyframes, list(points), list(obs)), slam_map)
+    with pytest.raises(ValueError):
+        SlamMap.from_arrays([], [1, 2], [[0.0, 0.0, 0.0]], [], [], [], [])
+
+
+def test_maps_equal_compares_floats_bitwise():
+    base = make_map([(0, 0, 0), (1, 0, 0)], {0: [(0, 10.0, 10.0), (1, 10.0, 10.0)]})
+
+    def with_u(u):
+        return SlamMap(base.keyframes, base.points, [Observation(0, 0, u, 10.0), base.observations[1]])
+
+    assert maps_equal(with_u(0.0), with_u(0.0))
+    assert not maps_equal(with_u(0.0), with_u(-0.0))
+    assert maps_equal(with_u(math.nan), with_u(math.nan))
+    assert not maps_equal(base, SlamMap(base.keyframes, base.points, base.observations[:1]))
+
+
+def _any_json():
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        max_leaves=8,
+    )
+
+
+def _one_in(odds, rare, common):
+    # Hypothesis favours the ends of a range, so the rare branch sits inside it.
+    return st.integers(1, odds).flatmap(lambda k: rare if k == odds // 2 else common)
+
+
+def _mostly(strategy, odds=20):
+    """The strategy's value, or once in ``odds`` draws any JSON value."""
+    return _one_in(odds, _any_json(), strategy)
+
+
+_json_ints = _one_in(
+    20, st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1]), st.one_of(st.integers(0, 3), st.integers(-3, 700))
+)
+_json_numbers = st.one_of(_json_ints, st.floats())
+
+
+def _json_array(strategy, n):
+    return _mostly(st.lists(_mostly(strategy), min_size=n, max_size=n))
+
+
+_map_docs = _one_in(
+    5,
+    _any_json(),
+    st.fixed_dictionaries({
+        "keyframes": _mostly(st.lists(_mostly(st.fixed_dictionaries({
+            "id": _mostly(_json_ints, 100),
+            "seq_index": _mostly(_json_ints, 100),
+            "timestamp": _mostly(_json_numbers, 100),
+            "pose": st.fixed_dictionaries({"q": _json_array(_json_numbers, 4), "t": _json_array(_json_numbers, 3)}),
+            "intrinsics": st.fixed_dictionaries({
+                **{k: _mostly(_json_numbers, 100) for k in ("fx", "fy", "cx", "cy")},
+                **{k: _mostly(_json_ints, 100) for k in ("width", "height")},
+            }),
+        })), max_size=3)),
+        "points": _mostly(st.lists(_mostly(st.fixed_dictionaries({
+            "id": _mostly(_json_ints), "xyz": _json_array(_json_numbers, 3),
+        })), max_size=4)),
+        "observations": _mostly(st.lists(_mostly(st.fixed_dictionaries({
+            "point": _mostly(_json_ints), "frame": _mostly(_json_ints), "uv": _json_array(_json_numbers, 2),
+        })), max_size=6)),
+    }),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_map_docs)
+def test_any_json_document_loads_or_raises_a_map_error(doc):
+    error = slam_map = None
+    try:
+        slam_map = load_map(io.StringIO(json.dumps(doc)))
+    except (MapFormatError, MapIntegrityError) as e:
+        error = e
+    if not isinstance(doc, dict):
+        assert isinstance(error, MapFormatError)
+        return
+    # The column-by-column parse agrees with parsing every record on its own.
+    try:
+        expected = SlamMap(
+            _parse_records(_section(doc, "keyframes"), "keyframes", _parse_keyframe),
+            _parse_records(_section(doc, "points"), "points", _parse_point),
+            _parse_records(_section(doc, "observations"), "observations", _parse_observation),
+        )
+    except MapFormatError as e:
+        assert isinstance(error, MapFormatError) and str(error) == str(e)
+        return
+    violations = validate_oracle(expected)
+    if violations:
+        assert isinstance(error, MapIntegrityError) and str(error) == "; ".join(violations)
+    else:
+        assert error is None and maps_equal(slam_map, expected)

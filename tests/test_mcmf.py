@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -211,11 +212,8 @@ def test_both_certificates_accept_map_sweep(map_sweep):
         assert _verify_residual(graph, closed)
 
 
-def test_both_certificates_reject_a_cheaper_unused_candidate():
-    # the acceptance suite's clustered map: small, so Bellman-Ford's n passes stay cheap
-    slam_map, _ = generate(SynthConfig(seed=0, **CLUSTER_SYNTH))
-    graph = build_graph(slam_map, GraphConfig(capacity_m=CLUSTER_M))
-    result = solve(graph)
+def _swap_for_a_dearer_candidate(graph, result) -> FlowResult:
+    """The flow with one used candidate moved to a strictly dearer unused one in the same pair."""
     flows = list(result.edge_flows)
     source_edge = {e.head: i for i, e in enumerate(graph.edges) if e.tail == graph.source_index}
 
@@ -227,7 +225,6 @@ def test_both_certificates_reject_a_cheaper_unused_candidate():
     for i, e in enumerate(graph.edges):
         if e.tail != graph.source_index and e.head != graph.sink_index:
             by_pair.setdefault(e.head, []).append(i)
-    # a used candidate and a strictly dearer unused one in the same pair
     used, dearer = next(
         (u, d)
         for members in by_pair.values()
@@ -238,11 +235,32 @@ def test_both_certificates_reject_a_cheaper_unused_candidate():
     flows[used], flows[dearer] = 0, 1
     flows[source_edge[graph.edges[used].tail]] -= 1
     flows[source_edge[graph.edges[dearer].tail]] += 1
-    swapped = FlowResult(
+    return FlowResult(
         tuple(flows),
         result.total_flow,
         result.total_cost + key(dearer) - key(used),
     )
+
+
+def test_both_certificates_reject_a_cheaper_unused_candidate():
+    # the acceptance suite's clustered map
+    slam_map, _ = generate(SynthConfig(seed=0, **CLUSTER_SYNTH))
+    graph = build_graph(slam_map, GraphConfig(capacity_m=CLUSTER_M))
+    swapped = _swap_for_a_dearer_candidate(graph, solve(graph))
     assert not flow_violations(graph, swapped)
     assert not verify_optimality(graph, swapped)
     assert not _verify_residual(graph, swapped)
+
+
+def test_residual_certificate_rejects_a_swap_at_acceptance_size_quickly():
+    # Bellman-Ford stops at the first negative cycle among its predecessor
+    # pointers instead of running all n passes (seconds on this graph).
+    slam_map, _ = generate(SynthConfig(seed=0, **SWEEP_SYNTH))
+    graph = build_graph(slam_map, GraphConfig(capacity_m=100))
+    result = solve(graph)
+    swapped = _swap_for_a_dearer_candidate(graph, result)
+    assert not flow_violations(graph, swapped)
+    t0 = time.perf_counter()
+    assert not _verify_residual(graph, swapped)
+    assert time.perf_counter() - t0 < 1.0
+    assert _verify_residual(graph, result)

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_map
+from conftest import WORKLOAD_SHAPES, make_map
+from map_oracles import attribute_C_oracle, attribute_F_oracle, attribute_S_oracle
 from mapsparse import _quat
 from mapsparse.map_model import CameraIntrinsics, Observation, SlamMap
 from mapsparse.metrics import (
@@ -24,6 +26,7 @@ from mapsparse.metrics import (
     transform_trajectory,
 )
 from mapsparse.synth import SynthConfig, generate, perturb_trajectory
+from test_map_model import messy_maps
 
 
 def random_trajectory(rng, n=25):
@@ -260,3 +263,31 @@ def test_map_report_fields():
     assert doc["points"] == 80 and doc["keyframes"] == 8
     assert doc["C"] > 0 and doc["S"] > 0 and doc["F"] >= 1
     assert doc["ate_rms_m"] is not None and doc["ate_rot_rms_deg"] is not None
+
+
+def assert_attributes_match_oracles(slam_map):
+    if slam_map.n_points:
+        assert attribute_C(slam_map) == attribute_C_oracle(slam_map)
+    expected_f = attribute_F_oracle(slam_map)
+    if expected_f is None:
+        with pytest.raises(MetricsError):
+            attribute_F(slam_map)
+    else:
+        assert attribute_F(slam_map) == expected_f
+    if slam_map.n_keyframes:
+        for cells in ((64, 48), (7, 5)):
+            assert attribute_S(slam_map, *cells) == attribute_S_oracle(slam_map, *cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slam_map=messy_maps())
+def test_attributes_match_record_by_record_oracles(slam_map):
+    # finite keypoints only: the oracle's int() of a non-finite grid cell raises
+    finite = [o for o in slam_map.observations if math.isfinite(o.u) and math.isfinite(o.v)]
+    assert_attributes_match_oracles(SlamMap(slam_map.keyframes, slam_map.points, finite))
+
+
+@pytest.mark.parametrize("synth, window", WORKLOAD_SHAPES)
+def test_attributes_match_oracles_on_workload_shaped_maps(synth, window):
+    slam_map, _ = generate(SynthConfig(seed=4, **synth))
+    assert_attributes_match_oracles(slam_map)

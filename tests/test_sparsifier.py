@@ -1,20 +1,26 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_map
 from flow_cases import build_layered
+from map_oracles import apply_selection_oracle, cull_keyframes_oracle, index_oracle, selection_json_oracle
 from mapsparse.flow_graph import GraphConfig, GraphError
-from mapsparse.map_model import validate
+from mapsparse.map_model import maps_equal, validate
 from mapsparse.mcmf import FlowResult
 from mapsparse.sparsifier import (
+    SelectionResult,
     SparsifyConfig,
     apply_selection,
     cull_keyframes,
     select_points,
     sparsify,
+    underviewed_points,
 )
 from mapsparse.synth import SynthConfig, generate
+from test_map_model import messy_maps
 
 
 def config(m, **kwargs):
@@ -178,3 +184,37 @@ def test_config_validation():
         SparsifyConfig(graph=GraphConfig(capacity_m=1), theta_ratio=1.5)
     with pytest.raises(ValueError):
         SparsifyConfig(graph=GraphConfig(capacity_m=1), keyframe_min_points=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slam_map=messy_maps(), data=st.data())
+def test_column_steps_match_record_by_record_oracles(slam_map, data):
+    # repeated and dangling ids included: the steps must index maps as the oracles do
+    point_ids = sorted({p.id for p in slam_map.points} | {o.point_id for o in slam_map.observations} | {-5})
+    frame_ids = sorted({k.id for k in slam_map.keyframes} | {o.keyframe_id for o in slam_map.observations} | {-5})
+    kept = frozenset(data.draw(st.lists(st.sampled_from(point_ids))))
+    culled = frozenset(data.draw(st.lists(st.sampled_from(frame_ids))))
+    for keyframe_min_points in (1, 2, 3):
+        assert cull_keyframes(slam_map, kept, keyframe_min_points) == cull_keyframes_oracle(
+            slam_map, kept, keyframe_min_points
+        )
+    frames_of = index_oracle(slam_map)[0]
+    assert underviewed_points(slam_map) == {p.id for p in slam_map.points if len(frames_of[p.id]) < 2}
+    selection = SelectionResult(kept, frozenset(), culled, frozenset(), {}, None, None, 0, 0)
+    assert maps_equal(apply_selection(slam_map, selection), apply_selection_oracle(slam_map, selection))
+
+
+@pytest.mark.parametrize("include_timings", [True, False])
+def test_report_json_is_the_bytes_of_json_dumps(include_timings):
+    slam_map, _ = generate(SynthConfig(n_points=100, n_keyframes=8, dropout=0.3, seed=11))
+    results = [
+        sparsify(slam_map, config(3)),
+        SelectionResult(frozenset(), frozenset(), frozenset(), frozenset(), {}, None, None, 0, 0),
+        # point_flow keys sort as strings: "-3" < "10" < "100" < "9"
+        SelectionResult(
+            frozenset({9, 10, -3}), frozenset({2**62}), frozenset({1}), frozenset({10}),
+            {9: (1, 3), 10: (0, 1), -3: (2, 2), 100: (5, 6)}, 7, 12345678901234, 4, 2, 1.5, 0.1,
+        ),
+    ]
+    for result in results:
+        assert result.to_json(include_timings) == selection_json_oracle(result, include_timings)
