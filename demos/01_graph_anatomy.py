@@ -50,11 +50,15 @@ print(f"\ngraph: {graph.n_vertices} vertices, {graph.n_edges} edges")
 print("point 1 is seen by all four frames, so its source edge is the cheapest")
 print("and its capacity 6 covers all six frame pairs:\n")
 
+# Vertex 0 is the source, then the points, then the frame pairs, then the sink.
+labels = [("source",)]
+labels += [("point", pid) for pid in graph.point_ids.tolist()]
+labels += [("pair", a, b) for a, b in graph.pairs.tolist()]
+labels += [("sink",)]
+
 result = solve(graph)
 print(f"{'edge':<34}{'cap':>4}{'cost':>6}{'flow':>6}")
 for e, f in zip(graph.edges, result.edge_flows):
-    tail = graph.vertices[e.tail]
-    head = graph.vertices[e.head]
-    print(f"{str(tail) + ' -> ' + str(head):<34}{e.capacity:>4}{e.cost:>6}{f:>6}")
+    print(f"{str(labels[e.tail]) + ' -> ' + str(labels[e.head]):<34}{e.capacity:>4}{e.cost:>6}{f:>6}")
 
 print(f"\ntotal flow {result.total_flow}, total cost {result.total_cost}")

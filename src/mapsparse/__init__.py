@@ -2,8 +2,6 @@
 
 from .baselines import select_grid_bucketed, select_radius_suppressed, select_top_m
 from .flow_graph import (
-    SINK,
-    SOURCE,
     FlowEdge,
     FlowGraph,
     GraphConfig,
@@ -11,10 +9,7 @@ from .flow_graph import (
     baseline_cost,
     build_graph,
     connectivity_cost,
-    nearby_count,
-    pair_vertex,
     point_capacity,
-    point_vertex,
     spatial_cost,
     to_dimacs,
 )

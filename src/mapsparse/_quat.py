@@ -7,11 +7,6 @@ import numpy as np
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def normalize(q):
-    q = np.asarray(q, dtype=float)
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
-
-
 def multiply(a, b):
     """Hamilton product a*b; shapes broadcast over leading axes.
 

@@ -14,16 +14,13 @@ import numpy as np
 from . import baselines, metrics, synth
 from .flow_graph import GraphConfig, GraphError
 from .map_model import SlamMap, load_map, save_map
-from .sparsifier import (
-    SelectionResult,
-    SparsifyConfig,
-    apply_selection,
-    cull_keyframes,
-    sparsify,
-    underviewed_points,
-)
+from .sparsifier import SelectionResult, SparsifyConfig, apply_selection, selection_from_kept, sparsify
 
-_STRATEGIES = ("flow", "topm", "grid", "radius")
+_BASELINES = {
+    "topm": baselines.select_top_m,
+    "grid": baselines.select_grid_bucketed,
+    "radius": baselines.select_radius_suppressed,
+}
 
 
 def _add_generate(sub):
@@ -52,7 +49,7 @@ def _add_sparsify(sub):
     p.add_argument("--no-cb", action="store_true", help="disable the baseline cost")
     p.add_argument("--box-width", type=int, default=64)
     p.add_argument("--box-height", type=int, default=48)
-    p.add_argument("--strategy", choices=_STRATEGIES, default="flow")
+    p.add_argument("--strategy", choices=("flow", *_BASELINES), default="flow")
     p.add_argument("--budget", type=int, help="kept-point budget for the baseline strategies")
     p.add_argument("--min-kf-points", type=int, default=10)
     p.add_argument("--keep-underviewed", action="store_true")
@@ -136,37 +133,10 @@ def _window_maps(slam_map: SlamMap, window: int):
         )
 
 
-def _baseline_select(slam_map: SlamMap, strategy: str, budget: int) -> set[int]:
-    if strategy == "topm":
-        return baselines.select_top_m(slam_map, budget)
-    if strategy == "grid":
-        return baselines.select_grid_bucketed(slam_map, budget)
-    if strategy == "radius":
-        return baselines.select_radius_suppressed(slam_map, budget)
-    raise ValueError(f"unknown strategy '{strategy}'")
-
-
-def _selection_from_ids(slam_map: SlamMap, kept: set[int], min_kf_points: int, solve_ms: float) -> SelectionResult:
-    """Wrap a bare kept-point set (baseline or windowed run) as a SelectionResult."""
-    return SelectionResult(
-        kept_point_ids=frozenset(kept),
-        dropped_point_ids=frozenset(slam_map.points.id.tolist()) - kept,
-        culled_keyframe_ids=frozenset(cull_keyframes(slam_map, kept, min_kf_points)),
-        underviewed_point_ids=underviewed_points(slam_map),
-        point_flow={},
-        total_flow=None,
-        total_cost=None,
-        n_input_points=slam_map.n_points,
-        n_input_keyframes=slam_map.n_keyframes,
-        build_ms=0.0,
-        solve_ms=solve_ms,
-    )
-
-
 def _baseline_result(slam_map: SlamMap, strategy: str, budget: int, min_kf_points: int) -> SelectionResult:
     t0 = time.perf_counter()
-    kept = _baseline_select(slam_map, strategy, budget)
-    return _selection_from_ids(slam_map, kept, min_kf_points, (time.perf_counter() - t0) * 1000.0)
+    kept = _BASELINES[strategy](slam_map, budget)
+    return selection_from_kept(slam_map, kept, min_kf_points, solve_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def _cmd_sparsify(args) -> int:
@@ -195,9 +165,8 @@ def _cmd_sparsify(args) -> int:
                     kept |= sparsify(sub, config).kept_point_ids
                 except GraphError:
                     continue  # windows without an eligible point keep nothing
-            selection = _selection_from_ids(
-                slam_map, kept, config.keyframe_min_points,
-                (time.perf_counter() - t0) * 1000.0,
+            selection = selection_from_kept(
+                slam_map, kept, config.keyframe_min_points, solve_ms=(time.perf_counter() - t0) * 1000.0
             )
         else:
             selection = sparsify(slam_map, config)
@@ -268,7 +237,7 @@ def _cmd_compare(args) -> int:
     capacities = [int(x) for x in args.capacities.split(",") if x]
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     for s in strategies:
-        if s not in _STRATEGIES:
+        if s != "flow" and s not in _BASELINES:
             raise ValueError(f"unknown strategy '{s}'")
     if args.map:
         cases = [("-", load_map(args.map))]

@@ -16,25 +16,18 @@ import numpy as np
 
 from .map_model import ColumnView, SlamMap
 
-SOURCE = ("source",)
-SINK = ("sink",)
-
 # Costs stay far below 2**62 at any realistic map size; the solver relies on it.
 _COST_LIMIT = 1 << 62
+
+# What a cost switched off in GraphConfig becomes: the constant keeps the
+# max-flow structure intact while removing cost discrimination.
+_DISABLED_COST = 1
+
+_LAYERS = ("source", "point", "pair", "sink")
 
 
 class GraphError(ValueError):
     """Raised when a flow graph cannot be built or is structurally invalid."""
-
-
-def point_vertex(point_id: int) -> tuple:
-    return ("point", point_id)
-
-
-def pair_vertex(frame_a: int, frame_b: int) -> tuple:
-    if not frame_a < frame_b:
-        raise GraphError(f"frame pair must be ordered, got ({frame_a}, {frame_b})")
-    return ("pair", frame_a, frame_b)
 
 
 @dataclass(frozen=True)
@@ -52,10 +45,8 @@ class GraphConfig:
     """Knobs for graph construction.
 
     capacity_m is the per-frame-pair point budget. The enable_* switches
-    replace the corresponding cost by ``disabled_cost`` (ablation toggles);
-    the constant 1 keeps the max-flow structure intact while removing cost
-    discrimination. ``baseline_scale`` rescales camera-center distances for
-    maps whose unit is not meters.
+    replace the corresponding cost by the constant 1 (ablation toggles).
+    Camera-center distances are taken to be in meters.
     """
 
     capacity_m: int
@@ -64,111 +55,84 @@ class GraphConfig:
     enable_cc: bool = True
     enable_cs: bool = True
     enable_cb: bool = True
-    disabled_cost: int = 1
-    baseline_scale: float = 1.0
 
     def __post_init__(self):
         if self.capacity_m < 1:
             raise GraphError("capacity_m must be >= 1")
         if self.box_width < 1 or self.box_height < 1:
             raise GraphError("box dimensions must be >= 1")
-        if self.disabled_cost < 0:
-            raise GraphError("disabled_cost must be >= 0")
-
-
-# Layer of each vertex kind; an edge must go from one layer to the next.
-_LAYER = {"source": 0, "point": 1, "pair": 2, "sink": 3}
-_NO_LAYER = -10  # any other kind: no edge may touch it
 
 
 class FlowGraph:
-    """Immutable layered DAG; vertex 0 is always usable via ``source_index``.
+    """Immutable four-layer DAG whose vertices are numbered layer by layer.
 
-    Edges are held as four read-only int64 arrays, ``tail``, ``head``,
-    ``capacity`` and ``cost``, indexed by edge; ``edges`` views them as
-    :class:`FlowEdge` objects. Construction enforces the layering
-    (source->point, point->pair, pair->sink only), rejects parallel edges,
-    and requires capacity in [1, 2**62) and cost in [0, 2**62) on every edge.
+    Vertex 0 is the source, vertices 1..P are the points of ``point_ids``,
+    vertices P+1..P+Q are the frame pairs of ``pairs`` (a (Q, 2) array with
+    frame_a < frame_b in each row), and vertex P+Q+1 is the sink. Edges are
+    held as four read-only int64 arrays, ``tail``, ``head``, ``capacity`` and
+    ``cost``, indexed by edge; ``edges`` views them as :class:`FlowEdge`
+    objects. Construction enforces the layering (source->point, point->pair,
+    pair->sink only), rejects repeated point ids, repeated pairs and parallel
+    edges, and requires capacity in [1, 2**62) and cost in [0, 2**62) on
+    every edge.
     """
 
-    def __init__(self, vertices, edges):
-        edges = tuple(edges)
-        k = len(edges)
+    def __init__(self, point_ids, pairs, tail, head, capacity, cost):
         try:
-            columns = [
-                np.fromiter((getattr(e, name) for e in edges), np.int64, k)
-                for name in ("tail", "head", "capacity", "cost")
-            ]
+            point_ids, tail, head, capacity, cost = (
+                np.array(a, np.int64) for a in (point_ids, tail, head, capacity, cost)
+            )
+            pairs = np.array(pairs, np.int64).reshape(len(pairs), 2)
         except OverflowError as e:
-            raise GraphError("edge fields must lie in [0, 2**62)") from e
-        self._set(vertices, *columns)
+            raise GraphError("ids must fit in int64 and edge fields lie in [0, 2**62)") from e
+        if point_ids.ndim != 1 or tail.ndim != 1 or len({a.shape for a in (tail, head, capacity, cost)}) != 1:
+            raise GraphError("point_ids, tail, head, capacity and cost must be 1-d, the last four of one length")
+        n_points = len(point_ids)
+        n = n_points + len(pairs) + 2
 
-    @classmethod
-    def from_arrays(cls, vertices, tail, head, capacity, cost) -> FlowGraph:
-        """Graph from per-edge integer sequences, checked as the constructor checks edges."""
-        try:
-            columns = [np.array(a, dtype=np.int64) for a in (tail, head, capacity, cost)]
-        except OverflowError as e:
-            raise GraphError("edge fields must lie in [0, 2**62)") from e
-        if len({a.shape for a in columns}) != 1 or columns[0].ndim != 1:
-            raise GraphError("tail, head, capacity and cost must be 1-d and of equal length")
-        graph = cls.__new__(cls)
-        graph._set(vertices, *columns)
-        return graph
-
-    def _set(self, vertices, tail, head, capacity, cost) -> None:
-        self.vertices: tuple = tuple(vertices)
-        self.vertex_index: dict = {v: i for i, v in enumerate(self.vertices)}
-        if len(self.vertex_index) != len(self.vertices):
-            raise GraphError("duplicate vertices")
-        if SOURCE not in self.vertex_index or SINK not in self.vertex_index:
-            raise GraphError("graph must contain source and sink vertices")
-        self.source_index: int = self.vertex_index[SOURCE]
-        self.sink_index: int = self.vertex_index[SINK]
-
-        n = len(self.vertices)
+        # Sorts, not np.unique: numpy's hash-based unique took 1.1 s on the
+        # 1.3M keys of a 10000x150 map, against 0.02 s for a sort.
+        for layer, rows in (("point", point_ids[:, None]), ("pair", pairs)):
+            rows = rows[np.lexsort(rows.T[::-1])]
+            repeated = rows[1:][(rows[1:] == rows[:-1]).all(axis=1)].tolist()
+            if repeated:
+                raise GraphError(f"duplicate vertices: {layer} {', '.join(map(str, repeated[0]))} is listed twice")
+        unordered = pairs[pairs[:, 0] >= pairs[:, 1]].tolist()
+        if unordered:
+            raise GraphError(f"frame pair must be ordered, got {tuple(unordered[0])}")
         if len(tail) and not (0 <= min(tail.min(), head.min()) and max(tail.max(), head.max()) < n):
             raise GraphError("edge endpoint is not a vertex index")
-        layer = np.array([_LAYER.get(v[0], _NO_LAYER) for v in self.vertices], np.int64)
-        tail_layer = layer[tail]
-        head_layer = layer[head]
-        bad = np.flatnonzero((head_layer != tail_layer + 1) | (tail_layer < 0))
+        tail_layer, head_layer = np.searchsorted([1, n_points + 1, n - 1], [tail, head], "right")
+        bad = np.flatnonzero(head_layer != tail_layer + 1)
         if len(bad):
             i = bad[0]
-            raise GraphError(f"edge {self.vertices[tail[i]]} -> {self.vertices[head[i]]} breaks layering")
+            raise GraphError(
+                f"edge {tail[i]} -> {head[i]} breaks layering ({_LAYERS[tail_layer[i]]} -> {_LAYERS[head_layer[i]]})"
+            )
         if len(tail):
             if capacity.min() < 1 or capacity.max() >= _COST_LIMIT:
                 raise GraphError("edge capacity must be in [1, 2**62)")
             if cost.min() < 0 or cost.max() >= _COST_LIMIT:
                 raise GraphError("edge cost must be in [0, 2**62)")
-        # A sort, not np.unique: numpy's hash-based unique took 1.1 s on the
-        # 1.3M keys of a 10000x150 map, against 0.02 s for this.
         key = np.sort(tail * n + head)
         repeated = key[1:][key[1:] == key[:-1]]
         if len(repeated):
-            t, h = divmod(int(repeated[0]), n)
-            raise GraphError(f"parallel edge {self.vertices[t]} -> {self.vertices[h]}")
+            raise GraphError("parallel edge %d -> %d" % divmod(int(repeated[0]), n))
 
-        for a in (tail, head, capacity, cost):
+        for a in (point_ids, pairs, tail, head, capacity, cost):
             a.flags.writeable = False
-        self.tail: np.ndarray = tail
-        self.head: np.ndarray = head
-        self.capacity: np.ndarray = capacity
-        self.cost: np.ndarray = cost
+        self.point_ids, self.pairs = point_ids, pairs
+        self.tail, self.head, self.capacity, self.cost = tail, head, capacity, cost
         self.edges: EdgeView = EdgeView(tail, head, capacity, cost)
-
+        self.n_vertices, self.source_index, self.sink_index = n, 0, n - 1
         from_source = np.flatnonzero(tail_layer == 0)
-        self.point_source_edge: dict[int, int] = {
-            self.vertices[h][1]: i for i, h in zip(from_source.tolist(), head[from_source].tolist())
-        }
+        self.point_source_edge: dict[int, int] = dict(
+            zip(point_ids[head[from_source] - 1].tolist(), from_source.tolist())
+        )
         into_sink = np.flatnonzero(head_layer == 3)
-        self.pair_sink_edge: dict[tuple[int, int], int] = {
-            self.vertices[t][1:]: i for i, t in zip(into_sink.tolist(), tail[into_sink].tolist())
-        }
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
+        self.pair_sink_edge: dict[tuple[int, int], int] = dict(
+            zip(map(tuple, pairs[tail[into_sink] - n_points - 1].tolist()), into_sink.tolist())
+        )
 
     @property
     def n_edges(self) -> int:
@@ -221,33 +185,6 @@ def point_capacity(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def nearby_count(
-    slam_map: SlamMap,
-    point_id: int,
-    frame_id: int,
-    box_width: int = 64,
-    box_height: int = 48,
-) -> int:
-    """Number of other keypoints on the frame inside the box centered on this one.
-
-    The box test is closed (<= half-extent per axis) and the reference
-    keypoint itself is excluded.
-    """
-    ref = slam_map.observation(point_id, frame_id)
-    if ref is None:
-        raise ValueError(f"no observation of point {point_id} in keyframe {frame_id}")
-    half_u = box_width / 2.0
-    half_v = box_height / 2.0
-    count = 0
-    for pid in slam_map.points_of_frame(frame_id):
-        if pid == point_id:
-            continue
-        obs = slam_map.observation(pid, frame_id)
-        if abs(obs.u - ref.u) <= half_u and abs(obs.v - ref.v) <= half_v:
-            count += 1
-    return count
-
-
 def spatial_cost(n_j: int, n_k: int) -> int:
     """floor(log10(n_j*n_k + 1)), exact for integers of any size."""
     if n_j < 0 or n_k < 0:
@@ -272,13 +209,15 @@ _POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
 
 
 def _nearby_counts(slam_map: SlamMap, box_width: int, box_height: int) -> np.ndarray:
-    """nearby_count of every observation, aligned with ``slam_map.observation_arrays()``.
+    """Per observation, the other keypoints of its keyframe inside the box centered on it.
 
-    Per keyframe the keypoints are sorted by u, and each one's candidates
-    are the keypoints in a strip of half-width box_width/2 + 1 around its u
-    (two searchsorted calls). Each candidate then takes the exact closed box
-    test of :func:`nearby_count`; the strip only narrows the candidates, so
-    rounding in the strip bounds cannot change a count.
+    The counts are aligned with ``slam_map.observation_arrays()``. The box
+    test is closed: |du| <= box_width/2 and |dv| <= box_height/2. Per
+    keyframe the keypoints are sorted by u, and each one's candidates are the
+    keypoints in a strip of half-width box_width/2 + 1 around its u (two
+    searchsorted calls). Each candidate then takes the exact box test; the
+    strip only narrows the candidates, so rounding in the strip bounds cannot
+    change a count.
     """
     _, frame, u, v = slam_map.observation_arrays()
     half_u = box_width / 2.0
@@ -313,7 +252,7 @@ def _nearby_counts(slam_map: SlamMap, box_width: int, box_height: int) -> np.nda
         near &= np.abs(dv, out=dv) <= half_v
         counts[a:b] = np.diff(np.cumsum(near)[row_end - 1], prepend=0)
         a = b
-    # Every strip holds its own keypoint, which nearby_count does not count.
+    # Every strip holds its own keypoint, which is not counted.
     counts -= (np.abs(u - u) <= half_u) & (np.abs(v - v) <= half_v)
     out = np.empty(k, np.int64)
     out[order] = counts
@@ -323,10 +262,10 @@ def _nearby_counts(slam_map: SlamMap, box_width: int, box_height: int) -> np.nda
 def build_graph(slam_map: SlamMap, config: GraphConfig) -> FlowGraph:
     """Construct the layered flow graph for all points with n >= 2 observers.
 
-    Deterministic: vertices and edges are emitted in sorted id order, and the
-    connectivity recursion anchor m is the maximum observer count over the
-    eligible points of this map. Point->pair edges follow each point's frame
-    pairs in ``itertools.combinations`` order.
+    Deterministic: points and pairs are numbered, and edges emitted, in
+    sorted id order, and the connectivity recursion anchor m is the maximum
+    observer count over the eligible points of this map. Point->pair edges
+    follow each point's frame pairs in ``itertools.combinations`` order.
     """
     point, frame, _, _ = slam_map.observation_arrays()
     k = len(point)
@@ -350,45 +289,35 @@ def build_graph(slam_map: SlamMap, config: GraphConfig) -> FlowGraph:
     n_pairs = len(pair_keys)
     point_rank = np.repeat(np.cumsum(eligible) - 1, n_run)
 
-    frame_ids = [kf.id for kf in slam_map.keyframes]
-    pairs = [
-        (frame_ids[a], frame_ids[b])
-        for a, b in zip((pair_keys // n_frames).tolist(), (pair_keys % n_frames).tolist())
-    ]
-    vertices = [SOURCE]
-    vertices.extend(point_vertex(pid) for pid in slam_map.points.id[point[starts[eligible]]].tolist())
-    vertices.extend(pair_vertex(a, b) for a, b in pairs)
-    vertices.append(SINK)
-    snk = len(vertices) - 1
+    frame_ids = np.array([kf.id for kf in slam_map.keyframes], np.int64)
+    pairs = np.column_stack([frame_ids[pair_keys // n_frames], frame_ids[pair_keys % n_frames]])
 
     if config.enable_cc:
         cc_table = _connectivity_table(m)
         source_cost = np.array([0, 0] + [cc_table[c] for c in range(2, m + 1)], np.int64)[n]
     else:
-        source_cost = np.full(n_points, config.disabled_cost, np.int64)
+        source_cost = np.full(n_points, _DISABLED_COST, np.int64)
 
     if config.enable_cs:
         nearby = _nearby_counts(slam_map, config.box_width, config.box_height)
         product = nearby[first] * nearby[second] + 1
         middle_cost = np.searchsorted(_POWERS_OF_TEN, product, "right") - 1
     else:
-        middle_cost = np.full(len(first), config.disabled_cost, np.int64)
+        middle_cost = np.full(len(first), _DISABLED_COST, np.int64)
 
     if config.enable_cb:
         centers = {kf.id: kf.pose.center() for kf in slam_map.keyframes}
-        sink_cost = [
-            baseline_cost(float(np.linalg.norm(centers[a] - centers[b])) * config.baseline_scale)
-            for a, b in pairs
-        ]
+        sink_cost = [baseline_cost(float(np.linalg.norm(centers[a] - centers[b]))) for a, b in pairs.tolist()]
     else:
-        sink_cost = [config.disabled_cost] * n_pairs
+        sink_cost = [_DISABLED_COST] * n_pairs
 
     point_index = np.arange(1, n_points + 1)
     pair_index = np.arange(n_points + 1, n_points + 1 + n_pairs)
-    return FlowGraph.from_arrays(
-        vertices,
+    return FlowGraph(
+        slam_map.points.id[point[starts[eligible]]],
+        pairs,
         np.concatenate([np.zeros(n_points, np.int64), 1 + point_rank[first], pair_index]),
-        np.concatenate([point_index, n_points + 1 + pair_of, np.full(n_pairs, snk)]),
+        np.concatenate([point_index, n_points + 1 + pair_of, np.full(n_pairs, n_points + n_pairs + 1)]),
         np.concatenate([n * (n - 1) // 2, np.ones(len(first), np.int64), np.full(n_pairs, config.capacity_m)]),
         np.concatenate([source_cost, middle_cost, np.array(sink_cost, np.int64)]),
     )

@@ -401,13 +401,15 @@ def _require(entry: dict, key: str, where: str):
     return entry[key]
 
 
-def _read_text(source: Source) -> str:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+def _read_text(source: Source, error: type[ValueError] = MapFormatError) -> str:
+    """The text of a path or a file object, read as UTF-8; bytes that are not UTF-8 raise ``error``."""
+    try:
+        if isinstance(source, (str, Path)):
+            return Path(source).read_text(encoding="utf-8")
+        data = source.read()
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as e:
+        raise error(f"input is not UTF-8 text: {e.reason} at byte {e.start}") from e
 
 
 def _write_text(sink: Union[str, Path, IO[bytes], IO[str]], text: str) -> None:

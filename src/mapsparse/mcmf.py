@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flow_graph import SINK, SOURCE, FlowGraph, GraphError, pair_vertex, point_vertex
+from .flow_graph import FlowGraph, GraphError
 
 _INF = 1 << 62
 
@@ -466,9 +466,10 @@ def parse_dimacs(text: str) -> tuple[FlowGraph, int]:
     """Parse a DIMACS min-cost-flow file describing a layered graph.
 
     Layer membership is recovered from the arc pattern: heads of source arcs
-    become point vertices, tails of sink arcs become pair vertices. Returns
-    the graph and the declared supply. Malformed records raise
-    :class:`GraphError` naming the line.
+    become points and tails of sink arcs become pairs, each layer in node id
+    order. A file carries no frame ids, so the pair of node N is labelled
+    (N, N+1). Returns the graph and the declared supply. Malformed records
+    raise :class:`GraphError` naming the line.
     """
     n_decl = None
     supplies: dict[int, int] = {}
@@ -503,26 +504,22 @@ def parse_dimacs(text: str) -> tuple[FlowGraph, int]:
 
     points = sorted({h for tl, h, *_ in raw_arcs if tl == src})
     pairs = sorted({tl for tl, h, *_ in raw_arcs if h == snk})
-    vertex_of: dict[int, tuple] = {src: SOURCE, snk: SINK}
-    for node in points:
-        vertex_of[node] = point_vertex(node)
-    for node in pairs:
-        if node in vertex_of:
-            raise GraphError(f"node {node} is on both the point and pair layers")
-        vertex_of[node] = pair_vertex(node, node + 1)
-
-    vertices = [SOURCE] + [vertex_of[p] for p in points] + [vertex_of[p] for p in pairs] + [SINK]
-    index = {v: i for i, v in enumerate(vertices)}
+    nodes = [src, *points, *pairs, snk]
+    index = {node: i for i, node in enumerate(nodes)}
+    if len(index) != len(nodes):
+        twice = next(node for i, node in enumerate(nodes) if index[node] != i)
+        raise GraphError(f"node {twice} is on two layers")
     for tl, h, low, _, _ in raw_arcs:
         if low != 0:
             raise GraphError("only zero lower bounds are supported")
-        if tl not in vertex_of or h not in vertex_of:
+        if tl not in index or h not in index:
             raise GraphError(f"arc {tl}->{h} does not fit the layered structure")
     tail, head, _, capacity, cost = zip(*raw_arcs) if raw_arcs else ((),) * 5
-    return FlowGraph.from_arrays(
-        vertices,
-        [index[vertex_of[tl]] for tl in tail],
-        [index[vertex_of[h]] for h in head],
+    return FlowGraph(
+        points,
+        [(node, node + 1) for node in pairs],
+        [index[tl] for tl in tail],
+        [index[h] for h in head],
         capacity,
         cost,
     ), supply

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 import numpy as np
 
 from . import _quat
-from .map_model import Pose, SlamMap
+from .map_model import Pose, SlamMap, _read_text, _write_text
 
 
 class MetricsError(ValueError):
@@ -48,15 +48,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.stamps)
 
-    @classmethod
-    def from_poses(cls, pairs: Iterable[tuple[float, Pose]]) -> "Trajectory":
-        pairs = list(pairs)
-        return cls(
-            [ts for ts, _ in pairs],
-            [p.t for _, p in pairs],
-            [p.q for _, p in pairs],
-        )
-
     def poses(self) -> list[tuple[float, Pose]]:
         return [
             (float(ts), Pose(q=tuple(q), t=tuple(t)))
@@ -65,12 +56,12 @@ class Trajectory:
 
 
 def load_trajectory(source: Union[str, Path, IO[bytes], IO[str]]) -> Trajectory:
-    """Read TUM-format text: `timestamp tx ty tz qx qy qz qw`, '#' comments."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    """Read TUM-format text: `timestamp tx ty tz qx qy qz qw`, '#' comments.
+
+    Text that is not UTF-8, or a line that is not eight numbers, raises
+    :class:`MetricsError`.
+    """
+    text = _read_text(source, MetricsError)
     stamps, positions, quats = [], [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -79,24 +70,23 @@ def load_trajectory(source: Union[str, Path, IO[bytes], IO[str]]) -> Trajectory:
         parts = line.split()
         if len(parts) != 8:
             raise MetricsError(f"line {lineno}: expected 8 fields, got {len(parts)}")
-        vals = [float(x) for x in parts]
+        try:
+            vals = [float(x) for x in parts]
+        except ValueError:
+            raise MetricsError(f"line {lineno}: expected 8 numbers") from None
         stamps.append(vals[0])
         positions.append(vals[1:4])
         quats.append([vals[7], vals[4], vals[5], vals[6]])  # file is xyzw, we store wxyz
     return Trajectory(stamps, positions, quats)
 
 
-def save_trajectory(traj: Trajectory, sink: Union[str, Path, IO[str]]) -> None:
+def save_trajectory(traj: Trajectory, sink: Union[str, Path, IO[bytes], IO[str]]) -> None:
     lines = ["# timestamp tx ty tz qx qy qz qw"]
     for ts, t, q in zip(traj.stamps.tolist(), traj.positions.tolist(), traj.quaternions.tolist()):
         lines.append(
             f"{ts!r} {t[0]!r} {t[1]!r} {t[2]!r} {q[1]!r} {q[2]!r} {q[3]!r} {q[0]!r}"
         )
-    text = "\n".join(lines) + "\n"
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    else:
-        sink.write(text)
+    _write_text(sink, "\n".join(lines) + "\n")
 
 
 def associate(stamps_est, stamps_gt, max_offset: float = 0.02) -> list[tuple[int, int]]:

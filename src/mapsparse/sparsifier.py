@@ -175,25 +175,49 @@ def sparsify(slam_map: SlamMap, config: SparsifyConfig) -> SelectionResult:
     t2 = time.perf_counter()
 
     kept = select_points(result, graph, config.theta_ratio)
-    underviewed = underviewed_points(slam_map)
     if not config.drop_underviewed:
-        kept |= underviewed
-    dropped = set(slam_map.points.id.tolist()) - kept
-    culled = cull_keyframes(slam_map, kept, config.keyframe_min_points)
-
-    point_flow = {pid: (flow, cap) for pid, flow, cap in _source_edges(result, graph)}
-    return SelectionResult(
-        kept_point_ids=frozenset(kept),
-        dropped_point_ids=frozenset(dropped),
-        culled_keyframe_ids=frozenset(culled),
-        underviewed_point_ids=underviewed,
-        point_flow=point_flow,
+        kept |= underviewed_points(slam_map)
+    return selection_from_kept(
+        slam_map,
+        kept,
+        config.keyframe_min_points,
+        point_flow={pid: (flow, cap) for pid, flow, cap in _source_edges(result, graph)},
         total_flow=result.total_flow,
         total_cost=result.total_cost,
-        n_input_points=slam_map.n_points,
-        n_input_keyframes=slam_map.n_keyframes,
         build_ms=(t1 - t0) * 1000.0,
         solve_ms=(t2 - t1) * 1000.0,
+    )
+
+
+def selection_from_kept(
+    slam_map: SlamMap,
+    kept: set[int],
+    keyframe_min_points: int,
+    *,
+    point_flow: dict[int, tuple[int, int]] | None = None,
+    total_flow: int | None = None,
+    total_cost: int | None = None,
+    build_ms: float = 0.0,
+    solve_ms: float = 0.0,
+) -> SelectionResult:
+    """The SelectionResult of keeping ``kept`` in ``slam_map``.
+
+    The dropped points, the culled keyframes, the underviewed points and the
+    input counts follow from the map; a run without a flow graph (a baseline
+    or a ``--window`` run) leaves ``point_flow`` empty and the totals None.
+    """
+    return SelectionResult(
+        kept_point_ids=frozenset(kept),
+        dropped_point_ids=frozenset(slam_map.points.id.tolist()) - kept,
+        culled_keyframe_ids=frozenset(cull_keyframes(slam_map, kept, keyframe_min_points)),
+        underviewed_point_ids=underviewed_points(slam_map),
+        point_flow={} if point_flow is None else point_flow,
+        total_flow=total_flow,
+        total_cost=total_cost,
+        n_input_points=slam_map.n_points,
+        n_input_keyframes=slam_map.n_keyframes,
+        build_ms=build_ms,
+        solve_ms=solve_ms,
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quat
-from .map_model import CameraIntrinsics, Keyframe, MapPoint, Observation, Pose, SlamMap
+from .map_model import CameraIntrinsics, Keyframe, Pose, SlamMap
 from .metrics import Trajectory
 
 TRAJECTORIES = ("circle", "line", "random_walk")
@@ -146,7 +146,7 @@ def generate(config: SynthConfig) -> tuple[SlamMap, Trajectory]:
 
     u_max = np.nextafter(float(intr.width), 0.0)
     v_max = np.nextafter(float(intr.height), 0.0)
-    observations = []
+    obs_point, obs_u, obs_v = [], [], []  # per keyframe, its visible points in id order
     for i in range(config.n_keyframes):
         local = (xyz - cam_pos[i]) @ rotations[i]  # camera coordinates (R^T (X - t))
         keep_draw = rng.random(config.n_points)
@@ -166,12 +166,21 @@ def generate(config: SynthConfig) -> tuple[SlamMap, Trajectory]:
         if config.pixel_noise > 0:
             u = np.clip(u + noise[:, 0], 0.0, u_max)
             v = np.clip(v + noise[:, 1], 0.0, v_max)
-        for pid in np.flatnonzero(visible):
-            observations.append(Observation(int(pid), i, float(u[pid]), float(v[pid])))
+        seen = np.flatnonzero(visible)
+        obs_point.append(seen)
+        obs_u.append(u[seen])
+        obs_v.append(v[seen])
 
-    points = [MapPoint(id=int(i), position=tuple(float(x) for x in xyz[i])) for i in range(config.n_points)]
-    slam_map = SlamMap(keyframes, points, observations)
-    if not any(len(slam_map.frames_of_point(p.id)) >= 2 for p in slam_map.points):
+    slam_map = SlamMap.from_arrays(
+        keyframes,
+        np.arange(config.n_points),
+        xyz,
+        np.concatenate(obs_point),
+        np.repeat(np.arange(config.n_keyframes), [len(seen) for seen in obs_point]),
+        np.concatenate(obs_u),
+        np.concatenate(obs_v),
+    )
+    if not (slam_map.observer_counts() >= 2).any():
         raise GenerationError("configuration produced no point observed by two keyframes")
     trajectory = Trajectory(
         [kf.timestamp for kf in keyframes],

@@ -5,19 +5,28 @@ import itertools
 import numpy as np
 
 from mapsparse.flow_graph import (
-    SINK,
-    SOURCE,
     FlowEdge,
     FlowGraph,
     GraphError,
     baseline_cost,
     connectivity_cost,
-    nearby_count,
-    pair_vertex,
     point_capacity,
-    point_vertex,
     spatial_cost,
 )
+
+LAYERS = ("source", "point", "pair", "sink")
+
+
+def layer(graph, v):
+    """Name of the layer of vertex index v: "source", "point", "pair" or "sink"."""
+    n_points = len(graph.point_ids)
+    return LAYERS[int(np.searchsorted([1, n_points + 1, graph.sink_index], v, "right"))]
+
+
+def graph_from_edges(point_ids, pairs, edges):
+    """FlowGraph from a sequence of FlowEdge."""
+    columns = [[getattr(e, name) for e in edges] for name in ("tail", "head", "capacity", "cost")]
+    return FlowGraph(point_ids, pairs, *columns)
 
 
 def build_layered(source_edges, middle_edges, sink_edges):
@@ -29,12 +38,6 @@ def build_layered(source_edges, middle_edges, sink_edges):
     """
     n1 = len(source_edges)
     n2 = len(sink_edges)
-    vertices = (
-        [SOURCE]
-        + [point_vertex(i) for i in range(n1)]
-        + [pair_vertex(1000 + j, 1001 + j) for j in range(n2)]
-        + [SINK]
-    )
     edges = []
     for i, (cap, cost) in enumerate(source_edges):
         edges.append(FlowEdge(0, 1 + i, cap, cost))
@@ -42,7 +45,7 @@ def build_layered(source_edges, middle_edges, sink_edges):
         edges.append(FlowEdge(1 + i, 1 + n1 + j, cap, cost))
     for j, (cap, cost) in enumerate(sink_edges):
         edges.append(FlowEdge(1 + n1 + j, 1 + n1 + n2, cap, cost))
-    return FlowGraph(vertices, edges)
+    return graph_from_edges(range(n1), [(1000 + j, 1001 + j) for j in range(n2)], edges)
 
 
 def random_layered_graph(rng, max_vertices=20, cap_max=5, cost_max=10):
@@ -141,10 +144,31 @@ def flow_violations(graph, result):
     return problems
 
 
+def nearby_count(slam_map, point_id, frame_id, box_width=64, box_height=48):
+    """Number of other keypoints on the frame inside the box centered on this one.
+
+    The box test is closed (<= half-extent per axis) and the reference
+    keypoint itself is excluded. Single-query oracle for ``_nearby_counts``.
+    """
+    ref = slam_map.observation(point_id, frame_id)
+    if ref is None:
+        raise ValueError(f"no observation of point {point_id} in keyframe {frame_id}")
+    half_u = box_width / 2.0
+    half_v = box_height / 2.0
+    count = 0
+    for pid in slam_map.points_of_frame(frame_id):
+        if pid == point_id:
+            continue
+        obs = slam_map.observation(pid, frame_id)
+        if abs(obs.u - ref.u) <= half_u and abs(obs.v - ref.v) <= half_v:
+            count += 1
+    return count
+
+
 def build_graph_oracle(slam_map, config):
     """Scalar reference for ``build_graph``: one FlowEdge at a time, every cost
-    from its single-value function. Returns (vertices, edges,
-    point_source_edge, pair_sink_edge)."""
+    from its single-value function, disabled costs 1. Returns (point_ids,
+    pairs, edges, point_source_edge, pair_sink_edge)."""
     eligible = [
         (pt.id, slam_map.frames_of_point(pt.id))
         for pt in slam_map.points
@@ -155,21 +179,18 @@ def build_graph_oracle(slam_map, config):
     m = max(len(frames) for _, frames in eligible)
     pairs = sorted({ab for _, frames in eligible for ab in itertools.combinations(frames, 2)})
 
-    vertices = [SOURCE]
-    vertices.extend(point_vertex(pid) for pid, _ in eligible)
-    vertices.extend(pair_vertex(a, b) for a, b in pairs)
-    vertices.append(SINK)
-    index = {v: i for i, v in enumerate(vertices)}
-    src = index[SOURCE]
-    snk = index[SINK]
+    point_ids = [pid for pid, _ in eligible]
+    point_index = {pid: 1 + i for i, pid in enumerate(point_ids)}
+    pair_index = {ab: 1 + len(point_ids) + i for i, ab in enumerate(pairs)}
+    snk = 1 + len(point_ids) + len(pairs)
 
     edges = []
     point_source_edge = {}
     for pid, frames in eligible:
         n = len(frames)
-        cost = connectivity_cost(n, m) if config.enable_cc else config.disabled_cost
+        cost = connectivity_cost(n, m) if config.enable_cc else 1
         point_source_edge[pid] = len(edges)
-        edges.append(FlowEdge(src, index[point_vertex(pid)], point_capacity(n), cost))
+        edges.append(FlowEdge(0, point_index[pid], point_capacity(n), cost))
 
     counts = {}
 
@@ -180,17 +201,13 @@ def build_graph_oracle(slam_map, config):
 
     for pid, frames in eligible:
         for a, b in itertools.combinations(frames, 2):
-            cost = spatial_cost(nearby(pid, a), nearby(pid, b)) if config.enable_cs else config.disabled_cost
-            edges.append(FlowEdge(index[point_vertex(pid)], index[pair_vertex(a, b)], 1, cost))
+            cost = spatial_cost(nearby(pid, a), nearby(pid, b)) if config.enable_cs else 1
+            edges.append(FlowEdge(point_index[pid], pair_index[(a, b)], 1, cost))
 
     centers = {kf.id: kf.pose.center() for kf in slam_map.keyframes}
     pair_sink_edge = {}
     for a, b in pairs:
-        if config.enable_cb:
-            d = float(np.linalg.norm(centers[a] - centers[b])) * config.baseline_scale
-            cost = baseline_cost(d)
-        else:
-            cost = config.disabled_cost
+        cost = baseline_cost(float(np.linalg.norm(centers[a] - centers[b]))) if config.enable_cb else 1
         pair_sink_edge[(a, b)] = len(edges)
-        edges.append(FlowEdge(index[pair_vertex(a, b)], snk, config.capacity_m, cost))
-    return vertices, edges, point_source_edge, pair_sink_edge
+        edges.append(FlowEdge(pair_index[(a, b)], snk, config.capacity_m, cost))
+    return point_ids, pairs, edges, point_source_edge, pair_sink_edge

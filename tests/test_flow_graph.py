@@ -3,11 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WORKLOAD_SHAPES, make_map
-from flow_cases import build_graph_oracle
+from flow_cases import build_graph_oracle, graph_from_edges, layer, nearby_count
 from mapsparse.cli import _window_maps
 from mapsparse.flow_graph import (
-    SINK,
-    SOURCE,
     FlowEdge,
     FlowGraph,
     GraphConfig,
@@ -15,10 +13,7 @@ from mapsparse.flow_graph import (
     baseline_cost,
     build_graph,
     connectivity_cost,
-    nearby_count,
-    pair_vertex,
     point_capacity,
-    point_vertex,
     spatial_cost,
     to_dimacs,
     _nearby_counts,
@@ -153,10 +148,7 @@ class TestBuildGraph:
         assert source_costs == {0: 6, 1: 1, 2: 6}  # m = 4
 
         # keypoints are far apart so every point->pair cost is zero
-        pair_edges = [
-            e for e in graph.edges
-            if graph.vertices[e.tail][0] == "point"
-        ]
+        pair_edges = [e for e in graph.edges if layer(graph, e.tail) == "point"]
         assert all(e.capacity == 1 and e.cost == 0 for e in pair_edges)
 
         sink_costs = {
@@ -177,13 +169,13 @@ class TestBuildGraph:
 
     def test_disable_spatial_cost_uses_substitute(self, four_frame_map):
         graph = build_graph(four_frame_map, GraphConfig(capacity_m=2, enable_cs=False))
-        mid = [e for e in graph.edges if graph.vertices[e.tail][0] == "point"]
+        mid = [e for e in graph.edges if layer(graph, e.tail) == "point"]
         assert all(e.cost == 1 for e in mid)
 
     def test_disable_connectivity_and_baseline(self, four_frame_map):
         graph = build_graph(
             four_frame_map,
-            GraphConfig(capacity_m=2, enable_cc=False, enable_cb=False, disabled_cost=1),
+            GraphConfig(capacity_m=2, enable_cc=False, enable_cb=False),
         )
         assert all(graph.edges[ei].cost == 1 for ei in graph.point_source_edge.values())
         assert all(graph.edges[ei].cost == 1 for ei in graph.pair_sink_edge.values())
@@ -194,7 +186,7 @@ class TestBuildGraph:
             {0: [(0, 10, 10), (1, 10, 10)], 1: [(0, 50, 50)]},
         )
         graph = build_graph(slam_map, GraphConfig(capacity_m=1))
-        assert point_vertex(1) not in graph.vertex_index
+        assert list(graph.point_ids) == [0]
         assert set(graph.point_source_edge) == {0}
 
     def test_no_eligible_point_raises(self):
@@ -206,11 +198,11 @@ class TestBuildGraph:
         slam_map, _ = generate(SynthConfig(n_points=120, n_keyframes=8, dropout=0.3, seed=5))
         graph = build_graph(slam_map, GraphConfig(capacity_m=3))
         total_cap = sum(graph.edges[ei].capacity for ei in graph.point_source_edge.values())
-        n_mid = sum(1 for e in graph.edges if graph.vertices[e.tail][0] == "point")
+        n_mid = sum(1 for e in graph.edges if layer(graph, e.tail) == "point")
         assert total_cap == n_mid
         # per point: out-degree equals source capacity
         for pid, ei in graph.point_source_edge.items():
-            pi = graph.vertex_index[point_vertex(pid)]
+            pi = 1 + list(graph.point_ids).index(pid)
             out_deg = sum(1 for e in graph.edges if e.tail == pi)
             assert out_deg == graph.edges[ei].capacity
 
@@ -223,14 +215,15 @@ class TestBuildGraph:
         )
         g1 = build_graph(slam_map, GraphConfig(capacity_m=4))
         g2 = build_graph(permuted, GraphConfig(capacity_m=4))
-        assert g1.vertices == g2.vertices
+        assert g1.point_ids.tolist() == g2.point_ids.tolist()
+        assert g1.pairs.tolist() == g2.pairs.tolist()
         assert g1.edges == g2.edges
 
     def test_topological_layering(self, four_frame_map):
         graph = build_graph(four_frame_map, GraphConfig(capacity_m=2))
         order = {"source": 0, "point": 1, "pair": 2, "sink": 3}
         for e in graph.edges:
-            assert order[graph.vertices[e.head][0]] == order[graph.vertices[e.tail][0]] + 1
+            assert order[layer(graph, e.head)] == order[layer(graph, e.tail)] + 1
 
 
 def assert_counts_match(slam_map, box_width, box_height):
@@ -244,13 +237,15 @@ def assert_counts_match(slam_map, box_width, box_height):
 
 def assert_matches_oracle(slam_map, config):
     try:
-        vertices, edges, point_source_edge, pair_sink_edge = build_graph_oracle(slam_map, config)
+        point_ids, pairs, edges, point_source_edge, pair_sink_edge = build_graph_oracle(slam_map, config)
     except GraphError:
         with pytest.raises(GraphError):
             build_graph(slam_map, config)
         return
     graph = build_graph(slam_map, config)
-    assert list(graph.vertices) == vertices
+    assert graph.point_ids.tolist() == point_ids
+    assert graph.pairs.tolist() == [list(ab) for ab in pairs]
+    assert graph.n_vertices == len(point_ids) + len(pairs) + 2
     assert list(graph.edges) == edges
     assert graph.point_source_edge == point_source_edge
     assert graph.pair_sink_edge == pair_sink_edge
@@ -328,10 +323,11 @@ class TestFlowGraphArrays:
         with pytest.raises(ValueError):
             graph.capacity[0] = 5
 
-    def test_constructor_and_from_arrays_agree(self, four_frame_map):
+    def test_rebuilt_from_its_own_arrays(self, four_frame_map):
         graph = build_graph(four_frame_map, GraphConfig(capacity_m=2))
-        rebuilt = FlowGraph(graph.vertices, graph.edges)
+        rebuilt = FlowGraph(graph.point_ids, graph.pairs, graph.tail, graph.head, graph.capacity, graph.cost)
         assert rebuilt.edges == graph.edges
+        assert (rebuilt.n_vertices, rebuilt.source_index, rebuilt.sink_index) == (11, 0, 10)
         assert rebuilt.point_source_edge == graph.point_source_edge
         assert rebuilt.pair_sink_edge == graph.pair_sink_edge
 
@@ -348,16 +344,34 @@ class TestFlowGraphArrays:
         ],
     )
     def test_rejects_bad_edges(self, edge):
-        vertices = [SOURCE, point_vertex(0), SINK]
         with pytest.raises(GraphError):
-            FlowGraph(vertices, [FlowEdge(*edge)])
-        with pytest.raises(GraphError):
-            FlowGraph.from_arrays(vertices, *([x] for x in edge))
+            FlowGraph([7], [], *([x] for x in edge))
 
     def test_rejects_parallel_edges(self):
-        vertices = [SOURCE, point_vertex(0), SINK]
         with pytest.raises(GraphError, match="parallel"):
-            FlowGraph(vertices, [FlowEdge(0, 1, 1, 0), FlowEdge(0, 1, 2, 0)])
+            graph_from_edges([7], [], [FlowEdge(0, 1, 1, 0), FlowEdge(0, 1, 2, 0)])
+
+    def test_rejects_repeated_point_id(self):
+        with pytest.raises(GraphError, match="point 7"):
+            FlowGraph([7, 3, 7], [(0, 1)], [0], [1], [1], [0])
+
+    def test_rejects_unordered_pair_row(self):
+        with pytest.raises(GraphError, match="ordered"):
+            FlowGraph([0], [(3, 3)], [], [], [], [])
+
+    def test_rejects_repeated_pair_row(self):
+        with pytest.raises(GraphError, match="pair 0, 1 is listed twice"):
+            FlowGraph([7], [(0, 1), (2, 5), (0, 1)], [0], [1], [1], [0])
+
+    def test_layers_follow_index_ranges(self):
+        graph = FlowGraph([9, 4], [(0, 1), (0, 2), (1, 2)], [0, 2, 4], [2, 4, 6], [1, 1, 3], [0, 2, 1])
+        assert [layer(graph, v) for v in range(graph.n_vertices)] == [
+            "source", "point", "point", "pair", "pair", "pair", "sink",
+        ]
+        assert graph.point_source_edge == {4: 0}
+        assert graph.pair_sink_edge == {(0, 2): 2}
+        with pytest.raises(GraphError, match="edge 1 -> 6 breaks layering \\(point -> sink\\)"):
+            FlowGraph([9, 4], [(0, 1), (0, 2), (1, 2)], [1], [6], [1], [0])
 
 
 class TestGraphConfig:
@@ -366,10 +380,6 @@ class TestGraphConfig:
             GraphConfig(capacity_m=0)
         with pytest.raises(GraphError):
             GraphConfig(capacity_m=1, box_width=0)
-
-    def test_pair_vertex_ordering(self):
-        with pytest.raises(GraphError):
-            pair_vertex(3, 3)
 
 
 class TestDimacs:
@@ -396,6 +406,7 @@ class TestDimacs:
             pytest.param("p min x 3", "line 3", id="non-integer-problem"),
             pytest.param(f"a 1 2 0 {1 << 62} 1", "capacity", id="capacity-2**62"),
             pytest.param(f"a 1 2 0 {1 << 64} 1", "2\\*\\*62", id="capacity-beyond-int64"),
+            pytest.param("a 1 3 0 1 0", "node 3 is on two layers", id="node-on-two-layers"),
         ],
     )
     def test_malformed_input_raises_graph_error(self, line, message):
@@ -405,3 +416,42 @@ class TestDimacs:
         text = "\n".join(records)
         with pytest.raises(GraphError, match=message):
             parse_dimacs(text)
+
+
+_dimacs_tokens = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.sampled_from([str(2**62), str(2**63 - 1), str(2**63), str(-(2**63) - 1), "x", "1.5", "min"]),
+)
+_dimacs_lines = st.one_of(
+    st.tuples(st.just("p min"), _dimacs_tokens, _dimacs_tokens),
+    st.tuples(st.just("n"), _dimacs_tokens, _dimacs_tokens),
+    st.tuples(st.just("a"), _dimacs_tokens, _dimacs_tokens, st.just("0") | _dimacs_tokens, _dimacs_tokens, _dimacs_tokens),
+    st.lists(_dimacs_tokens | st.sampled_from(["p", "n", "a", "c"]), max_size=7),
+).map(" ".join)
+# A problem line with one supply node (1) and one demand node (6), then arcs
+# 1 -> {2, 3} -> {4, 5} -> 6 and at most one other line, so that many texts
+# describe a layered graph.
+_dimacs_arcs = st.tuples(
+    st.sampled_from([(1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 6)]),
+    st.integers(1, 3),
+    st.integers(0, 9),
+).map(lambda arc: "a %d %d 0 %d %d" % (*arc[0], arc[1], arc[2]))
+_dimacs_texts = st.one_of(
+    st.text(),
+    st.lists(_dimacs_lines, max_size=12).map("\n".join),
+    st.tuples(
+        st.lists(_dimacs_arcs, max_size=9, unique_by=lambda arc: tuple(arc.split()[1:3])),
+        st.lists(_dimacs_lines, max_size=1),
+    ).map(lambda lines: "\n".join(["p min 6 9", "n 1 2", "n 6 -2", *lines[0], *lines[1]])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_dimacs_texts)
+def test_any_text_parses_to_a_graph_or_raises_a_graph_error(text):
+    try:
+        graph, supply = parse_dimacs(text)
+    except GraphError:
+        return
+    assert isinstance(graph, FlowGraph) and isinstance(supply, int)
+    assert solve(graph).total_flow <= sum(graph.capacity[list(graph.point_source_edge.values())].tolist())

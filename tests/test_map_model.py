@@ -129,6 +129,15 @@ def test_load_unparseable_document_raises_format_error(text):
         load_map(io.StringIO(text))
 
 
+def test_load_bytes_that_are_not_utf8_raise_format_error(tmp_path):
+    with pytest.raises(MapFormatError, match="not UTF-8"):
+        load_map(io.BytesIO(b"\xff{}"))
+    path = tmp_path / "map.json"
+    path.write_bytes(json.dumps(MINIMAL).encode() + b"\xc3")
+    with pytest.raises(MapFormatError, match="not UTF-8"):
+        load_map(path)
+
+
 def test_round_trip_identity_on_synthetic_map():
     slam_map, _ = generate(SynthConfig(n_points=100, n_keyframes=8, dropout=0.2, pixel_noise=0.5, seed=3))
     buf = io.StringIO()

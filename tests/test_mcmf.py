@@ -10,10 +10,11 @@ from flow_cases import (
     build_layered,
     enumerate_min_cost_max_flow,
     flow_violations,
+    layer,
     random_layered_graph,
     random_tiny_graph,
 )
-from mapsparse.flow_graph import FlowEdge, FlowGraph, GraphConfig, build_graph
+from mapsparse.flow_graph import FlowGraph, GraphConfig, build_graph
 from mapsparse.mcmf import (
     FlowResult,
     _pairwise,
@@ -55,7 +56,7 @@ def test_four_frame_fixture_matches_exhaustive_search(four_frame_map):
     assert verify_optimality(graph, result)
 
     # independent oracle: middle (unit) edges determine the whole flow
-    mid = [(i, e) for i, e in enumerate(graph.edges) if graph.vertices[e.tail][0] == "point"]
+    mid = [(i, e) for i, e in enumerate(graph.edges) if layer(graph, e.tail) == "point"]
     best_flow, best_cost = 0, None
     for pattern in itertools.product((0, 1), repeat=len(mid)):
         per_edge = dict(zip((i for i, _ in mid), pattern))
@@ -67,7 +68,7 @@ def test_four_frame_fixture_matches_exhaustive_search(four_frame_map):
         ok = True
         cost = 0
         for i, e in enumerate(graph.edges):
-            kind = graph.vertices[e.tail][0]
+            kind = layer(graph, e.tail)
             if kind == "source":
                 f = load_tail.get(e.head, 0)
             elif kind == "point":
@@ -155,11 +156,12 @@ def test_flow_monotone_in_sink_capacity(seed, bump):
     rng = np.random.default_rng(seed)
     graph = random_layered_graph(rng)
     raised = FlowGraph(
-        graph.vertices,
-        [
-            FlowEdge(e.tail, e.head, e.capacity + (bump if e.head == graph.sink_index else 0), e.cost)
-            for e in graph.edges
-        ],
+        graph.point_ids,
+        graph.pairs,
+        graph.tail,
+        graph.head,
+        graph.capacity + bump * (graph.head == graph.sink_index),
+        graph.cost,
     )
     assert solve(raised).total_flow >= solve(graph).total_flow
 
@@ -169,10 +171,7 @@ def test_flow_monotone_in_sink_capacity(seed, bump):
 def test_cost_scaling_invariance(seed, k):
     rng = np.random.default_rng(seed)
     graph = random_layered_graph(rng)
-    scaled = FlowGraph(
-        graph.vertices,
-        [FlowEdge(e.tail, e.head, e.capacity, e.cost * k) for e in graph.edges],
-    )
+    scaled = FlowGraph(graph.point_ids, graph.pairs, graph.tail, graph.head, graph.capacity, graph.cost * k)
     base = solve(graph)
     result = solve(scaled)
     assert result.total_cost == base.total_cost * k

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import WORKLOAD_SHAPES, make_map
 from map_oracles import attribute_C_oracle, attribute_F_oracle, attribute_S_oracle
@@ -251,9 +252,49 @@ class TestTrajectoryIO:
         with pytest.raises(MetricsError, match="line 1"):
             load_trajectory(io.StringIO("0.0 1 2 3\n"))
 
+    def test_non_number_field_names_the_line(self):
+        with pytest.raises(MetricsError, match="line 2"):
+            load_trajectory(io.StringIO("0.0 1 2 3 0 0 0 1\n0.1 4 5 x 0 0 0 1\n"))
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        with pytest.raises(MetricsError, match="not UTF-8"):
+            load_trajectory(io.BytesIO(b"0.0 1 2 3 0 0 0 \xff1\n"))
+        path = tmp_path / "traj.tum"
+        path.write_bytes(b"\xfe0.0 1 2 3 0 0 0 1\n")
+        with pytest.raises(MetricsError, match="not UTF-8"):
+            load_trajectory(path)
+
+    def test_save_to_a_binary_stream(self):
+        traj = random_trajectory(np.random.default_rng(3))
+        text, binary = io.StringIO(), io.BytesIO()
+        save_trajectory(traj, text)
+        save_trajectory(traj, binary)
+        assert binary.getvalue() == text.getvalue().encode()
+        assert np.array_equal(load_trajectory(io.BytesIO(binary.getvalue())).stamps, traj.stamps)
+
     def test_timestamps_must_increase(self):
         with pytest.raises(MetricsError):
             Trajectory([0.0, 0.0], np.zeros((2, 3)), np.tile(_quat.IDENTITY, (2, 1)))
+
+
+_tum_fields = st.one_of(
+    st.floats().map(repr), st.integers(-3, 3).map(str), st.sampled_from(["x", "nan", "-inf", "1e400", "0x1", "#"])
+)
+_tum_lines = st.one_of(st.lists(_tum_fields, min_size=8, max_size=8), st.lists(_tum_fields, max_size=9)).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=st.one_of(
+    st.text().map(io.StringIO),
+    st.binary().map(io.BytesIO),
+    st.lists(_tum_lines, max_size=6).map("\n".join).map(io.StringIO),
+))
+def test_any_text_loads_a_trajectory_or_raises_a_metrics_error(source):
+    try:
+        traj = load_trajectory(source)
+    except MetricsError:
+        return
+    assert isinstance(traj, Trajectory)
 
 
 def test_map_report_fields():
