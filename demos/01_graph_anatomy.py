@@ -10,8 +10,6 @@ from mapsparse import (
     CameraIntrinsics,
     GraphConfig,
     Keyframe,
-    MapPoint,
-    Observation,
     Pose,
     SlamMap,
     build_graph,
@@ -30,15 +28,16 @@ def frame(fid, z):
     )
 
 
+# Points and observations go in as columns: point ids and positions, then
+# one (point, frame, u, v) entry per observation.
 slam_map = SlamMap(
     keyframes=[frame(0, 0), frame(1, 10), frame(2, 30), frame(3, 90)],
-    points=[MapPoint(0, (0.0, 0.0, 5.0)), MapPoint(1, (1.0, 0.0, 5.0)), MapPoint(2, (2.0, 0.0, 5.0))],
-    observations=[
-        Observation(0, 0, 50, 50), Observation(0, 1, 50, 50),
-        Observation(1, 0, 300, 240), Observation(1, 1, 300, 240),
-        Observation(1, 2, 300, 240), Observation(1, 3, 300, 240),
-        Observation(2, 2, 550, 400), Observation(2, 3, 550, 400),
-    ],
+    point_id=[0, 1, 2],
+    xyz=[(0.0, 0.0, 5.0), (1.0, 0.0, 5.0), (2.0, 0.0, 5.0)],
+    obs_point_id=[0, 0, 1, 1, 1, 1, 2, 2],
+    obs_keyframe_id=[0, 1, 0, 1, 2, 3, 2, 3],
+    u=[50, 50, 300, 300, 300, 300, 550, 550],
+    v=[50, 50, 240, 240, 240, 240, 400, 400],
 )
 
 print("covisibility pairs (frame_a, frame_b) -> shared points")

@@ -15,19 +15,16 @@ import numpy as np
 from .map_model import SlamMap
 
 
-def _connectivity_order(slam_map: SlamMap) -> list[int]:
-    """Point ids by descending observer count, ties broken by lower id."""
-    return sorted(
-        slam_map.points.id.tolist(),
-        key=lambda pid: (-len(slam_map.frames_of_point(pid)), pid),
-    )
+def _connectivity_order(slam_map: SlamMap) -> np.ndarray:
+    """Rows of ``slam_map.points`` by descending observer count, ties broken by lower id."""
+    return np.lexsort((slam_map.points.id, -slam_map.observer_counts()))
 
 
 def select_top_m(slam_map: SlamMap, budget: int) -> set[int]:
     """The ``budget`` points with the most observing keyframes."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    return set(_connectivity_order(slam_map)[:budget])
+    return set(slam_map.points.id[_connectivity_order(slam_map)[:budget]].tolist())
 
 
 def select_grid_bucketed(slam_map: SlamMap, budget: int, cell_width: int = 64, cell_height: int = 48) -> set[int]:
@@ -43,18 +40,19 @@ def select_grid_bucketed(slam_map: SlamMap, budget: int, cell_width: int = 64, c
     if budget == 0:
         return set()
 
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    for kf in slam_map.keyframes:
-        for pid in slam_map.points_of_frame(kf.id):
-            obs = slam_map.observation(pid, kf.id)
-            cell = (kf.id, int(obs.v // cell_height), int(obs.u // cell_width))
-            buckets.setdefault(cell, []).append(pid)
-    ordered_buckets = []
-    for cell in sorted(buckets):
-        members = sorted(
-            buckets[cell], key=lambda pid: (-len(slam_map.frames_of_point(pid)), pid)
-        )
-        ordered_buckets.append(members)
+    # One bucket per (keyframe, cell row, cell column), its members by
+    # descending observer count and then ascending id.
+    point, frame, u, v = slam_map.observation_arrays()
+    row = (v // cell_height).astype(np.int64)
+    col = (u // cell_width).astype(np.int64)
+    count = slam_map.observer_counts()[point]
+    order = np.lexsort((point, -count, col, row, frame))
+    cell = np.column_stack((frame, row, col))[order]
+    new_cell = np.ones(len(order), bool)
+    new_cell[1:] = (cell[1:] != cell[:-1]).any(axis=1)
+    bounds = np.append(np.flatnonzero(new_cell), len(order)).tolist()
+    members = slam_map.points.id[point[order]].tolist()
+    ordered_buckets = [members[a:b] for a, b in zip(bounds, bounds[1:])]
 
     selected: set[int] = set()
     # points never observed don't appear in any bucket; they are only pulled
@@ -71,17 +69,11 @@ def select_grid_bucketed(slam_map: SlamMap, budget: int, cell_width: int = 64, c
                     progress = True
                     break
     if len(selected) < budget:
-        for pid in _connectivity_order(slam_map):
+        for pid in slam_map.points.id[_connectivity_order(slam_map)].tolist():
             if len(selected) >= budget:
                 break
             selected.add(pid)
     return selected
-
-
-def _representative_uv(slam_map: SlamMap, pid: int) -> tuple[float, float]:
-    fid = slam_map.frames_of_point(pid)[0]
-    obs = slam_map.observation(pid, fid)
-    return obs.u, obs.v
 
 
 def select_radius_suppressed(slam_map: SlamMap, budget: int) -> set[int]:
@@ -96,11 +88,16 @@ def select_radius_suppressed(slam_map: SlamMap, budget: int) -> set[int]:
         raise ValueError("budget must be >= 0")
     if budget == 0:
         return set()
-    order = [pid for pid in _connectivity_order(slam_map) if slam_map.frames_of_point(pid)]
+    rows = _connectivity_order(slam_map)
+    rows = rows[slam_map.observer_counts()[rows] > 0]
+    order = slam_map.points.id[rows].tolist()
     if budget >= len(order):
         return set(order)  # radius 0: everything survives
 
-    uv = np.array([_representative_uv(slam_map, pid) for pid in order])
+    # Each point's keypoint in its lowest-id keyframe: the first row of its run.
+    point, _, u, v = slam_map.observation_arrays()
+    first = np.searchsorted(point, rows)
+    uv = np.column_stack((u[first], v[first]))
     widths = [kf.intrinsics.width for kf in slam_map.keyframes]
     heights = [kf.intrinsics.height for kf in slam_map.keyframes]
     lo, hi = 0.0, math.hypot(max(widths), max(heights))

@@ -125,7 +125,7 @@ def _window_maps(slam_map: SlamMap, window: int):
     for w, lo in enumerate(range(0, len(frames), window)):
         on_obs = window_of_obs == w
         on_point = np.isin(points.id, obs.point_id[on_obs])
-        yield SlamMap.from_arrays(
+        yield SlamMap(
             frames[lo : lo + window],
             points.id[on_point],
             points.xyz[on_point],
@@ -140,6 +140,8 @@ def _baseline_result(slam_map: SlamMap, strategy: str, budget: int, min_kf_point
 
 
 def _cmd_sparsify(args) -> int:
+    if args.window < 0:
+        raise ValueError("--window must be >= 0")
     slam_map = load_map(args.map)
     if args.strategy == "flow":
         if args.capacity_m is None:
@@ -157,7 +159,7 @@ def _cmd_sparsify(args) -> int:
             keyframe_min_points=args.min_kf_points,
             drop_underviewed=not args.keep_underviewed,
         )
-        if args.window and args.window > 0:
+        if args.window:
             kept: set[int] = set()
             t0 = time.perf_counter()
             for sub in _window_maps(slam_map, args.window):

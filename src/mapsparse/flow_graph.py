@@ -280,10 +280,7 @@ def build_graph(slam_map: SlamMap, config: GraphConfig) -> FlowGraph:
     m = int(n.max())
 
     # Every (observation, later observation of the same point): one edge each.
-    run_end = np.repeat(starts + n_run, n_run)
-    later = run_end - np.arange(k) - 1
-    first = np.repeat(np.arange(k), later)
-    second = np.arange(len(first)) + np.repeat(np.arange(k) + 1 - (np.cumsum(later) - later), later)
+    first, second = slam_map.observation_pairs()
     n_frames = len(slam_map.keyframes)
     pair_keys, pair_of = np.unique(frame[first] * n_frames + frame[second], return_inverse=True)
     n_pairs = len(pair_keys)
@@ -332,6 +329,6 @@ def to_dimacs(graph: FlowGraph, supply: int) -> str:
     lines = [f"p min {graph.n_vertices} {graph.n_edges}"]
     lines.append(f"n {graph.source_index + 1} {supply}")
     lines.append(f"n {graph.sink_index + 1} {-supply}")
-    for e in graph.edges:
-        lines.append(f"a {e.tail + 1} {e.head + 1} 0 {e.capacity} {e.cost}")
+    columns = (graph.tail + 1, graph.head + 1, graph.capacity, graph.cost)
+    lines.extend(map("a {} {} 0 {} {}".format, *(c.tolist() for c in columns)))
     return "\n".join(lines) + "\n"

@@ -1,9 +1,8 @@
 """SLAM map data model: keyframes, map points, observations, and covisibility.
 
-Everything here is immutable after construction; a :class:`SlamMap` builds its
-point<->keyframe indices once and can be shared freely across threads. It
-keeps its keyframes as objects and its points and observations, the bulk of a
-map, as read-only numpy columns.
+Everything here is immutable after construction and can be shared freely
+across threads. A :class:`SlamMap` keeps its keyframes as objects and its
+points and observations, the bulk of a map, as read-only numpy columns.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
 from pathlib import Path
 from typing import IO, Iterable, Union
 
@@ -183,24 +180,6 @@ class ObservationView(ColumnView):
         return self._columns[3]
 
 
-def _point_columns(points: Iterable[MapPoint]) -> tuple[np.ndarray, np.ndarray]:
-    points = tuple(points)
-    return (
-        np.array([p.id for p in points], np.int64),
-        np.array([p.position for p in points], np.float64).reshape(len(points), 3),
-    )
-
-
-def _observation_columns(observations: Iterable[Observation]) -> tuple[np.ndarray, ...]:
-    observations = tuple(observations)
-    return (
-        np.array([o.point_id for o in observations], np.int64),
-        np.array([o.keyframe_id for o in observations], np.int64),
-        np.array([o.u for o in observations], np.float64),
-        np.array([o.v for o in observations], np.float64),
-    )
-
-
 def _repeats(sorted_ids: np.ndarray) -> np.ndarray:
     """Whether each entry of a sorted array equals the one before it."""
     out = np.zeros(len(sorted_ids), bool)
@@ -217,49 +196,26 @@ def _positions(sorted_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 class SlamMap:
-    """Immutable map container with derived point<->keyframe indices.
+    """Immutable map: keyframe objects plus point and observation columns.
 
     ``keyframes`` is a tuple of :class:`Keyframe` sorted by id. ``points`` is
     a :class:`PointView` over the columns ``id`` and ``xyz``, sorted by id;
     ``observations`` is an :class:`ObservationView` over the columns
     ``point_id``, ``keyframe_id``, ``u`` and ``v``, sorted by (point id,
-    keyframe id). Both sorts are stable, and every id must fit in int64.
+    keyframe id). The constructor takes the point columns (id, (P, 3) xyz)
+    and the observation columns (point id, keyframe id, u, v) in any order
+    and copies them; both sorts are stable, and every id must fit in int64.
 
     Duplicate or dangling observations are tolerated at construction (so that
-    :func:`validate` can report them); indices only reflect the first
-    occurrence of each (point, keyframe) pair with valid references.
+    :func:`validate` can report them); :meth:`observation_arrays` only holds
+    the first occurrence of each (point, keyframe) pair with valid references.
     """
 
-    def __init__(
-        self,
-        keyframes: Iterable[Keyframe],
-        points: Iterable[MapPoint],
-        observations: Iterable[Observation],
-    ):
-        point_columns = points._columns if isinstance(points, PointView) else _point_columns(points)
-        if isinstance(observations, ObservationView):
-            observation_columns = observations._columns
-        else:
-            observation_columns = _observation_columns(observations)
-        self._set(keyframes, *point_columns, *observation_columns)
-
-    @classmethod
-    def from_arrays(cls, keyframes, point_id, xyz, obs_point_id, obs_keyframe_id, u, v) -> SlamMap:
-        """Map from point columns (id, (P, 3) xyz) and observation columns
-        (point id, keyframe id, u, v) in any order; the arrays are copied."""
-        slam_map = cls.__new__(cls)
-        slam_map._set(
-            keyframes,
-            np.asarray(point_id, np.int64),
-            np.asarray(xyz, np.float64),
-            np.asarray(obs_point_id, np.int64),
-            np.asarray(obs_keyframe_id, np.int64),
-            np.asarray(u, np.float64),
-            np.asarray(v, np.float64),
+    def __init__(self, keyframes: Iterable[Keyframe], point_id, xyz, obs_point_id, obs_keyframe_id, u, v):
+        point_id, obs_point_id, obs_keyframe_id = (
+            np.asarray(c, np.int64) for c in (point_id, obs_point_id, obs_keyframe_id)
         )
-        return slam_map
-
-    def _set(self, keyframes, point_id, xyz, obs_point_id, obs_keyframe_id, u, v) -> None:
+        xyz, u, v = (np.asarray(c, np.float64) for c in (xyz, u, v))
         observation_columns = (obs_point_id, obs_keyframe_id, u, v)
         if (
             point_id.ndim != 1
@@ -269,9 +225,6 @@ class SlamMap:
             raise ValueError("points need ids (P,) and xyz (P, 3); observations need four 1-d columns of one length")
         self.keyframes: tuple[Keyframe, ...] = tuple(sorted(keyframes, key=lambda k: k.id))
         self._keyframe_ids = np.array([kf.id for kf in self.keyframes], np.int64)
-        self._keyframe_row: dict[int, int] = {}
-        for i, kf in enumerate(self.keyframes):
-            self._keyframe_row.setdefault(kf.id, i)
 
         order = np.argsort(point_id, kind="stable")
         point_id, xyz = point_id[order], xyz[order]
@@ -285,10 +238,9 @@ class SlamMap:
         first = np.ones(len(point), bool)  # first observation of its (point, keyframe) pair
         first[1:] = (point[1:] != point[:-1]) | (frame[1:] != frame[:-1])
         indexed = first & (point_pos >= 0) & (frame_pos >= 0)
-        self._indexed: np.ndarray | None = None if indexed.all() else np.flatnonzero(indexed)
         arrays = (point_pos, frame_pos, u, v)
-        if self._indexed is not None:
-            arrays = tuple(a[self._indexed] for a in arrays)
+        if not indexed.all():
+            arrays = tuple(a[indexed] for a in arrays)
         for a in (self._keyframe_ids, point_id, xyz, point, frame, u, v, point_pos, frame_pos, first, *arrays):
             a.flags.writeable = False
 
@@ -302,36 +254,6 @@ class SlamMap:
         # point_offsets[i]:point_offsets[i + 1] of observation_arrays().
         self._point_offsets = np.searchsorted(arrays[0], np.arange(len(point_id) + 1))
 
-    @cached_property
-    def _point_row(self) -> dict[int, int]:
-        ids = self.points.id
-        return dict(zip(ids[::-1].tolist(), range(len(ids) - 1, -1, -1)))
-
-    @cached_property
-    def _frames_by_point(self) -> list[tuple[int, ...]]:
-        """frames_of_point of each point row, built on the first call."""
-        frames = self._keyframe_ids[self._observation_arrays[1]].tolist()
-        bounds = self._point_offsets.tolist()
-        return [tuple(frames[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-    @cached_property
-    def _points_by_frame(self) -> list[tuple[int, ...]]:
-        """points_of_frame of each keyframe row, built on the first call."""
-        point, frame, _, _ = self._observation_arrays
-        order = np.argsort(frame, kind="stable")  # (keyframe, point id) order
-        points = self.points.id[point[order]].tolist()
-        bounds = np.searchsorted(frame[order], np.arange(len(self.keyframes) + 1)).tolist()
-        return [tuple(points[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-    @cached_property
-    def _observation_by_key(self) -> dict[tuple[int, int], Observation]:
-        """Every indexed observation by (point id, keyframe id), built on the first lookup."""
-        columns = self.observations._columns
-        if self._indexed is not None:
-            columns = [c[self._indexed] for c in columns]
-        point, frame, u, v = (c.tolist() for c in columns)
-        return dict(zip(zip(point, frame), map(Observation, point, frame, u, v)))
-
     @property
     def n_keyframes(self) -> int:
         return len(self.keyframes)
@@ -344,31 +266,8 @@ class SlamMap:
     def n_observations(self) -> int:
         return len(self.observations)
 
-    def keyframe(self, keyframe_id: int) -> Keyframe:
-        return self.keyframes[self._keyframe_row[keyframe_id]]
-
-    def point(self, point_id: int) -> MapPoint:
-        return self.points[self._point_row[point_id]]
-
-    def has_keyframe(self, keyframe_id: int) -> bool:
-        return keyframe_id in self._keyframe_row
-
-    def has_point(self, point_id: int) -> bool:
-        return point_id in self._point_row
-
-    def observation(self, point_id: int, keyframe_id: int) -> Observation | None:
-        return self._observation_by_key.get((point_id, keyframe_id))
-
-    def frames_of_point(self, point_id: int) -> tuple[int, ...]:
-        """Ids of keyframes observing the point, sorted ascending."""
-        return self._frames_by_point[self._point_row[point_id]]
-
-    def points_of_frame(self, keyframe_id: int) -> tuple[int, ...]:
-        """Ids of points observed in the keyframe, sorted ascending."""
-        return self._points_by_frame[self._keyframe_row[keyframe_id]]
-
     def observer_counts(self) -> np.ndarray:
-        """``len(frames_of_point(p.id))`` for every entry ``p`` of :attr:`points`, as int64."""
+        """Per entry of :attr:`points`, the number of keyframes observing its id (int64)."""
         ids = self.points.id
         return np.diff(self._point_offsets)[np.searchsorted(ids, ids)]
 
@@ -382,6 +281,21 @@ class SlamMap:
         :attr:`observations` columns themselves. The arrays are read-only.
         """
         return self._observation_arrays
+
+    def observation_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every (observation, later observation of the same point), as rows of :meth:`observation_arrays`.
+
+        The pairs come point by point, and within a point in
+        ``itertools.combinations`` order of its frames, so that the frame of
+        the first row is always the lower one. A point seen by n keyframes
+        gives n*(n-1)/2 pairs.
+        """
+        point = self._observation_arrays[0]
+        k = len(point)
+        later = self._point_offsets[point + 1] - np.arange(k) - 1
+        first = np.repeat(np.arange(k), later)
+        second = np.arange(len(first)) + np.repeat(np.arange(k) + 1 - (np.cumsum(later) - later), later)
+        return first, second
 
 
 def maps_equal(a: SlamMap, b: SlamMap) -> bool:
@@ -452,13 +366,19 @@ def _all_num(column: list) -> bool:
     return set(map(type, column)) <= {int, float}
 
 
+def _array(entry, key: str, n: int, where: str) -> list:
+    """Field ``key`` of a record, which must be a JSON array of n entries."""
+    value = _require(entry, key, where)
+    if type(value) is not list or len(value) != n:
+        raise MapFormatError(f"{where}: {key} must be an array of {n} numbers")
+    return value
+
+
 def _parse_keyframe(entry, where: str) -> Keyframe:
     pose = _require(entry, "pose", where)
     intr = _require(entry, "intrinsics", where)
-    q = _require(pose, "q", where + ".pose")
-    t = _require(pose, "t", where + ".pose")
-    if len(q) != 4 or len(t) != 3:
-        raise MapFormatError(f"{where}.pose: q must have 4 entries and t must have 3")
+    q = _array(pose, "q", 4, where + ".pose")
+    t = _array(pose, "t", 3, where + ".pose")
     iw = where + ".intrinsics"
     return Keyframe(
         id=_int(_require(entry, "id", where), where, "id"),
@@ -480,9 +400,7 @@ def _parse_keyframe(entry, where: str) -> Keyframe:
 
 
 def _parse_point(entry, where: str) -> MapPoint:
-    xyz = _require(entry, "xyz", where)
-    if len(xyz) != 3:
-        raise MapFormatError(f"{where}: xyz must have 3 entries")
+    xyz = _array(entry, "xyz", 3, where)
     return MapPoint(
         id=_int(_require(entry, "id", where), where, "id"),
         position=tuple(_num(x, where, "xyz") for x in xyz),
@@ -490,9 +408,7 @@ def _parse_point(entry, where: str) -> MapPoint:
 
 
 def _parse_observation(entry, where: str) -> Observation:
-    uv = _require(entry, "uv", where)
-    if len(uv) != 2:
-        raise MapFormatError(f"{where}: uv must have 2 entries")
+    uv = _array(entry, "uv", 2, where)
     return Observation(
         point_id=_int(_require(entry, "point", where), where, "point"),
         keyframe_id=_int(_require(entry, "frame", where), where, "frame"),
@@ -522,12 +438,18 @@ def _parse_records(entries: list, key: str, parse) -> list:
     return records
 
 
-def _load_points(entries: list) -> tuple[np.ndarray, np.ndarray]:
-    """(id, xyz) columns of the points section, checked column by column.
+def _record_error(entries: list, key: str, parse) -> MapFormatError:
+    """The error naming the first record of section ``key`` that does not parse.
 
-    When a column fails a check, the records are parsed one by one, which
-    raises the error naming the first bad record.
+    For a section whose columns failed a check: a record that parses on its
+    own passes every column check, so some record raises here.
     """
+    _parse_records(entries, key, parse)
+    return MapFormatError(f"'{key}' failed a column check that each of its records passes")
+
+
+def _load_points(entries: list) -> tuple[np.ndarray, np.ndarray]:
+    """(id, xyz) columns of the points section, checked column by column."""
     try:
         ids = [e["id"] for e in entries]
         xyz = [e["xyz"] for e in entries]
@@ -537,7 +459,7 @@ def _load_points(entries: list) -> tuple[np.ndarray, np.ndarray]:
                 return np.array(ids, np.int64), np.array(flat, np.float64).reshape(-1, 3)
     except (KeyError, TypeError, OverflowError):
         pass
-    return _point_columns(_parse_records(entries, "points", _parse_point))
+    raise _record_error(entries, "points", _parse_point)
 
 
 def _load_observations(entries: list) -> tuple[np.ndarray, ...]:
@@ -553,7 +475,7 @@ def _load_observations(entries: list) -> tuple[np.ndarray, ...]:
                 return np.array(point, np.int64), np.array(frame, np.int64), uv[:, 0], uv[:, 1]
     except (KeyError, TypeError, OverflowError):
         pass
-    return _observation_columns(_parse_records(entries, "observations", _parse_observation))
+    raise _record_error(entries, "observations", _parse_observation)
 
 
 def load_map(source: Source) -> SlamMap:
@@ -576,7 +498,7 @@ def load_map(source: Source) -> SlamMap:
 
     keyframes = _parse_records(_section(doc, "keyframes"), "keyframes", _parse_keyframe)
     point_id, xyz = _load_points(_section(doc, "points"))
-    slam_map = SlamMap.from_arrays(keyframes, point_id, xyz, *_load_observations(_section(doc, "observations")))
+    slam_map = SlamMap(keyframes, point_id, xyz, *_load_observations(_section(doc, "observations")))
     report = validate(slam_map)
     if not report.ok:
         raise MapIntegrityError("; ".join(report.violations))
@@ -777,12 +699,18 @@ def covisibility(slam_map: SlamMap) -> list[CovisPair]:
     full shared-point set. A point observed by n keyframes contributes to
     exactly n*(n-1)/2 pairs.
     """
-    shared: dict[tuple[int, int], set[int]] = {}
-    for pt in slam_map.points:
-        fids = slam_map.frames_of_point(pt.id)
-        for a, b in combinations(fids, 2):
-            shared.setdefault((a, b), set()).add(pt.id)
+    point, frame, _, _ = slam_map.observation_arrays()
+    first, second = slam_map.observation_pairs()
+    # Keyframe rows sort as their ids do, so sorting by this key orders the pairs.
+    n_frames = len(slam_map.keyframes)
+    key = frame[first] * n_frames + frame[second]
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    frame_a, frame_b = (slam_map._keyframe_ids[rows].tolist() for rows in np.divmod(key[starts], n_frames))
+    shared = slam_map.points.id[point[first[order]]].tolist()
+    bounds = np.append(starts, len(key)).tolist()
     return [
-        CovisPair(frame_a=a, frame_b=b, shared_point_ids=frozenset(pids))
-        for (a, b), pids in sorted(shared.items())
+        CovisPair(frame_a=fa, frame_b=fb, shared_point_ids=frozenset(shared[lo:hi]))
+        for fa, fb, lo, hi in zip(frame_a, frame_b, bounds, bounds[1:])
     ]

@@ -54,23 +54,17 @@ class FlowResult:
 
 def _residual_arrays(graph: FlowGraph):
     """Paired forward/reverse residual arrays; reverse of edge e is e^1."""
-    n = graph.n_vertices
-    m = graph.n_edges
-    head = [0] * (2 * m)
-    cap = [0] * (2 * m)
-    cost = [0] * (2 * m)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, e in enumerate(graph.edges):
-        f = 2 * i
-        r = f + 1
-        head[f] = e.head
-        cap[f] = e.capacity
-        cost[f] = e.cost
-        head[r] = e.tail
-        cap[r] = 0
-        cost[r] = -e.cost
-        adj[e.tail].append(f)
-        adj[e.head].append(r)
+    head, cap, cost = (
+        np.column_stack((forward, reverse)).ravel().tolist()
+        for forward, reverse in (
+            (graph.head, graph.tail),
+            (graph.capacity, np.zeros_like(graph.capacity)),
+            (graph.cost, -graph.cost),
+        )
+    )
+    adj: list[list[int]] = [[] for _ in range(graph.n_vertices)]
+    for r in range(len(head)):  # arc r leaves the head of its reverse r^1
+        adj[head[r ^ 1]].append(r)
     return head, cap, cost, adj
 
 
@@ -273,9 +267,9 @@ def _solve_ssp(graph: FlowGraph) -> FlowResult:
                 v = head[e ^ 1]
                 it[v] += 1  # the arc into the dead vertex is done for this phase
 
-    flows = tuple(cap[2 * i + 1] for i in range(graph.n_edges))
-    total_flow = sum(flows[i] for i, e in enumerate(graph.edges) if e.tail == s)
-    total_cost = sum(f * e.cost for f, e in zip(flows, graph.edges))
+    flows = tuple(cap[1::2])
+    total_flow = sum(f for f, tl in zip(flows, graph.tail.tolist()) if tl == s)
+    total_cost = sum(f * c for f, c in zip(flows, graph.cost.tolist()))
     assert abs(total_cost) < _INF and total_flow < _INF
     return FlowResult(flows, total_flow, total_cost)
 
@@ -388,22 +382,23 @@ def _verify_residual(graph: FlowGraph, result: FlowResult) -> bool:
     if len(flows) != graph.n_edges:
         return False
 
+    edges = list(zip(flows, *(a.tolist() for a in (graph.tail, graph.head, graph.capacity, graph.cost))))
     net = [0] * n
-    for f, e in zip(flows, graph.edges):
-        if not 0 <= f <= e.capacity:
+    for f, tl, h, cap, _ in edges:
+        if not 0 <= f <= cap:
             return False
-        net[e.tail] -= f
-        net[e.head] += f
+        net[tl] -= f
+        net[h] += f
     for v in range(n):
         if v not in (s, t) and net[v] != 0:
             return False
 
     arcs = []
-    for f, e in zip(flows, graph.edges):
-        if f < e.capacity:
-            arcs.append((e.tail, e.head, e.cost))
+    for f, tl, h, cap, cost in edges:
+        if f < cap:
+            arcs.append((tl, h, cost))
         if f > 0:
-            arcs.append((e.head, e.tail, -e.cost))
+            arcs.append((h, tl, -cost))
 
     # (a) maximality: sink unreachable in the residual graph
     reach = [False] * n

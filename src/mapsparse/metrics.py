@@ -59,7 +59,7 @@ def load_trajectory(source: Union[str, Path, IO[bytes], IO[str]]) -> Trajectory:
     """Read TUM-format text: `timestamp tx ty tz qx qy qz qw`, '#' comments.
 
     Text that is not UTF-8, or a line that is not eight numbers, raises
-    :class:`MetricsError`.
+    :class:`MetricsError`; text without a pose line is an empty trajectory.
     """
     text = _read_text(source, MetricsError)
     stamps, positions, quats = [], [], []
@@ -77,7 +77,7 @@ def load_trajectory(source: Union[str, Path, IO[bytes], IO[str]]) -> Trajectory:
         stamps.append(vals[0])
         positions.append(vals[1:4])
         quats.append([vals[7], vals[4], vals[5], vals[6]])  # file is xyzw, we store wxyz
-    return Trajectory(stamps, positions, quats)
+    return Trajectory(stamps, np.reshape(positions, (-1, 3)), np.reshape(quats, (-1, 4)))
 
 
 def save_trajectory(traj: Trajectory, sink: Union[str, Path, IO[bytes], IO[str]]) -> None:

@@ -157,7 +157,7 @@ def cull_keyframes(slam_map: SlamMap, kept_points: set[int], keyframe_min_points
     point, frame, _, _ = slam_map.observation_arrays()
     kept = np.isin(slam_map.points.id[point], _id_array(kept_points))
     counts = np.bincount(frame[kept], minlength=slam_map.n_keyframes)
-    # A repeated keyframe id shares the count of its first entry, as points_of_frame does.
+    # A repeated keyframe id shares the count of its first entry, the row its observations refer to.
     ids = [kf.id for kf in slam_map.keyframes]
     counts = counts[np.searchsorted(np.array(ids, np.int64), ids)]
     return {
@@ -228,7 +228,7 @@ def apply_selection(slam_map: SlamMap, selection: SelectionResult) -> SlamMap:
     points, obs = slam_map.points, slam_map.observations
     on_point = np.isin(points.id, kept)
     on_obs = np.isin(obs.point_id, kept) & ~np.isin(obs.keyframe_id, _id_array(culled))
-    return SlamMap.from_arrays(
+    return SlamMap(
         [kf for kf in slam_map.keyframes if kf.id not in culled],
         points.id[on_point],
         points.xyz[on_point],

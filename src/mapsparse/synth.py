@@ -171,7 +171,7 @@ def generate(config: SynthConfig) -> tuple[SlamMap, Trajectory]:
         obs_u.append(u[seen])
         obs_v.append(v[seen])
 
-    slam_map = SlamMap.from_arrays(
+    slam_map = SlamMap(
         keyframes,
         np.arange(config.n_points),
         xyz,

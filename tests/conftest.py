@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mapsparse.map_model import (
@@ -25,6 +26,20 @@ WORKLOAD_SHAPES = [
 ]
 
 
+def map_from_records(keyframes, points, observations):
+    """SlamMap from Keyframe, MapPoint and Observation records, in any order."""
+    points, observations = list(points), list(observations)
+    return SlamMap(
+        keyframes,
+        [p.id for p in points],
+        np.array([p.position for p in points], np.float64).reshape(-1, 3),
+        [o.point_id for o in observations],
+        [o.keyframe_id for o in observations],
+        [o.u for o in observations],
+        [o.v for o in observations],
+    )
+
+
 def make_map(frame_positions, point_obs, intrinsics=DEFAULT_INTRINSICS):
     """Small-map builder for tests.
 
@@ -49,7 +64,7 @@ def make_map(frame_positions, point_obs, intrinsics=DEFAULT_INTRINSICS):
         for pid, obs in point_obs.items()
         for (fid, u, v) in obs
     ]
-    return SlamMap(keyframes, points, observations)
+    return map_from_records(keyframes, points, observations)
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 
+from map_oracles import index_oracle
 from mapsparse.flow_graph import (
     FlowEdge,
     FlowGraph,
@@ -144,22 +145,24 @@ def flow_violations(graph, result):
     return problems
 
 
-def nearby_count(slam_map, point_id, frame_id, box_width=64, box_height=48):
+def nearby_count(slam_map, point_id, frame_id, box_width=64, box_height=48, index=None):
     """Number of other keypoints on the frame inside the box centered on this one.
 
     The box test is closed (<= half-extent per axis) and the reference
-    keypoint itself is excluded. Single-query oracle for ``_nearby_counts``.
+    keypoint itself is excluded. Single-query oracle for ``_nearby_counts``;
+    ``index`` is the map's ``index_oracle``, built here when not given.
     """
-    ref = slam_map.observation(point_id, frame_id)
+    _, points_of, obs_by_key = index_oracle(slam_map) if index is None else index
+    ref = obs_by_key.get((point_id, frame_id))
     if ref is None:
         raise ValueError(f"no observation of point {point_id} in keyframe {frame_id}")
     half_u = box_width / 2.0
     half_v = box_height / 2.0
     count = 0
-    for pid in slam_map.points_of_frame(frame_id):
+    for pid in points_of[frame_id]:
         if pid == point_id:
             continue
-        obs = slam_map.observation(pid, frame_id)
+        obs = obs_by_key[(pid, frame_id)]
         if abs(obs.u - ref.u) <= half_u and abs(obs.v - ref.v) <= half_v:
             count += 1
     return count
@@ -169,11 +172,9 @@ def build_graph_oracle(slam_map, config):
     """Scalar reference for ``build_graph``: one FlowEdge at a time, every cost
     from its single-value function, disabled costs 1. Returns (point_ids,
     pairs, edges, point_source_edge, pair_sink_edge)."""
-    eligible = [
-        (pt.id, slam_map.frames_of_point(pt.id))
-        for pt in slam_map.points
-        if len(slam_map.frames_of_point(pt.id)) >= 2
-    ]
+    index = index_oracle(slam_map)
+    frames_of = index[0]
+    eligible = [(pt.id, frames_of[pt.id]) for pt in slam_map.points if len(frames_of[pt.id]) >= 2]
     if not eligible:
         raise GraphError("no map point is observed by at least two keyframes")
     m = max(len(frames) for _, frames in eligible)
@@ -196,7 +197,7 @@ def build_graph_oracle(slam_map, config):
 
     def nearby(pid, fid):
         if (pid, fid) not in counts:
-            counts[(pid, fid)] = nearby_count(slam_map, pid, fid, config.box_width, config.box_height)
+            counts[(pid, fid)] = nearby_count(slam_map, pid, fid, config.box_width, config.box_height, index)
         return counts[(pid, fid)]
 
     for pid, frames in eligible:

@@ -1,12 +1,15 @@
-"""Record-by-record references for the columnar map code: writer, validator, indices and map filters."""
+"""Record-by-record references for the columnar map code: writer, validator, indices, map
+filters, covisibility and the baselines."""
 
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 
+from conftest import map_from_records
 from mapsparse import _quat
-from mapsparse.map_model import SlamMap
+from mapsparse.map_model import CovisPair, SlamMap
 
 _POSE_TOL = 1e-9
 
@@ -44,12 +47,12 @@ def validate_oracle(slam_map: SlamMap) -> list[str]:
     """Every violation of the model invariants, found by walking the records one at a time."""
     v: list[str] = []
 
-    seen_kf: set[int] = set()
+    seen_kf: dict[int, object] = {}  # first keyframe of each id
     for kf in slam_map.keyframes:
         if kf.id in seen_kf:
             v.append(f"duplicate keyframe id {kf.id}")
             continue
-        seen_kf.add(kf.id)
+        seen_kf[kf.id] = kf
         if kf.id < 0:
             v.append(f"keyframe {kf.id}: id must be non-negative")
         if kf.seq_index < 0:
@@ -107,7 +110,7 @@ def validate_oracle(slam_map: SlamMap) -> list[str]:
         if obs.keyframe_id not in seen_kf:
             v.append(f"observation references missing keyframe id {obs.keyframe_id}")
             continue
-        intr = slam_map.keyframe(obs.keyframe_id).intrinsics
+        intr = seen_kf[obs.keyframe_id].intrinsics
         if not (0.0 <= obs.u < intr.width):
             v.append(
                 f"observation (point {obs.point_id}, frame {obs.keyframe_id}): "
@@ -123,7 +126,8 @@ def validate_oracle(slam_map: SlamMap) -> list[str]:
 
 
 def index_oracle(slam_map: SlamMap):
-    """frames_of_point, points_of_frame and observation() as dicts, indexed record by record.
+    """(frames of each point id, points of each keyframe id, observation of each (point id,
+    keyframe id)) as dicts, indexed record by record; id tuples sorted ascending.
 
     Only the first observation of each (point, keyframe) pair whose point and
     keyframe exist is indexed.
@@ -150,7 +154,7 @@ def index_oracle(slam_map: SlamMap):
 def apply_selection_oracle(slam_map: SlamMap, selection) -> SlamMap:
     kept = selection.kept_point_ids
     culled = selection.culled_keyframe_ids
-    return SlamMap(
+    return map_from_records(
         [kf for kf in slam_map.keyframes if kf.id not in culled],
         [pt for pt in slam_map.points if pt.id in kept],
         [o for o in slam_map.observations if o.point_id in kept and o.keyframe_id not in culled],
@@ -181,7 +185,7 @@ def window_maps_oracle(slam_map: SlamMap, window: int) -> list[SlamMap]:
         ids = {kf.id for kf in chunk}
         obs = [o for o in slam_map.observations if o.keyframe_id in ids]
         pids = {o.point_id for o in obs}
-        maps.append(SlamMap(chunk, [pt for pt in slam_map.points if pt.id in pids], obs))
+        maps.append(map_from_records(chunk, [pt for pt in slam_map.points if pt.id in pids], obs))
     return maps
 
 
@@ -214,15 +218,17 @@ def selection_json_oracle(selection, include_timings: bool = True) -> str:
 
 
 def attribute_C_oracle(slam_map: SlamMap) -> float:
-    total = sum(len(slam_map.frames_of_point(pt.id)) for pt in slam_map.points)
+    frames_of = index_oracle(slam_map)[0]
+    total = sum(len(frames_of[pt.id]) for pt in slam_map.points)
     return total / slam_map.n_points
 
 
 def attribute_F_oracle(slam_map: SlamMap) -> int | None:
     seq_of = {kf.id: kf.seq_index for kf in slam_map.keyframes}
+    frames_of = index_oracle(slam_map)[0]
     best = None
     for pt in slam_map.points:
-        fids = slam_map.frames_of_point(pt.id)
+        fids = frames_of[pt.id]
         if len(fids) < 2:
             continue
         seqs = [seq_of[f] for f in fids]
@@ -233,13 +239,109 @@ def attribute_F_oracle(slam_map: SlamMap) -> int | None:
 
 
 def attribute_S_oracle(slam_map: SlamMap, cell_width: int = 64, cell_height: int = 48) -> float:
+    _, points_of, obs_by_key = index_oracle(slam_map)
     percents = []
     for kf in slam_map.keyframes:
         cols = math.ceil(kf.intrinsics.width / cell_width)
         rows = math.ceil(kf.intrinsics.height / cell_height)
         occupied = set()
-        for pid in slam_map.points_of_frame(kf.id):
-            obs = slam_map.observation(pid, kf.id)
+        for pid in points_of[kf.id]:
+            obs = obs_by_key[(pid, kf.id)]
             occupied.add((int(obs.u // cell_width), int(obs.v // cell_height)))
         percents.append(100.0 * len(occupied) / (cols * rows))
     return float(np.mean(percents))
+
+
+def covisibility_oracle(slam_map: SlamMap) -> list[CovisPair]:
+    """Covisible keyframe pairs from each point's frames, pair by pair."""
+    frames_of = index_oracle(slam_map)[0]
+    shared: dict[tuple[int, int], set[int]] = {}
+    for pt in slam_map.points:
+        for a, b in combinations(frames_of[pt.id], 2):
+            shared.setdefault((a, b), set()).add(pt.id)
+    return [
+        CovisPair(frame_a=a, frame_b=b, shared_point_ids=frozenset(pids))
+        for (a, b), pids in sorted(shared.items())
+    ]
+
+
+def _connectivity_order_oracle(slam_map: SlamMap, frames_of) -> list[int]:
+    return sorted(slam_map.points.id.tolist(), key=lambda pid: (-len(frames_of[pid]), pid))
+
+
+def select_top_m_oracle(slam_map: SlamMap, budget: int) -> set[int]:
+    return set(_connectivity_order_oracle(slam_map, index_oracle(slam_map)[0])[:budget])
+
+
+def select_grid_bucketed_oracle(slam_map: SlamMap, budget: int, cell_width=64, cell_height=48) -> set[int]:
+    frames_of, points_of, obs_by_key = index_oracle(slam_map)
+    budget = min(budget, slam_map.n_points)
+    if budget == 0:
+        return set()
+    buckets: dict[tuple[int, int, int], list[int]] = {}
+    for kf in slam_map.keyframes:
+        for pid in points_of[kf.id]:
+            obs = obs_by_key[(pid, kf.id)]
+            cell = (kf.id, int(obs.v // cell_height), int(obs.u // cell_width))
+            buckets.setdefault(cell, []).append(pid)
+    ordered_buckets = [sorted(buckets[cell], key=lambda pid: (-len(frames_of[pid]), pid)) for cell in sorted(buckets)]
+
+    selected: set[int] = set()
+    progress = True
+    while len(selected) < budget and progress:
+        progress = False
+        for members in ordered_buckets:
+            if len(selected) >= budget:
+                break
+            for pid in members:
+                if pid not in selected:
+                    selected.add(pid)
+                    progress = True
+                    break
+    if len(selected) < budget:
+        for pid in _connectivity_order_oracle(slam_map, frames_of):
+            if len(selected) >= budget:
+                break
+            selected.add(pid)
+    return selected
+
+
+def select_radius_suppressed_oracle(slam_map: SlamMap, budget: int) -> set[int]:
+    frames_of, _, obs_by_key = index_oracle(slam_map)
+    if budget == 0:
+        return set()
+    order = [pid for pid in _connectivity_order_oracle(slam_map, frames_of) if frames_of[pid]]
+    if budget >= len(order):
+        return set(order)
+    first = [obs_by_key[(pid, frames_of[pid][0])] for pid in order]
+    uv = np.array([(o.u, o.v) for o in first])
+    widths = [kf.intrinsics.width for kf in slam_map.keyframes]
+    heights = [kf.intrinsics.height for kf in slam_map.keyframes]
+    lo, hi = 0.0, math.hypot(max(widths), max(heights))
+
+    def run(radius: float) -> list[int]:
+        r2 = radius * radius
+        chosen_idx: list[int] = []
+        coords = np.empty((len(order), 2))
+        for i in range(len(order)):
+            if chosen_idx:
+                d2 = ((coords[: len(chosen_idx)] - uv[i]) ** 2).sum(axis=1)
+                if float(d2.min()) <= r2:
+                    continue
+            coords[len(chosen_idx)] = uv[i]
+            chosen_idx.append(i)
+        return chosen_idx
+
+    best = run(0.0)
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        got = run(mid)
+        if budget <= len(got) <= math.ceil(budget * 1.05):
+            best = got
+            break
+        if len(got) < budget:
+            hi = mid
+        else:
+            lo = mid
+            best = got
+    return {order[i] for i in best[:budget]}

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_map
+from conftest import DEFAULT_INTRINSICS, IDENTITY_Q, WORKLOAD_SHAPES, make_map, map_from_records
+from map_oracles import (
+    index_oracle,
+    select_grid_bucketed_oracle,
+    select_radius_suppressed_oracle,
+    select_top_m_oracle,
+)
 from mapsparse.baselines import select_grid_bucketed, select_radius_suppressed, select_top_m
-from mapsparse.map_model import SlamMap
+from mapsparse.map_model import Keyframe, MapPoint, Observation, Pose, validate
 from mapsparse.synth import SynthConfig, generate
 
 
@@ -96,8 +104,8 @@ class TestRadiusSuppressed:
         slam_map = make_map([(0, 0, 0)], obs)
         picked = select_radius_suppressed(slam_map, 75)  # a quarter of 300
         assert len(picked) == 75
-        coords = np.array([slam_map.observation(p, 0) for p in sorted(picked)])
-        uv = np.array([(o.u, o.v) for o in (slam_map.observation(p, 0) for p in sorted(picked))])
+        obs_by_key = index_oracle(slam_map)[2]
+        uv = np.array([(obs_by_key[(p, 0)].u, obs_by_key[(p, 0)].v) for p in sorted(picked)])
         d = np.linalg.norm(uv[:, None, :] - uv[None, :, :], axis=-1)
         np.fill_diagonal(d, np.inf)
         nn = d.min(axis=1)
@@ -113,7 +121,7 @@ class TestRadiusSuppressed:
 
 def test_all_selectors_deterministic_and_order_invariant():
     slam_map, _ = generate(SynthConfig(n_points=150, n_keyframes=6, dropout=0.3, seed=7))
-    permuted = SlamMap(
+    permuted = map_from_records(
         list(reversed(slam_map.keyframes)),
         list(reversed(slam_map.points)),
         list(reversed(slam_map.observations)),
@@ -121,3 +129,49 @@ def test_all_selectors_deterministic_and_order_invariant():
     for select in (select_top_m, select_grid_bucketed, select_radius_suppressed):
         assert select(slam_map, 40) == select(permuted, 40)
         assert select(slam_map, 40) == select(slam_map, 40)
+
+
+SELECTORS = [
+    pytest.param(select_top_m, select_top_m_oracle, id="topm"),
+    pytest.param(select_grid_bucketed, select_grid_bucketed_oracle, id="grid"),
+    pytest.param(select_radius_suppressed, select_radius_suppressed_oracle, id="radius"),
+]
+
+# Keypoint coordinates on and next to the 64x48 cell edges, plus any in the image.
+_u = st.one_of(st.sampled_from([0.0, 63.99999999999999, 64.0, 100.0, 320.0, 639.9999999999999]),
+               st.floats(0.0, 640.0, exclude_max=True))
+_v = st.one_of(st.sampled_from([0.0, 47.99999999999999, 48.0, 100.0, 240.0, 479.99999999999994]),
+               st.floats(0.0, 480.0, exclude_max=True))
+
+
+@st.composite
+def valid_maps(draw):
+    """Small maps that pass validation: distinct ids, keypoints inside the image, points seen by any count."""
+    frame_ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True))
+    keyframes = [
+        Keyframe(kid, i, 0.1 * i, Pose(IDENTITY_Q, (float(i), 0.0, 0.0)), DEFAULT_INTRINSICS)
+        for i, kid in enumerate(frame_ids)
+    ]
+    point_ids = draw(st.lists(st.integers(0, 60), max_size=16, unique=True))
+    keys = []
+    if point_ids:
+        keys = draw(st.lists(st.tuples(st.sampled_from(point_ids), st.sampled_from(frame_ids)), unique=True, max_size=40))
+    observations = [Observation(pid, kid, draw(_u), draw(_v)) for pid, kid in keys]
+    return map_from_records(keyframes, [MapPoint(pid, (0.0, 0.0, 1.0)) for pid in point_ids], observations)
+
+
+@pytest.mark.parametrize("select, oracle", SELECTORS)
+@settings(max_examples=150, deadline=None)
+@given(slam_map=valid_maps(), budget=st.integers(0, 12))
+def test_selectors_match_the_per_point_oracles(select, oracle, slam_map, budget):
+    assert validate(slam_map).ok
+    assert select(slam_map, budget) == oracle(slam_map, budget)
+
+
+@pytest.mark.parametrize("select, oracle", SELECTORS)
+@pytest.mark.parametrize("synth, window", WORKLOAD_SHAPES)
+def test_selectors_match_the_per_point_oracles_on_workload_shaped_maps(select, oracle, synth, window):
+    slam_map, _ = generate(SynthConfig(seed=4, **synth))
+    for fraction in (0.05, 0.3):
+        budget = int(fraction * slam_map.n_points)
+        assert select(slam_map, budget) == oracle(slam_map, budget)

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
+from conftest import map_from_records
 from map_oracles import window_maps_oracle
 from mapsparse.cli import _window_maps, main
-from mapsparse.map_model import Keyframe, SlamMap, load_map, maps_equal, validate
+from mapsparse.map_model import Keyframe, load_map, maps_equal, validate
 from mapsparse.metrics import load_trajectory
 from mapsparse.synth import SynthConfig, generate
 
@@ -98,6 +99,15 @@ def test_sparsify_windowed(generated, tmp_path, capsys):
     assert report["counts"]["kept_points"] > 0
 
 
+def test_sparsify_rejects_a_negative_window(generated, tmp_path, capsys):
+    map_path, _ = generated
+    out_path = tmp_path / "sparse.json"
+    rc = main(["sparsify", "--map", str(map_path), "--capacity-m", "5", "--window", "-3", "--out", str(out_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --window must be >= 0\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("window", [1, 3, 10, 25])
 @pytest.mark.parametrize("reverse_seq", [False, True])
 def test_window_maps_match_record_by_record_split(window, reverse_seq):
@@ -105,7 +115,7 @@ def test_window_maps_match_record_by_record_split(window, reverse_seq):
                                        trajectory_scale=60.0, extent=60.0, dropout=0.4, seed=4))
     if reverse_seq:  # windows then run from the highest keyframe id down
         n = slam_map.n_keyframes
-        slam_map = SlamMap(
+        slam_map = map_from_records(
             [Keyframe(kf.id, n - 1 - kf.seq_index, kf.timestamp, kf.pose, kf.intrinsics) for kf in slam_map.keyframes],
             slam_map.points,
             slam_map.observations,

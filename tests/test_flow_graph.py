@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WORKLOAD_SHAPES, make_map
+from conftest import WORKLOAD_SHAPES, make_map, map_from_records
 from flow_cases import build_graph_oracle, graph_from_edges, layer, nearby_count
+from map_oracles import index_oracle
 from mapsparse.cli import _window_maps
 from mapsparse.flow_graph import (
     FlowEdge,
@@ -18,7 +19,6 @@ from mapsparse.flow_graph import (
     to_dimacs,
     _nearby_counts,
 )
-from mapsparse.map_model import SlamMap
 from mapsparse.mcmf import parse_dimacs, solve
 from mapsparse.synth import SynthConfig, generate
 
@@ -208,7 +208,7 @@ class TestBuildGraph:
 
     def test_deterministic_and_input_order_invariant(self):
         slam_map, _ = generate(SynthConfig(n_points=60, n_keyframes=6, dropout=0.2, seed=8))
-        permuted = SlamMap(
+        permuted = map_from_records(
             list(reversed(slam_map.keyframes)),
             list(reversed(slam_map.points)),
             list(reversed(slam_map.observations)),
@@ -230,9 +230,10 @@ def assert_counts_match(slam_map, box_width, box_height):
     batch = _nearby_counts(slam_map, box_width, box_height)
     point, frame, _, _ = slam_map.observation_arrays()
     assert len(batch) == len(point) == slam_map.n_observations
+    index = index_oracle(slam_map)
     for p, f, count in zip(point, frame, batch):
         pid, fid = slam_map.points[p].id, slam_map.keyframes[f].id
-        assert count == nearby_count(slam_map, pid, fid, box_width, box_height)
+        assert count == nearby_count(slam_map, pid, fid, box_width, box_height, index)
 
 
 def assert_matches_oracle(slam_map, config):

@@ -1,15 +1,17 @@
 import io
+import itertools
 import json
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DEFAULT_INTRINSICS, IDENTITY_Q, WORKLOAD_SHAPES, make_map
-from map_oracles import index_oracle, save_map_oracle, validate_oracle
+from conftest import DEFAULT_INTRINSICS, IDENTITY_Q, WORKLOAD_SHAPES, make_map, map_from_records
+from map_oracles import covisibility_oracle, index_oracle, save_map_oracle, validate_oracle
+from mapsparse.cli import _window_maps
 from mapsparse.map_model import (
     CameraIntrinsics,
     Keyframe,
@@ -61,7 +63,7 @@ def test_load_minimal_map():
     slam_map = load_map(io.StringIO(json.dumps(MINIMAL)))
     assert slam_map.n_keyframes == 2
     assert slam_map.n_points == 1
-    assert slam_map.frames_of_point(0) == (0, 1)
+    assert index_oracle(slam_map)[0] == {0: (0, 1)}
 
 
 def test_load_reports_missing_point_reference():
@@ -110,6 +112,14 @@ def _with(section, field, raw):
         pytest.param(_with("points", "xyz", "[true, 0, 1]"), "points[0]", id="xyz-bool-entry"),
         pytest.param(_with("points", "id", str(2**63)), "points[0]", id="id-above-int64"),
         pytest.param(_with("observations", "frame", str(-(2**63) - 1)), "observations[0]", id="frame-below-int64"),
+        pytest.param(_with("observations", "uv", '{"": null, "0": null}'), "observations[0]", id="uv-object"),
+        pytest.param(_with("points", "xyz", '{"a": 1, "b": 2, "c": 3}'), "points[0]", id="xyz-object"),
+        pytest.param(_with("points", "xyz", '"abc"'), "points[0]", id="xyz-string"),
+        pytest.param(
+            json.dumps(MINIMAL).replace('"q": [1.0, 0.0, 0.0, 0.0]', '"q": {"w": 1, "x": 0, "y": 0, "z": 0}', 1),
+            "keyframes[0].pose",
+            id="q-object",
+        ),
     ],
 )
 def test_load_malformed_record_raises_format_error(text, record):
@@ -149,10 +159,10 @@ def test_round_trip_identity_on_synthetic_map():
 def test_save_orders_arrays_by_id():
     slam_map = load_map(io.StringIO(json.dumps(MINIMAL)))
     # rebuild with scrambled input order; serialization must not change
-    scrambled = SlamMap(
-        keyframes=list(reversed(slam_map.keyframes)),
-        points=slam_map.points,
-        observations=list(reversed(slam_map.observations)),
+    scrambled = map_from_records(
+        list(reversed(slam_map.keyframes)),
+        slam_map.points,
+        list(reversed(slam_map.observations)),
     )
     a, b = io.StringIO(), io.StringIO()
     save_map(slam_map, a)
@@ -171,7 +181,7 @@ def test_validate_duplicate_observation():
         frame_positions=[(0, 0, 0), (1, 0, 0)],
         point_obs={0: [(0, 10, 10), (1, 10, 10)]},
     )
-    dup = SlamMap(
+    dup = map_from_records(
         slam_map.keyframes,
         slam_map.points,
         list(slam_map.observations) + [Observation(0, 0, 99.0, 99.0)],
@@ -194,7 +204,7 @@ def test_validate_u_at_width_boundary():
 def test_validate_bad_quaternion_flagged():
     slam_map = make_map([(0, 0, 0)], {0: [(0, 5, 5)]})
     kf = slam_map.keyframes[0]
-    bad = SlamMap(
+    bad = map_from_records(
         [type(kf)(kf.id, kf.seq_index, kf.timestamp, type(kf.pose)((2.0, 0.0, 0.0, 0.0), kf.pose.t), kf.intrinsics)],
         slam_map.points,
         slam_map.observations,
@@ -206,7 +216,7 @@ def test_validate_bad_quaternion_flagged():
 def test_validate_seq_timestamp_order():
     slam_map = make_map([(0, 0, 0), (1, 0, 0)], {0: [(0, 5, 5)]})
     k0, k1 = slam_map.keyframes
-    swapped = SlamMap(
+    swapped = map_from_records(
         [k0, type(k1)(k1.id, k1.seq_index, -1.0, k1.pose, k1.intrinsics)],
         slam_map.points,
         slam_map.observations,
@@ -250,19 +260,25 @@ def test_covisibility_pair_count_matches_choose_two():
     for p in pairs:
         for pid in p.shared_point_ids:
             membership[pid] = membership.get(pid, 0) + 1
-    for pt in slam_map.points:
-        n = len(slam_map.frames_of_point(pt.id))
-        assert membership.get(pt.id, 0) == n * (n - 1) // 2
+    for pid, n in zip(slam_map.points.id.tolist(), slam_map.observer_counts().tolist()):
+        assert membership.get(pid, 0) == n * (n - 1) // 2
 
 
 def test_covisibility_input_order_invariant():
     slam_map, _ = generate(SynthConfig(n_points=40, n_keyframes=6, dropout=0.2, seed=4))
-    permuted = SlamMap(
+    permuted = map_from_records(
         list(reversed(slam_map.keyframes)),
         list(reversed(slam_map.points)),
         list(reversed(slam_map.observations)),
     )
     assert covisibility(slam_map) == covisibility(permuted)
+
+
+@pytest.mark.parametrize("synth, window", WORKLOAD_SHAPES)
+def test_covisibility_matches_the_per_point_oracle_on_workload_shaped_maps(synth, window):
+    slam_map, _ = generate(SynthConfig(seed=4, **synth))
+    for sub in [slam_map, *(_window_maps(slam_map, window) if window else [])]:
+        assert covisibility(sub) == covisibility_oracle(sub)
 
 
 @settings(max_examples=20, deadline=None)
@@ -318,7 +334,7 @@ def code_built_maps(draw):
     ), max_size=3))
     points = draw(st.lists(st.builds(MapPoint, int64s, st.tuples(*[any_floats] * 3)), max_size=12))
     observations = draw(st.lists(st.builds(Observation, int64s, int64s, any_floats, any_floats), max_size=12))
-    return SlamMap(keyframes, points, observations)
+    return map_from_records(keyframes, points, observations)
 
 
 @settings(max_examples=200, deadline=None)
@@ -377,7 +393,13 @@ def messy_maps(draw):
     observations = draw(st.lists(
         st.builds(Observation, st.integers(-2, 7), st.integers(-2, 5), coords, coords), max_size=16
     ))
-    return SlamMap(keyframes, points, observations)
+    return map_from_records(keyframes, points, observations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(slam_map=messy_maps())
+def test_covisibility_matches_the_per_point_oracle(slam_map):
+    assert covisibility(slam_map) == covisibility_oracle(slam_map)
 
 
 @settings(max_examples=300, deadline=None)
@@ -412,7 +434,7 @@ def test_validate_reports_every_violation_kind_as_the_oracle_does():
         Observation(-1, 0, -0.0, 480.0),
         Observation(5, 3, math.nan, 10.0),
     ]
-    slam_map = SlamMap(keyframes, points, observations)
+    slam_map = map_from_records(keyframes, points, observations)
     violations = validate(slam_map).violations
     assert violations == validate_oracle(slam_map)
     for kind in [
@@ -429,22 +451,14 @@ def test_validate_measures_quaternions_near_the_tolerance_one_at_a_time():
     # This quaternion's own norm (a dot product) exceeds 1 + 1e-9 by a few
     # ulps, where a norm taken over a batch of rows may not.
     q = (-0.3047746039910224, 0.19743447247407622, 0.8087358375867766, 0.46268608888080237)
-    slam_map = SlamMap([_keyframe(0, q=q), _keyframe(1)], [], [])
+    slam_map = map_from_records([_keyframe(0, q=q), _keyframe(1)], [], [])
     assert validate(slam_map).violations == validate_oracle(slam_map)
 
 
 @settings(max_examples=200, deadline=None)
 @given(slam_map=messy_maps())
 def test_indices_match_record_by_record_oracle(slam_map):
-    frames_of, points_of, obs_by_key = index_oracle(slam_map)
-    for pid, frames in frames_of.items():
-        assert slam_map.has_point(pid)
-        assert slam_map.frames_of_point(pid) == frames
-    for kid, pids in points_of.items():
-        assert slam_map.has_keyframe(kid)
-        assert slam_map.points_of_frame(kid) == pids
-    for o in slam_map.observations:
-        assert repr(slam_map.observation(o.point_id, o.keyframe_id)) == repr(obs_by_key.get((o.point_id, o.keyframe_id)))
+    frames_of, _, obs_by_key = index_oracle(slam_map)
     assert slam_map.observer_counts().tolist() == [len(frames_of[p.id]) for p in slam_map.points]
 
     point, frame, u, v = slam_map.observation_arrays()
@@ -454,10 +468,13 @@ def test_indices_match_record_by_record_oracle(slam_map):
     assert [repr((x, y)) for x, y in zip(u.tolist(), v.tolist())] == [
         repr((obs_by_key[key].u, obs_by_key[key].v)) for key in sorted(obs_by_key)
     ]
-    with pytest.raises(KeyError):
-        slam_map.frames_of_point(100)
-    with pytest.raises(KeyError):
-        slam_map.points_of_frame(100)
+
+    first, second = slam_map.observation_pairs()
+    frame_id = [slam_map.keyframes[f].id for f in frame.tolist()]
+    expected = [(pid, a, b) for pid in sorted(frames_of) for a, b in itertools.combinations(frames_of[pid], 2)]
+    got = [(ids[point[i]], frame_id[i], frame_id[j]) for i, j in zip(first.tolist(), second.tolist())]
+    assert got == expected
+    assert (point[first] == point[second]).all()
 
 
 def test_point_and_observation_views_are_sequences_of_records(four_frame_map):
@@ -486,32 +503,36 @@ def test_point_and_observation_views_are_sequences_of_records(four_frame_map):
         obs.u[0] = 1.0
 
 
-def test_from_arrays_equals_the_record_constructor():
+def test_constructor_takes_columns_in_any_order():
     slam_map, _ = generate(SynthConfig(n_points=60, n_keyframes=6, dropout=0.3, seed=2))
     points, obs = slam_map.points, slam_map.observations
     backwards = slice(None, None, -1)
-    rebuilt = SlamMap.from_arrays(
+    rebuilt = SlamMap(
         list(reversed(slam_map.keyframes)),
         points.id[backwards],
         points.xyz[backwards],
         *(c[backwards] for c in (obs.point_id, obs.keyframe_id, obs.u, obs.v)),
     )
     assert maps_equal(rebuilt, slam_map)
-    assert maps_equal(SlamMap(slam_map.keyframes, list(points), list(obs)), slam_map)
+    assert maps_equal(map_from_records(slam_map.keyframes, list(points), list(obs)), slam_map)
     with pytest.raises(ValueError):
-        SlamMap.from_arrays([], [1, 2], [[0.0, 0.0, 0.0]], [], [], [], [])
+        SlamMap([], [1, 2], [[0.0, 0.0, 0.0]], [], [], [], [])
+    with pytest.raises(ValueError):
+        SlamMap([], [], [], [], [], [], [])  # xyz must be (0, 3)
+    with pytest.raises(ValueError):
+        SlamMap([], [], np.empty((0, 3)), [1], [2], [3.0], [])
 
 
 def test_maps_equal_compares_floats_bitwise():
     base = make_map([(0, 0, 0), (1, 0, 0)], {0: [(0, 10.0, 10.0), (1, 10.0, 10.0)]})
 
     def with_u(u):
-        return SlamMap(base.keyframes, base.points, [Observation(0, 0, u, 10.0), base.observations[1]])
+        return map_from_records(base.keyframes, base.points, [Observation(0, 0, u, 10.0), base.observations[1]])
 
     assert maps_equal(with_u(0.0), with_u(0.0))
     assert not maps_equal(with_u(0.0), with_u(-0.0))
     assert maps_equal(with_u(math.nan), with_u(math.nan))
-    assert not maps_equal(base, SlamMap(base.keyframes, base.points, base.observations[:1]))
+    assert not maps_equal(base, map_from_records(base.keyframes, base.points, base.observations[:1]))
 
 
 def _any_json():
@@ -568,6 +589,8 @@ _map_docs = _one_in(
 
 @settings(max_examples=300, deadline=None)
 @given(doc=_map_docs)
+# A two-entry object for uv passed the column length check, and its record parse read uv[0].
+@example(doc={"observations": [{"point": 2**63 - 1, "frame": 0, "uv": {"": None, "0": None}}]})
 def test_any_json_document_loads_or_raises_a_map_error(doc):
     error = slam_map = None
     try:
@@ -579,7 +602,7 @@ def test_any_json_document_loads_or_raises_a_map_error(doc):
         return
     # The column-by-column parse agrees with parsing every record on its own.
     try:
-        expected = SlamMap(
+        expected = map_from_records(
             _parse_records(_section(doc, "keyframes"), "keyframes", _parse_keyframe),
             _parse_records(_section(doc, "points"), "points", _parse_point),
             _parse_records(_section(doc, "observations"), "observations", _parse_observation),

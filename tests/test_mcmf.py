@@ -263,3 +263,21 @@ def test_residual_certificate_rejects_a_swap_at_acceptance_size_quickly():
     assert not _verify_residual(graph, swapped)
     assert time.perf_counter() - t0 < 1.0
     assert _verify_residual(graph, result)
+
+
+@pytest.mark.parametrize("m_value", [50, 100, 200])
+def test_solve_matches_networkx_at_acceptance_size(m_value):
+    # An outside solver on a real build_graph output (2000 points, 50 keyframes).
+    nx = pytest.importorskip("networkx")
+    slam_map, _ = generate(SynthConfig(seed=0, **SWEEP_SYNTH))
+    graph = build_graph(slam_map, GraphConfig(capacity_m=m_value))
+    result = solve(graph)
+
+    g = nx.DiGraph()
+    for tail, head, capacity, cost in zip(*(a.tolist() for a in (graph.tail, graph.head, graph.capacity, graph.cost))):
+        g.add_edge(tail, head, capacity=capacity, weight=cost)
+    max_flow = nx.maximum_flow_value(g, graph.source_index, graph.sink_index)
+    g.nodes[graph.source_index]["demand"] = -max_flow
+    g.nodes[graph.sink_index]["demand"] = max_flow
+    min_cost, _ = nx.network_simplex(g)
+    assert (result.total_flow, result.total_cost) == (max_flow, min_cost)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WORKLOAD_SHAPES, make_map
+from conftest import WORKLOAD_SHAPES, make_map, map_from_records
 from map_oracles import attribute_C_oracle, attribute_F_oracle, attribute_S_oracle
 from mapsparse import _quat
-from mapsparse.map_model import CameraIntrinsics, Observation, SlamMap
+from mapsparse.map_model import CameraIntrinsics, Observation
 from mapsparse.metrics import (
     AlignmentError,
     MetricsError,
@@ -219,11 +219,11 @@ class TestAttributes:
 
     def test_S_order_invariant_and_monotone(self):
         slam_map = make_map([(0, 0, 0)], {0: [(0, 10, 10)], 1: [(0, 200, 200)]})
-        reordered = SlamMap(
+        reordered = map_from_records(
             slam_map.keyframes, slam_map.points, list(reversed(slam_map.observations))
         )
         assert attribute_S(slam_map) == attribute_S(reordered)
-        grown = SlamMap(
+        grown = map_from_records(
             slam_map.keyframes,
             list(slam_map.points) + [type(slam_map.points[0])(9, (0.0, 0.0, 1.0))],
             list(slam_map.observations) + [Observation(9, 0, 400.0, 400.0)],
@@ -240,6 +240,16 @@ class TestTrajectoryIO:
         assert np.array_equal(back.stamps, traj.stamps)
         assert np.array_equal(back.positions, traj.positions)
         assert np.array_equal(back.quaternions, traj.quaternions)
+
+    def test_empty_trajectory_round_trip(self):
+        empty = Trajectory([], np.empty((0, 3)), np.empty((0, 4)))
+        buf = io.StringIO()
+        save_trajectory(empty, buf)
+        assert buf.getvalue() == "# timestamp tx ty tz qx qy qz qw\n"
+        back = load_trajectory(io.StringIO(buf.getvalue()))
+        assert len(back) == 0
+        assert back.positions.shape == (0, 3) and back.quaternions.shape == (0, 4)
+        assert len(load_trajectory(io.StringIO(""))) == 0
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# comment\n\n0.0 1 2 3 0 0 0 1\n0.1 4 5 6 0 0 0 1\n"
@@ -325,7 +335,7 @@ def assert_attributes_match_oracles(slam_map):
 def test_attributes_match_record_by_record_oracles(slam_map):
     # finite keypoints only: the oracle's int() of a non-finite grid cell raises
     finite = [o for o in slam_map.observations if math.isfinite(o.u) and math.isfinite(o.v)]
-    assert_attributes_match_oracles(SlamMap(slam_map.keyframes, slam_map.points, finite))
+    assert_attributes_match_oracles(map_from_records(slam_map.keyframes, slam_map.points, finite))
 
 
 @pytest.mark.parametrize("synth, window", WORKLOAD_SHAPES)

@@ -13,8 +13,7 @@ def test_full_visibility_when_points_at_center():
         n_points=30, n_keyframes=8, extent=1e-6, cluster_fraction=0.0, dropout=0.0, seed=0
     )
     slam_map, _ = generate(cfg)
-    for pt in slam_map.points:
-        assert len(slam_map.frames_of_point(pt.id)) == 8
+    assert slam_map.observer_counts().tolist() == [8] * 30
 
 
 def test_total_dropout_raises():
@@ -40,9 +39,11 @@ def test_generated_maps_validate():
 
 def test_noiseless_observations_reproject_exactly():
     slam_map, _ = generate(SynthConfig(n_points=50, n_keyframes=6, dropout=0.1, seed=5))
+    keyframes = {kf.id: kf for kf in slam_map.keyframes}
+    points = {pt.id: pt for pt in slam_map.points}
     for obs in slam_map.observations:
-        kf = slam_map.keyframe(obs.keyframe_id)
-        pt = slam_map.point(obs.point_id)
+        kf = keyframes[obs.keyframe_id]
+        pt = points[obs.point_id]
         R = kf.pose.rotation()
         local = R.T @ (np.array(pt.position) - kf.pose.center())
         u = kf.intrinsics.fx * local[0] / local[2] + kf.intrinsics.cx
@@ -52,8 +53,7 @@ def test_noiseless_observations_reproject_exactly():
 
 def test_observation_count_bounded_by_keyframes():
     slam_map, _ = generate(SynthConfig(n_points=100, n_keyframes=7, dropout=0.0, seed=6))
-    for pt in slam_map.points:
-        assert len(slam_map.frames_of_point(pt.id)) <= 7
+    assert slam_map.observer_counts().max() <= 7
 
 
 def test_trajectory_matches_keyframes():
