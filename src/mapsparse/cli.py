@@ -54,7 +54,8 @@ def _add_sparsify(sub):
     p.add_argument("--min-kf-points", type=int, default=10)
     p.add_argument("--keep-underviewed", action="store_true")
     p.add_argument("--window", type=int, default=0,
-                   help="sparsify consecutive keyframe windows of this size instead of the whole map")
+                   help="sparsify consecutive keyframe windows of this size instead of the whole map "
+                        "(flow strategy only)")
     p.add_argument("--out", help="output map JSON")
     p.add_argument("--report", help="output JSON report path (default: stdout)")
     return p
@@ -142,6 +143,8 @@ def _baseline_result(slam_map: SlamMap, strategy: str, budget: int, min_kf_point
 def _cmd_sparsify(args) -> int:
     if args.window < 0:
         raise ValueError("--window must be >= 0")
+    if args.window and args.strategy != "flow":
+        raise ValueError("--window applies only to --strategy flow")
     slam_map = load_map(args.map)
     if args.strategy == "flow":
         if args.capacity_m is None:

@@ -7,8 +7,9 @@ points and observations, the bulk of a map, as read-only numpy columns.
 
 from __future__ import annotations
 
+import itertools
 import json
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Union
@@ -326,14 +327,17 @@ def _read_text(source: Source, error: type[ValueError] = MapFormatError) -> str:
         raise error(f"input is not UTF-8 text: {e.reason} at byte {e.start}") from e
 
 
-def _write_text(sink: Union[str, Path, IO[bytes], IO[str]], text: str) -> None:
+def _write_blocks(sink: Union[str, Path, IO[bytes], IO[str]], blocks: Iterable[str]) -> None:
+    """Write each block of text in turn to a path (opened once, as UTF-8), a text stream or a binary stream."""
     if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
+        with open(sink, "w", encoding="utf-8") as f:
+            f.writelines(blocks)
         return
-    try:
-        sink.write(text)
-    except TypeError:
-        sink.write(text.encode("utf-8"))
+    for block in blocks:
+        try:
+            sink.write(block)
+        except TypeError:
+            sink.write(block.encode("utf-8"))
 
 
 _INT64_MIN = -(1 << 63)
@@ -448,8 +452,8 @@ def _record_error(entries: list, key: str, parse) -> MapFormatError:
     return MapFormatError(f"'{key}' failed a column check that each of its records passes")
 
 
-def _load_points(entries: list) -> tuple[np.ndarray, np.ndarray]:
-    """(id, xyz) columns of the points section, checked column by column."""
+def _point_columns(entries: list) -> tuple[np.ndarray, np.ndarray] | None:
+    """(id, xyz) columns of a list of point records, checked column by column; None where a check fails."""
     try:
         ids = [e["id"] for e in entries]
         xyz = [e["xyz"] for e in entries]
@@ -459,11 +463,11 @@ def _load_points(entries: list) -> tuple[np.ndarray, np.ndarray]:
                 return np.array(ids, np.int64), np.array(flat, np.float64).reshape(-1, 3)
     except (KeyError, TypeError, OverflowError):
         pass
-    raise _record_error(entries, "points", _parse_point)
+    return None
 
 
-def _load_observations(entries: list) -> tuple[np.ndarray, ...]:
-    """(point, frame, u, v) columns of the observations section, checked as :func:`_load_points` does."""
+def _observation_columns(entries: list) -> tuple[np.ndarray, ...] | None:
+    """(point, frame, u, v) columns of a list of observation records, checked as :func:`_point_columns` does."""
     try:
         point = [e["point"] for e in entries]
         frame = [e["frame"] for e in entries]
@@ -475,7 +479,102 @@ def _load_observations(entries: list) -> tuple[np.ndarray, ...]:
                 return np.array(point, np.int64), np.array(frame, np.int64), uv[:, 0], uv[:, 1]
     except (KeyError, TypeError, OverflowError):
         pass
-    raise _record_error(entries, "observations", _parse_observation)
+    return None
+
+
+def _checked_columns(doc: dict, key: str, columns, parse) -> tuple[np.ndarray, ...]:
+    """The columns of section ``key``; where a column check fails, the error naming the first bad record."""
+    entries = _section(doc, key)
+    result = columns(entries)
+    if result is None:
+        raise _record_error(entries, key, parse)
+    return result
+
+
+def _parse_whole(text: str) -> tuple[list, tuple, tuple]:
+    """Keyframes, point columns and observation columns of a map document, parsed in one piece."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise MapFormatError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # too many digits in an integer, or arrays nested too deep
+        raise MapFormatError(f"parse error: {e}") from e
+    if not isinstance(doc, dict):
+        raise MapFormatError("top-level value must be an object")
+    return (
+        _parse_records(_section(doc, "keyframes"), "keyframes", _parse_keyframe),
+        _checked_columns(doc, "points", _point_columns, _parse_point),
+        _checked_columns(doc, "observations", _observation_columns, _parse_observation),
+    )
+
+
+# How save_map lays out the end of a document: the points and then the
+# observations are the last two members of the top-level object.
+_POINTS_KEY = ',\n "points": '
+_OBSERVATIONS_KEY = ',\n "observations": '
+_DOCUMENT_END = "\n}\n"
+# Characters of a points or observations array parsed at a time.
+_CHUNK_CHARS = 1 << 20
+
+
+def _chunked_columns(text: str, lo: int, hi: int, columns) -> tuple[np.ndarray, ...] | None:
+    """Columns of the JSON array ``text[lo:hi]``, parsed in pieces; None where a piece fails.
+
+    The array is cut after a ``},`` about every :data:`_CHUNK_CHARS`
+    characters. When every piece parses to a non-empty array, each comma at a
+    cut separates two elements, so the array is the pieces' concatenation. A
+    piece that does not parse, parses to an empty array or fails its column
+    check gives None.
+    """
+    if hi - lo < 2 or text[lo] != "[" or text[hi - 1] != "]":
+        return None
+    if hi - lo == 2:
+        return columns([])
+    parts = []
+    start, stop = lo + 1, hi - 1
+    while True:
+        cut = text.find("},", start + _CHUNK_CHARS, stop)
+        end = stop if cut < 0 else cut + 1
+        entries = json.loads("[" + text[start:end] + "]")
+        part = columns(entries) if entries else None
+        if part is None:
+            return None
+        parts.append(part)
+        if cut < 0:
+            return tuple(np.concatenate(c) for c in zip(*parts))
+        start = cut + 2
+
+
+def _parse_chunked(text: str) -> tuple[list, tuple, tuple] | None:
+    """What :func:`_parse_whole` returns, with the points and observations parsed a chunk at a time.
+
+    Gives None where the text does not end the way :func:`save_map` ends a
+    document, or where the skeleton, a piece or a column check fails; the
+    caller then parses the whole document. A raw newline cannot sit inside a
+    JSON string, so the two keys found here lie outside strings. When the
+    skeleton (the text with both arrays emptied) parses, the closing
+    ``\n}\n`` makes them the last two members of the top-level object, and
+    json keeps the last of a repeated key, so these are the arrays a whole
+    parse would use.
+    """
+    if not text.endswith(_DOCUMENT_END):
+        return None
+    observations_at = text.rfind(_OBSERVATIONS_KEY)
+    points_at = text.rfind(_POINTS_KEY, 0, max(observations_at, 0))
+    if points_at < 0:
+        return None
+    points_lo = points_at + len(_POINTS_KEY)
+    try:
+        skeleton = json.loads(text[:points_lo] + "[]" + _OBSERVATIONS_KEY + "[]" + _DOCUMENT_END)
+        points = _chunked_columns(text, points_lo, observations_at, _point_columns)
+        observations = _chunked_columns(
+            text, observations_at + len(_OBSERVATIONS_KEY), len(text) - len(_DOCUMENT_END), _observation_columns
+        )
+    except (ValueError, RecursionError):
+        return None
+    if points is None or observations is None:
+        return None
+    return _parse_records(_section(skeleton, "keyframes"), "keyframes", _parse_keyframe), points, observations
 
 
 def load_map(source: Source) -> SlamMap:
@@ -485,20 +584,16 @@ def load_map(source: Source) -> SlamMap:
     input, and :class:`MapIntegrityError` naming the offending ids when the
     parsed map violates invariants (e.g. an observation referencing a
     missing point). Every integer field must fit in int64.
+
+    A document laid out as :func:`save_map` writes it has its points and
+    observations parsed in chunks of about a MiB of text, so no more than a
+    chunk of them is held as Python objects at once; any other document, and
+    any document that fails, is parsed whole, with the same result.
     """
     text = _read_text(source)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise MapFormatError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    except (ValueError, RecursionError) as e:  # too many digits in an integer, or arrays nested too deep
-        raise MapFormatError(f"parse error: {e}") from e
-    if not isinstance(doc, dict):
-        raise MapFormatError("top-level value must be an object")
-
-    keyframes = _parse_records(_section(doc, "keyframes"), "keyframes", _parse_keyframe)
-    point_id, xyz = _load_points(_section(doc, "points"))
-    slam_map = SlamMap(keyframes, point_id, xyz, *_load_observations(_section(doc, "observations")))
+    sections = _parse_chunked(text)
+    keyframes, (point_id, xyz), observations = _parse_whole(text) if sections is None else sections
+    slam_map = SlamMap(keyframes, point_id, xyz, *observations)
     report = validate(slam_map)
     if not report.ok:
         raise MapIntegrityError("; ".join(report.violations))
@@ -509,6 +604,8 @@ def load_map(source: Source) -> SlamMap:
 # them out inside the document's top-level arrays.
 _POINT_RECORD = '  {\n   "id": %s,\n   "xyz": [\n    %s,\n    %s,\n    %s\n   ]\n  }'
 _OBSERVATION_RECORD = '  {\n   "point": %s,\n   "frame": %s,\n   "uv": [\n    %s,\n    %s\n   ]\n  }'
+# Records formatted at a time.
+_SAVE_BLOCK = 1 << 14
 
 
 def _json_numbers(column: np.ndarray) -> list:
@@ -520,15 +617,21 @@ def _json_numbers(column: np.ndarray) -> list:
     return values
 
 
-def _json_records(template: str, columns) -> str:
-    """One ``template`` record per row of the columns, as a top-level array of an ``indent=1`` document."""
+def _json_records(template: str, columns) -> Iterator[str]:
+    """One ``template`` record per row of the columns, as a top-level array of an ``indent=1`` document.
+
+    The text comes in blocks of :data:`_SAVE_BLOCK` records.
+    """
     n = len(columns[0])
     if not n:
-        return "[]"
-    values = [None] * (n * len(columns))
-    for j, column in enumerate(columns):
-        values[j :: len(columns)] = _json_numbers(column)
-    return "[\n" + ",\n".join([template] * n) % tuple(values) + "\n ]"
+        yield "[]"
+        return
+    for lo in range(0, n, _SAVE_BLOCK):
+        block = (_json_numbers(column[lo : lo + _SAVE_BLOCK]) for column in columns)
+        values = tuple(itertools.chain.from_iterable(zip(*block)))
+        yield "[\n" if lo == 0 else ",\n"
+        yield ",\n".join([template] * (len(values) // len(columns))) % values
+    yield "\n ]"
 
 
 def save_map(slam_map: SlamMap, sink: Union[str, Path, IO[bytes], IO[str]]) -> None:
@@ -536,7 +639,8 @@ def save_map(slam_map: SlamMap, sink: Union[str, Path, IO[bytes], IO[str]]) -> N
 
     Writes the bytes of ``json.dumps(doc, indent=1)`` plus a newline. The
     points and observations are formatted from the columns with fixed record
-    templates; only the keyframes go through :mod:`json`.
+    templates and written a block of records at a time; only the keyframes
+    go through :mod:`json`.
     """
     keyframes = [
         {
@@ -557,15 +661,16 @@ def save_map(slam_map: SlamMap, sink: Union[str, Path, IO[bytes], IO[str]]) -> N
     ]
     xyz = slam_map.points.xyz
     obs = slam_map.observations
-    _write_text(
+    _write_blocks(
         sink,
-        '{\n "keyframes": '
-        + json.dumps(keyframes, indent=1).replace("\n", "\n ")  # no strings inside, so every newline is layout
-        + ',\n "points": '
-        + _json_records(_POINT_RECORD, (slam_map.points.id, xyz[:, 0], xyz[:, 1], xyz[:, 2]))
-        + ',\n "observations": '
-        + _json_records(_OBSERVATION_RECORD, (obs.point_id, obs.keyframe_id, obs.u, obs.v))
-        + "\n}\n",
+        itertools.chain(
+            # No strings inside the keyframes, so every newline is layout.
+            ['{\n "keyframes": ' + json.dumps(keyframes, indent=1).replace("\n", "\n ") + _POINTS_KEY],
+            _json_records(_POINT_RECORD, (slam_map.points.id, xyz[:, 0], xyz[:, 1], xyz[:, 2])),
+            [_OBSERVATIONS_KEY],
+            _json_records(_OBSERVATION_RECORD, (obs.point_id, obs.keyframe_id, obs.u, obs.v)),
+            [_DOCUMENT_END],
+        ),
     )
 
 

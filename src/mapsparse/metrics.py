@@ -17,7 +17,7 @@ from typing import IO, Union
 import numpy as np
 
 from . import _quat
-from .map_model import Pose, SlamMap, _read_text, _write_text
+from .map_model import Pose, SlamMap, _read_text, _write_blocks
 
 
 class MetricsError(ValueError):
@@ -86,7 +86,7 @@ def save_trajectory(traj: Trajectory, sink: Union[str, Path, IO[bytes], IO[str]]
         lines.append(
             f"{ts!r} {t[0]!r} {t[1]!r} {t[2]!r} {q[1]!r} {q[2]!r} {q[3]!r} {q[0]!r}"
         )
-    _write_text(sink, "\n".join(lines) + "\n")
+    _write_blocks(sink, ["\n".join(lines) + "\n"])
 
 
 def associate(stamps_est, stamps_gt, max_offset: float = 0.02) -> list[tuple[int, int]]:

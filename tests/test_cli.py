@@ -108,6 +108,19 @@ def test_sparsify_rejects_a_negative_window(generated, tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("strategy", ["topm", "grid", "radius"])
+def test_sparsify_rejects_a_window_with_a_baseline_strategy(strategy, generated, tmp_path, capsys):
+    map_path, _ = generated
+    out_path = tmp_path / "sparse.json"
+    rc = main([
+        "sparsify", "--map", str(map_path), "--strategy", strategy, "--budget", "50", "--window", "5",
+        "--out", str(out_path),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --window applies only to --strategy flow\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("window", [1, 3, 10, 25])
 @pytest.mark.parametrize("reverse_seq", [False, True])
 def test_window_maps_match_record_by_record_split(window, reverse_seq):

@@ -3,6 +3,10 @@ import itertools
 import json
 import math
 import re
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import DEFAULT_INTRINSICS, IDENTITY_Q, WORKLOAD_SHAPES, make_map, map_from_records
 from map_oracles import covisibility_oracle, index_oracle, save_map_oracle, validate_oracle
+from mapsparse import map_model
 from mapsparse.cli import _window_maps
 from mapsparse.map_model import (
     CameraIntrinsics,
@@ -340,7 +345,16 @@ def code_built_maps(draw):
 @settings(max_examples=200, deadline=None)
 @given(slam_map=code_built_maps())
 def test_save_map_writes_the_bytes_of_json_dumps(slam_map):
-    assert _saved(slam_map) == save_map_oracle(slam_map)
+    expected = save_map_oracle(slam_map)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "map.json"
+        for block in (1, 2, map_model._SAVE_BLOCK):
+            text, binary = io.StringIO(), io.BytesIO()
+            with mock.patch.object(map_model, "_SAVE_BLOCK", block):
+                for sink in (path, text, binary):
+                    save_map(slam_map, sink)
+            assert text.getvalue() == expected
+            assert binary.getvalue() == path.read_bytes() == expected.encode("utf-8")
 
 
 @pytest.mark.parametrize("synth, window", WORKLOAD_SHAPES)
@@ -352,6 +366,34 @@ def test_save_of_load_reproduces_the_file(synth, window, tmp_path):
     loaded = load_map(path)
     assert maps_equal(loaded, generated)
     assert _saved(loaded) == text
+
+
+def test_load_and_save_hold_a_chunk_of_records_at_a_time(tmp_path):
+    # A wide_keypoints-shaped map of about 7 MB: several load chunks and save blocks.
+    generated, _ = generate(SynthConfig(n_points=32000, n_keyframes=20, trajectory="circle",
+                                        trajectory_scale=6.0, extent=12.0, dropout=0.85, seed=0))
+    path = tmp_path / "map.json"
+    save_map(generated, path)
+    size = path.stat().st_size
+    assert size > 4 * map_model._CHUNK_CHARS
+    tracemalloc.start()
+    try:
+        loaded = load_map(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        save_map(loaded, tmp_path / "again.json")
+        save_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # Reading holds the file's bytes and its text at once, and the parse
+    # about a chunk of records as Python objects (2.4x the file size here;
+    # 5.2x when the whole document was parsed at once).
+    assert load_peak < 3 * size
+    # Saving holds about a block of records as Python numbers and text (0.84x
+    # the output size here; 2.0x when the whole output was one string).
+    assert save_peak < size
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 coords = st.one_of(
@@ -615,3 +657,115 @@ def test_any_json_document_loads_or_raises_a_map_error(doc):
         assert isinstance(error, MapIntegrityError) and str(error) == "; ".join(violations)
     else:
         assert error is None and maps_equal(slam_map, expected)
+
+
+def _edit(text: str, edit: tuple) -> str:
+    """The text with one edit of the kind a hand-edited or foreign map file might carry."""
+    kind, *args = edit
+    if kind == "insert":
+        at, fragment = args
+        at %= len(text) + 1
+        return text[:at] + fragment + text[at:]
+    if kind == "delete":
+        at, width = args
+        at %= len(text) + 1
+        return text[:at] + text[at + width :]
+    if kind in ("note", "member", "replace"):
+        # A string field, or a member laid out as save_map lays out the top-level ones,
+        # added at the nth record end; or the nth `old` replaced.
+        if kind == "replace":
+            (old, new), nth = args
+        else:
+            nth, value = args
+            field = ',\n   "note": ' + json.dumps(value) if kind == "note" else f',\n "{value}": []'
+            old, new = "\n  }", field + "\n  }"
+        starts = [m.start() for m in re.finditer(re.escape(old), text)]
+        if not starts:
+            return text
+        at = starts[nth % len(starts)]
+        return text[:at] + new + text[at + len(old) :]
+    if kind == "swap":  # observations before points
+        head, points_key, rest = text.partition(',\n "points": ')
+        points, observations_key, observations = rest.partition(',\n "observations": ')
+        if not (points_key and observations_key and observations.endswith("\n}\n")):
+            return text
+        return head + observations_key + observations[:-3] + points_key + points + "\n}\n"
+    if kind == "duplicate":  # an earlier top-level points member
+        return text.replace("{\n", '{\n "points": ' + args[0] + ",\n", 1)
+    assert kind == "strip"  # the trailing newline
+    return text[:-1]
+
+
+_edits = st.lists(st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 1 << 16), st.sampled_from([
+        "},", ",", "[", "]", "{", "}", "[]", "\n", '"', " ", "0", "-", ".5", "},\n  {", ',\n "points": ',
+        ',\n "observations": ', "\n}\n", "NaN", "-Infinity", "null", '"x"',
+    ])),
+    st.tuples(st.just("delete"), st.integers(0, 1 << 16), st.integers(1, 3)),
+    st.tuples(st.just("note"), st.integers(0, 40), st.text(st.sampled_from('},{[]" \n'), max_size=5)),
+    st.tuples(st.just("member"), st.integers(0, 40), st.sampled_from(["points", "observations"])),
+    st.tuples(st.just("replace"), st.sampled_from([
+        ('"point": ', '"point": 0.5, "p": '),
+        ('"id": ', '"id": true, "i": '),
+        ('"uv": [', '"uv": ["x", '),
+        ("[\n", "{\n"),
+        ("\n  }", ', "xyz": 3\n  }'),
+        ("\n  }\n ]", "\n  },\n ]"),  # a trailing comma
+        ("\n}\n", ",}\n"),
+    ]), st.integers(0, 40)),
+    st.tuples(st.just("swap")),
+    st.tuples(st.just("strip")),
+    st.tuples(st.just("duplicate"), st.sampled_from(["[]", "5", '[{"id": 1, "xyz": [0, 0, 0]}]'])),
+), max_size=3)
+
+# Three frames seeing six points: observation records of about 80
+# characters, so that 200-character chunks hold three of them.
+_SMALL_MAP = make_map([(0, 0, 0), (1, 0, 0), (2, 0, 0)],
+                      {p: [(f, 10.0 + p, 20.0) for f in range(3)] for p in range(6)})
+
+
+# Maps that validate: three keyframes, up to eight points seen in up to three of them.
+_valid_maps = st.builds(make_map, st.just([(0, 0, 0), (1, 0, 0), (2, 0, 0)]), st.dictionaries(
+    st.integers(0, 1000),
+    st.lists(st.tuples(st.integers(0, 2), st.floats(0.0, 639.0), st.floats(0.0, 479.0)),
+             min_size=1, max_size=3, unique_by=lambda o: o[0]),
+    max_size=8,
+))
+
+
+def _load_outcome(text: str):
+    """The map load_map reads from the text, or the map error it raises."""
+    try:
+        return load_map(io.StringIO(text))
+    except (MapFormatError, MapIntegrityError) as e:
+        return e
+
+
+@settings(max_examples=300, deadline=None)
+@given(slam_map=st.one_of(_valid_maps, code_built_maps(), messy_maps()), edits=_edits)
+@example(slam_map=_SMALL_MAP, edits=[("note", i, "},") for i in range(27)])  # every cut falls inside a string
+@example(slam_map=_SMALL_MAP, edits=[("duplicate", '[{"id": 1, "xyz": [0, 0, 0]}]')])
+@example(slam_map=_SMALL_MAP, edits=[("swap",)])
+@example(slam_map=_SMALL_MAP, edits=[("strip",)])
+@example(slam_map=_SMALL_MAP, edits=[("replace", ("\n  }\n ]", "\n  },\n ]"), 2)])  # a trailing comma
+@example(slam_map=_SMALL_MAP, edits=[("replace", ("\n}\n", ",}\n"), 0)])
+@example(slam_map=_SMALL_MAP, edits=[("member", 4, "points"), ("member", 12, "observations")])
+@example(slam_map=map_from_records([_keyframe(0)], [], []), edits=[])
+@example(slam_map=map_from_records(_SMALL_MAP.keyframes, _SMALL_MAP.points, []), edits=[])
+@example(slam_map=map_from_records([_keyframe(0)], [MapPoint(0, (math.nan, math.inf, -math.inf))],
+                                   [Observation(0, 0, -math.inf, math.nan)]), edits=[])
+@example(slam_map=_SMALL_MAP, edits=[("replace", ('"point": ', '"point": 0.5, "p": '), 7)])  # in the third chunk
+def test_chunked_and_whole_document_loads_agree(slam_map, edits):
+    text = _saved(slam_map)
+    with mock.patch.object(map_model, "_CHUNK_CHARS", 200):
+        assert map_model._parse_chunked(text) is not None  # save_map's own layout is read in chunks
+        for edit in edits:
+            text = _edit(text, edit)
+        chunked = _load_outcome(text)
+    with mock.patch.object(map_model, "_parse_chunked", lambda text: None):
+        whole = _load_outcome(text)
+    assert type(chunked) is type(whole)
+    if isinstance(whole, SlamMap):
+        assert maps_equal(chunked, whole)
+    else:
+        assert str(chunked) == str(whole)
