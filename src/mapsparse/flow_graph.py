@@ -200,63 +200,123 @@ def baseline_cost(d: float) -> int:
 
 
 # Candidate (keypoint, neighbour) pairs tested at once by _nearby_counts: a
-# block's arrays stay in cache (timed 2x faster than 2**20 on the benchmark
-# maps), and memory stays bounded where many keypoints share one strip.
-_STRIP_BLOCK = 1 << 16
+# block's arrays (128 KiB each) stay in cache, where 2**14 and 2**15 timed
+# fastest of 2**12..2**17 on the benchmark maps, and memory stays bounded
+# where many keypoints share a cell.
+_CANDIDATE_BLOCK = 1 << 14
 
 # 10**0 .. 10**18, every power of ten below 2**63, for exact digit counts.
 _POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
 
 
-def _nearby_counts(slam_map: SlamMap, box_width: int, box_height: int) -> np.ndarray:
+def _nearby_counts(slam_map: SlamMap, box_width: int, box_height: int, wanted: np.ndarray) -> np.ndarray:
     """Per observation, the other keypoints of its keyframe inside the box centered on it.
 
-    The counts are aligned with ``slam_map.observation_arrays()``. The box
-    test is closed: |du| <= box_width/2 and |dv| <= box_height/2. Per
-    keyframe the keypoints are sorted by u, and each one's candidates are the
-    keypoints in a strip of half-width box_width/2 + 1 around its u (two
-    searchsorted calls). Each candidate then takes the exact box test; the
-    strip only narrows the candidates, so rounding in the strip bounds cannot
+    The counts are aligned with ``slam_map.observation_arrays()``; only the
+    rows of ``wanted``, a boolean mask over them, are counted, and the others
+    read 0. The box test is closed: |du| <= box_width/2 and
+    |dv| <= box_height/2, and a keypoint with a non-finite coordinate passes
+    it with no other keypoint.
+
+    The keypoints sit on a grid of cells, one per keyframe and column
+    floor(u / box_width), each cell sorted by v. A queried keypoint visits
+    the columns that overlap [u - box_width/2 - 1, u + box_width/2 + 1]
+    (two or three for a box at least 2 wide), and in each the run of
+    keypoints with v in [v - box_height/2 - 1, v + box_height/2 + 1]
+    (searchsorted). Every candidate then takes the exact box test; the
+    widened bounds only narrow the candidates, so rounding in them cannot
     change a count.
     """
     _, frame, u, v = slam_map.observation_arrays()
     half_u = box_width / 2.0
     half_v = box_height / 2.0
-    order = np.lexsort((u, frame))
-    frame, u, v = frame[order], u[order], v[order]
-    k = len(order)
+    finite = np.flatnonzero(np.isfinite(u) & np.isfinite(v))
+    n = len(finite)
+    u, v = u[finite], v[finite]
 
-    lo = np.empty(k, np.int64)
-    hi = np.empty(k, np.int64)
-    bounds = np.flatnonzero(np.diff(frame)) + 1
-    for a, b in zip(np.r_[0, bounds].tolist(), np.r_[bounds, k].tolist()):
-        strip = u[a:b]
-        lo[a:b] = a + np.searchsorted(strip, strip - (half_u + 1), "left")
-        hi[a:b] = a + np.searchsorted(strip, strip + (half_u + 1), "right")
+    # Columns are ranked among the distinct floor(u / box_width) values, and
+    # cells among the distinct (frame, column) pairs, so that no key overflows.
+    # (np.unique of floats would import numpy.ma into every job.)
+    col = np.floor(u / box_width)
+    cols = np.sort(col)
+    distinct = np.ones(n, bool)
+    distinct[1:] = cols[1:] != cols[:-1]
+    cols = cols[distinct]
+    col = np.searchsorted(cols, col)
+    cells, cell = np.unique(frame[finite] * len(cols) + col, return_inverse=True)
 
-    counts = np.empty(k, np.int64)
-    width = hi - lo
-    reach = np.cumsum(width)  # candidates of keypoints 0..i
+    # Grid order: by cell, then by v, through a key of cell and rank of v
+    # (equal values share a rank). Each keypoint's v-run is a rank range too,
+    # found with sorted needles.
+    by_v = np.argsort(v)
+    v_sorted = v[by_v]
+    rank = np.arange(n)
+    rank[1:][v_sorted[1:] == v_sorted[:-1]] = 0
+    np.maximum.accumulate(rank, out=rank)
+    key = cell * (n + 1)
+    key[by_v] += rank
+    v_lo, v_hi = np.empty((2, n), np.int64)
+    v_lo[by_v] = np.searchsorted(v_sorted, v_sorted - (half_v + 1), "left")
+    v_hi[by_v] = np.searchsorted(v_sorted, v_sorted + (half_v + 1), "right")
+    del by_v, v_sorted, rank
+    order = np.argsort(key)
+    key, u, v = key[order], u[order], v[order]
+
+    # Queries go in grid order too, so that the searches below take sorted
+    # needles. Arrays are dropped as soon as they are spent, to keep the peak low.
+    q = np.flatnonzero(wanted[finite[order]])
+    qu, qv = u[q], v[q]
+    q = order[q]
+    q_rows = finite[q]
+    del order, finite
+    # The visited columns are col + d for d in [d_lo, d_hi).
+    d_lo = np.searchsorted(cols, np.floor((qu - (half_u + 1)) / box_width), "left") - col[q]
+    d_hi = np.searchsorted(cols, np.floor((qu + (half_u + 1)) / box_width), "right") - col[q]
+    q_cell, q_lo = cell[q], v_lo[q]
+    q_span = v_hi[q] - q_lo
+    del q, col, cell, v_lo, v_hi
+
+    counts = np.full(len(q_rows), -1, np.int64)  # each query's own cell holds it
+    for d in range(int(d_lo.min()), int(d_hi.max())) if len(q_rows) else ():
+        # The queries that visit the cell d columns over from their own: for
+        # others, cells + d may be a cell of another keyframe.
+        sel = np.flatnonzero((d_lo <= d) & (d < d_hi))
+        # That cell's index, or -1 where the keyframe has none, so that both
+        # needles fall before every key.
+        over = np.searchsorted(cells, cells + d)
+        over[cells[np.minimum(over, len(cells) - 1)] != cells + d] = -1
+        needle = over[q_cell[sel]] * (n + 1) + q_lo[sel]
+        lo = np.searchsorted(key, needle)
+        needle += q_span[sel]
+        width = np.searchsorted(key, needle)
+        width -= lo
+        del needle
+        counts[sel] += _count_near(u, v, qu[sel], qv[sel], lo, width, half_u, half_v)
+    out = np.zeros(len(frame), np.int64)
+    out[q_rows] = counts
+    return out
+
+
+def _count_near(u, v, qu, qv, lo, width, half_u, half_v) -> np.ndarray:
+    """Per query i, how many of keypoints lo[i] .. lo[i] + width[i] - 1 lie in its closed box."""
+    counts = np.empty(len(lo), np.int64)
+    reach = np.cumsum(width)  # candidates of queries 0..i
     a = 0
-    while a < k:
+    while a < len(lo):
         done = reach[a - 1] if a else 0
-        b = max(a + 1, int(np.searchsorted(reach, done + _STRIP_BLOCK, "right")))
+        b = max(a + 1, int(np.searchsorted(reach, done + _CANDIDATE_BLOCK, "right")))
         w = width[a:b]
-        row_end = np.cumsum(w)
-        j = np.arange(row_end[-1]) + np.repeat(lo[a:b] - (row_end - w), w)
+        run_end = np.cumsum(w)
+        j = np.arange(run_end[-1]) + np.repeat(lo[a:b] - (run_end - w), w)
         du = u[j]
-        du -= np.repeat(u[a:b], w)
+        du -= np.repeat(qu[a:b], w)
         dv = v[j]
-        dv -= np.repeat(v[a:b], w)
+        dv -= np.repeat(qv[a:b], w)
         near = np.abs(du, out=du) <= half_u
         near &= np.abs(dv, out=dv) <= half_v
-        counts[a:b] = np.diff(np.cumsum(near)[row_end - 1], prepend=0)
+        counts[a:b] = np.diff(np.r_[0, np.cumsum(near)][run_end], prepend=0)
         a = b
-    # Every strip holds its own keypoint, which is not counted.
-    counts -= (np.abs(u - u) <= half_u) & (np.abs(v - v) <= half_v)
-    out = np.empty(k, np.int64)
-    out[order] = counts
-    return out
+    return counts
 
 
 def build_graph(slam_map: SlamMap, config: GraphConfig) -> FlowGraph:
@@ -296,7 +356,8 @@ def build_graph(slam_map: SlamMap, config: GraphConfig) -> FlowGraph:
         source_cost = np.full(n_points, _DISABLED_COST, np.int64)
 
     if config.enable_cs:
-        nearby = _nearby_counts(slam_map, config.box_width, config.box_height)
+        # Only the rows of eligible points are read, through first and second.
+        nearby = _nearby_counts(slam_map, config.box_width, config.box_height, np.repeat(eligible, n_run))
         product = nearby[first] * nearby[second] + 1
         middle_cost = np.searchsorted(_POWERS_OF_TEN, product, "right") - 1
     else:
@@ -324,11 +385,16 @@ def to_dimacs(graph: FlowGraph, supply: int) -> str:
     """DIMACS min-cost-flow dump (`p min`, `n`, `a` lines), node ids 1-based.
 
     ``supply`` should be the max-flow value (e.g. from the solver), so that
-    third-party min-cost-flow solvers solve the equivalent problem.
+    third-party min-cost-flow solvers solve the equivalent problem. Comment
+    lines `c point NODE ID` and `c pair NODE FRAME_A FRAME_B` label the
+    point and pair nodes, for ``parse_dimacs``.
     """
     lines = [f"p min {graph.n_vertices} {graph.n_edges}"]
     lines.append(f"n {graph.source_index + 1} {supply}")
     lines.append(f"n {graph.sink_index + 1} {-supply}")
+    first_pair = len(graph.point_ids) + 2
+    lines.extend(map("c point {} {}".format, range(2, first_pair), graph.point_ids.tolist()))
+    lines.extend(map("c pair {} {} {}".format, range(first_pair, graph.sink_index + 1), *graph.pairs.T.tolist()))
     columns = (graph.tail + 1, graph.head + 1, graph.capacity, graph.cost)
     lines.extend(map("a {} {} 0 {} {}".format, *(c.tolist() for c in columns)))
     return "\n".join(lines) + "\n"

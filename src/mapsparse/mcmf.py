@@ -457,21 +457,36 @@ def _ints(fields: list[str], lineno: int, form: str) -> list[int]:
         raise GraphError(f"line {lineno}: expected integers in '{form}'") from None
 
 
+# The comment lines that carry vertex labels, as to_dimacs writes them.
+_LABEL_FORMS = {"point": "c point NODE ID", "pair": "c pair NODE FRAME_A FRAME_B"}
+
+
 def parse_dimacs(text: str) -> tuple[FlowGraph, int]:
     """Parse a DIMACS min-cost-flow file describing a layered graph.
 
     Layer membership is recovered from the arc pattern: heads of source arcs
     become points and tails of sink arcs become pairs, each layer in node id
-    order. A file carries no frame ids, so the pair of node N is labelled
-    (N, N+1). Returns the graph and the declared supply. Malformed records
-    raise :class:`GraphError` naming the line.
+    order. When every point and pair node has a ``c point NODE ID`` or
+    ``c pair NODE FRAME_A FRAME_B`` line (as ``to_dimacs`` writes), those
+    label the vertices; otherwise point node N is point N and pair node N the
+    pair (N, N+1). Returns the graph and the declared supply. Malformed
+    records, label lines included, raise :class:`GraphError` naming the line.
     """
     n_decl = None
     supplies: dict[int, int] = {}
     raw_arcs: list[list[int]] = []
+    labels: dict[str, dict[int, tuple[int, ...]]] = {kind: {} for kind in _LABEL_FORMS}
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
-        if not parts or parts[0] == "c":
+        if not parts:
+            continue
+        if parts[0] == "c":
+            form = _LABEL_FORMS.get(parts[1]) if len(parts) > 1 else None
+            if form is not None:
+                if len(parts) != len(form.split()):
+                    raise GraphError(f"line {lineno}: expected '{form}'")
+                node, *label = _ints(parts[2:], lineno, form)
+                labels[parts[1]][node] = tuple(label)
             continue
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "min":
@@ -509,10 +524,15 @@ def parse_dimacs(text: str) -> tuple[FlowGraph, int]:
             raise GraphError("only zero lower bounds are supported")
         if tl not in index or h not in index:
             raise GraphError(f"arc {tl}->{h} does not fit the layered structure")
+    if all(node in labels["point"] for node in points) and all(node in labels["pair"] for node in pairs):
+        point_ids = [labels["point"][node][0] for node in points]
+        pair_rows = [labels["pair"][node] for node in pairs]
+    else:
+        point_ids, pair_rows = points, [(node, node + 1) for node in pairs]
     tail, head, _, capacity, cost = zip(*raw_arcs) if raw_arcs else ((),) * 5
     return FlowGraph(
-        points,
-        [(node, node + 1) for node in pairs],
+        point_ids,
+        pair_rows,
         [index[tl] for tl in tail],
         [index[h] for h in head],
         capacity,

@@ -37,8 +37,9 @@ class Trajectory:
         quaternions = np.asarray(quaternions, dtype=float)
         if stamps.ndim != 1 or positions.shape != (len(stamps), 3) or quaternions.shape != (len(stamps), 4):
             raise MetricsError("trajectory arrays must be (n,), (n, 3) and (n, 4)")
-        if len(stamps) > 1 and not np.all(np.diff(stamps) > 0):
-            raise MetricsError("timestamps must be strictly increasing")
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, and nan fails the test
+            if len(stamps) > 1 and not np.all(np.diff(stamps) > 0):
+                raise MetricsError("timestamps must be strictly increasing")
         self.stamps = stamps.copy()
         self.positions = positions.copy()
         self.quaternions = quaternions.copy()

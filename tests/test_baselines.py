@@ -83,6 +83,21 @@ class TestRadiusSuppressed:
         slam_map = connectivity_map()
         assert select_radius_suppressed(slam_map, 4) == {0, 1, 2, 3}
 
+    def test_keypoints_closer_than_any_square_suppress_like_coincident_ones(self):
+        # (1e-170)**2 underflows to 0, so at radius 0 the first three keypoints
+        # suppress one another; (1e-160)**2 does not.
+        us = [0.0, 1e-170, 5e-324, 1e-160, 3.0]
+        slam_map = make_map([(0, 0, 0)], {pid: [(0, u, 100.0)] for pid, u in enumerate(us)})
+        assert select_radius_suppressed(slam_map, 4) == {0, 3, 4}
+        for budget in range(1, 6):
+            assert select_radius_suppressed(slam_map, budget) == select_radius_suppressed_oracle(slam_map, budget)
+
+    def test_a_non_finite_keypoint_is_kept_and_suppresses_nothing(self):
+        slam_map = make_map(
+            [(0, 0, 0)], {0: [(0, float("nan"), 10.0)], 1: [(0, 10.0, 10.0)], 2: [(0, 10.5, 10.0)], 3: [(0, 300.0, 300.0)]}
+        )
+        assert select_radius_suppressed(slam_map, 3) == {0, 1, 3}
+
     def test_coincident_keypoints_keep_higher_connectivity(self):
         slam_map = make_map(
             frame_positions=[(0, 0, 0), (1, 0, 0), (2, 0, 0)],

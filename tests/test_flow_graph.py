@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,14 +227,108 @@ class TestBuildGraph:
             assert order[layer(graph, e.head)] == order[layer(graph, e.tail)] + 1
 
 
-def assert_counts_match(slam_map, box_width, box_height):
-    batch = _nearby_counts(slam_map, box_width, box_height)
+def every_count(slam_map, box_width, box_height):
+    """_nearby_counts of every observation row."""
+    return _nearby_counts(slam_map, box_width, box_height, np.ones(slam_map.n_observations, bool))
+
+
+def assert_counts_match(slam_map, box_width, box_height, wanted=None):
+    """_nearby_counts equals the single-query oracle on the ``wanted`` rows (all by default) and is 0 elsewhere."""
+    if wanted is None:
+        wanted = np.ones(slam_map.n_observations, bool)
+    batch = _nearby_counts(slam_map, box_width, box_height, wanted)
     point, frame, _, _ = slam_map.observation_arrays()
     assert len(batch) == len(point) == slam_map.n_observations
     index = index_oracle(slam_map)
-    for p, f, count in zip(point, frame, batch):
-        pid, fid = slam_map.points[p].id, slam_map.keyframes[f].id
-        assert count == nearby_count(slam_map, pid, fid, box_width, box_height, index)
+    for row, (p, f, count) in enumerate(zip(point, frame, batch)):
+        if wanted[row]:
+            pid, fid = slam_map.points[p].id, slam_map.keyframes[f].id
+            assert count == nearby_count(slam_map, pid, fid, box_width, box_height, index)
+        else:
+            assert count == 0
+
+
+def graph_rows(slam_map):
+    """Mask of the observation_arrays() rows that build_graph reads: those of points with two or more observers."""
+    point = slam_map.observation_arrays()[0]
+    return np.bincount(point, minlength=slam_map.n_points)[point] >= 2
+
+
+def one_frame_map(keypoints):
+    """Map of two keyframes: frame 0 holds the (u, v) keypoints, each of its own point, and frame 1 one keypoint."""
+    point_obs = {i: [(0, u, v)] for i, (u, v) in enumerate(keypoints)}
+    point_obs[len(keypoints)] = [(1, 5.0, 5.0)]
+    return make_map([(0, 0, 0), (0, 0, 1)], point_obs)
+
+
+class TestNearbyGrid:
+    @pytest.mark.parametrize("box_width", [64, 63, 65, 1, 17])
+    def test_keypoints_on_and_one_ulp_beside_column_edges(self, box_width):
+        half_u, half_v = box_width / 2.0, 24.0
+        keypoints = []
+        for k in range(12):
+            edge = float(k * box_width)
+            us = [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf), edge + half_u]
+            vs = [200.0, 200.0 + half_v, np.nextafter(200.0 + half_v, np.inf)]
+            keypoints += [(u, v) for u in us if u >= 0 for v in vs]
+        assert_counts_match(one_frame_map(keypoints), box_width, 48)
+
+    def test_keypoints_on_the_image_edges(self):
+        right, bottom = np.nextafter(640.0, 0.0), np.nextafter(480.0, 0.0)
+        keypoints = [(u, v) for u in (0.0, 5e-324, 32.0, 608.0, right - 32.0, right) for v in (0.0, 24.0, bottom - 24.0, bottom)]
+        assert_counts_match(one_frame_map(keypoints), 64, 48)
+
+    def test_hundreds_of_keypoints_in_one_cell(self):
+        rng = np.random.default_rng(3)
+        crowded = rng.uniform((64.0, 48.0), (128.0, 96.0), size=(400, 2))
+        around = rng.uniform((0.0, 0.0), (640.0, 480.0), size=(60, 2))
+        slam_map = one_frame_map([tuple(uv) for uv in np.vstack([crowded, around]).tolist()])
+        assert_counts_match(slam_map, 64, 48)
+        assert every_count(slam_map, 64, 48).max() >= 300
+
+    def test_a_keyframe_with_a_single_keypoint(self):
+        slam_map = one_frame_map([(5.0, 5.0), (10.0, 8.0), (600.0, 400.0)])
+        assert every_count(slam_map, 64, 48).tolist() == [1, 1, 0, 0]
+        lone = make_map([(0, 0, 0)], {7: [(0, 320.0, 240.0)]})
+        assert every_count(lone, 64, 48).tolist() == [0]
+
+    def test_keypoints_of_other_keyframes_are_never_counted(self):
+        # Column 1 of keyframe 0 and column 0 of keyframe 1 are neighbours in
+        # the grid's order, and their keypoints lie 10 px apart.
+        slam_map = make_map([(0, 0, 0), (0, 0, 1)], {0: [(0, 70.0, 100.0), (1, 60.0, 100.0)]})
+        assert every_count(slam_map, 64, 48).tolist() == [0, 0]
+        shifted = make_map([(0, 0, 0), (0, 0, 1)], {0: [(0, 60.0, 100.0), (1, 70.0, 100.0)], 1: [(0, 100.0, 100.0)]})
+        assert every_count(shifted, 64, 48).tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("box_width, box_height", [(64, 48), (63, 47), (1, 1)])
+    def test_coordinates_where_the_widened_bounds_round(self, box_width, box_height):
+        # At 2**54 the spacing of doubles is 4, so v + box_height/2 + 1 rounds
+        # onto v + box_height/2 and the box edge is the run's last value.
+        base = 2.0**54
+        keypoints = [(base + 4.0 * i, base + 4.0 * j) for i in range(-9, 10) for j in range(-7, 8)]
+        assert_counts_match(one_frame_map(keypoints), box_width, box_height)
+
+    def test_non_finite_keypoints_count_nothing(self):
+        nan, inf = float("nan"), float("inf")
+        slam_map = one_frame_map([(10.0, 10.0), (nan, 10.0), (10.0, inf), (inf, inf), (-inf, 12.0), (12.0, 12.0)])
+        assert every_count(slam_map, 64, 48).tolist() == [1, 0, 0, 0, 0, 1, 0]
+        assert_counts_match(slam_map, 64, 48)
+
+    def test_only_wanted_rows_are_counted(self):
+        slam_map, _ = generate(SynthConfig(n_points=200, n_keyframes=5, dropout=0.3, seed=2))
+        every = every_count(slam_map, 64, 48)
+        assert every.min() >= 0 and every.max() > 0
+        wanted = np.zeros(len(every), bool)
+        wanted[[17, 3, len(every) - 1, 0]] = True
+        assert _nearby_counts(slam_map, 64, 48, wanted).tolist() == np.where(wanted, every, 0).tolist()
+        assert not _nearby_counts(slam_map, 64, 48, wanted & False).any()
+
+    @pytest.mark.parametrize("synth, window", WORKLOAD_SHAPES)
+    def test_rows_build_graph_reads_on_workload_shaped_maps(self, synth, window):
+        slam_map, _ = generate(SynthConfig(seed=4, **synth))
+        maps = [slam_map] + (list(_window_maps(slam_map, window)) if window else [])
+        for sub in maps:
+            assert_counts_match(sub, 64, 48, graph_rows(sub))
 
 
 def assert_matches_oracle(slam_map, config):
@@ -291,8 +386,8 @@ class TestBuildGraphMatchesOracle:
             [(0, 0, 0), (0, 0, 5)],
             {1: [(0, 100, 100), (1, 100, 100)], 2: [(0, 132, 124), (1, 68, 76)], 3: [(0, 100, 100), (1, 300, 300)]},
         )
-        assert list(_nearby_counts(slam_map, 64, 48)) == [2, 1, 2, 1, 2, 0]
-        assert list(_nearby_counts(slam_map, 63, 47)) == [1, 0, 0, 0, 1, 0]
+        assert list(every_count(slam_map, 64, 48)) == [2, 1, 2, 1, 2, 0]
+        assert list(every_count(slam_map, 63, 47)) == [1, 0, 0, 0, 1, 0]
         for config in (GraphConfig(capacity_m=2), GraphConfig(capacity_m=2, box_width=63, box_height=47)):
             assert_matches_oracle(slam_map, config)
 
@@ -399,9 +494,36 @@ class TestDimacs:
         assert reparsed.total_flow == result.total_flow
         assert reparsed.total_cost == result.total_cost
 
+    def test_labels_round_trip(self, four_frame_map):
+        slam_map, _ = generate(SynthConfig(seed=4, **WORKLOAD_SHAPES[2].values[0]))
+        for graph in (build_graph(four_frame_map, GraphConfig(capacity_m=2)), build_graph(slam_map, GraphConfig(capacity_m=20))):
+            text = to_dimacs(graph, 3)
+            assert "c point 2 %d" % graph.point_ids[0] in text.splitlines()
+            parsed, supply = parse_dimacs(text)
+            assert supply == 3
+            assert parsed.point_ids.tolist() == graph.point_ids.tolist()
+            assert parsed.pairs.tolist() == graph.pairs.tolist()
+            assert parsed.edges == graph.edges
+            assert parsed.point_source_edge == graph.point_source_edge
+            assert parsed.pair_sink_edge == graph.pair_sink_edge
+
+    def test_nodes_label_themselves_unless_every_node_has_a_label(self, four_frame_map):
+        graph = build_graph(four_frame_map, GraphConfig(capacity_m=2))
+        lines = to_dimacs(graph, 3).splitlines()
+        unlabelled = [ln for ln in lines if not ln.startswith("c ")]
+        one_missing = [ln for ln in lines if ln != "c pair 10 2 3"]
+        for text in (unlabelled, one_missing):
+            parsed, _ = parse_dimacs("\n".join(text))
+            assert parsed.point_ids.tolist() == [2, 3, 4]
+            assert parsed.pairs.tolist() == [[n, n + 1] for n in range(5, 11)]
+            assert parsed.edges == graph.edges
+
     @pytest.mark.parametrize(
         "line, message",
         [
+            pytest.param("c pair 4 0", "line 3: expected 'c pair NODE FRAME_A FRAME_B'", id="short-pair-label"),
+            pytest.param("c pair 4 0 x", "line 3", id="non-integer-pair-label"),
+            pytest.param("c point 2", "line 3: expected 'c point NODE ID'", id="short-point-label"),
             pytest.param("n 1", "line 3", id="short-node"),
             pytest.param("a 1 2 0 x 1", "line 3", id="non-integer-arc"),
             pytest.param("p min x 3", "line 3", id="non-integer-problem"),
@@ -423,27 +545,43 @@ _dimacs_tokens = st.one_of(
     st.integers(-2, 6).map(str),
     st.sampled_from([str(2**62), str(2**63 - 1), str(2**63), str(-(2**63) - 1), "x", "1.5", "min"]),
 )
+_dimacs_labels = st.one_of(
+    st.tuples(st.just("c point"), _dimacs_tokens, _dimacs_tokens),
+    st.tuples(st.just("c pair"), _dimacs_tokens, _dimacs_tokens, _dimacs_tokens),
+    st.lists(_dimacs_tokens, max_size=4).map(lambda tokens: ("c", "pair", *tokens)),
+).map(" ".join)
 _dimacs_lines = st.one_of(
+    _dimacs_labels,
     st.tuples(st.just("p min"), _dimacs_tokens, _dimacs_tokens),
     st.tuples(st.just("n"), _dimacs_tokens, _dimacs_tokens),
     st.tuples(st.just("a"), _dimacs_tokens, _dimacs_tokens, st.just("0") | _dimacs_tokens, _dimacs_tokens, _dimacs_tokens),
     st.lists(_dimacs_tokens | st.sampled_from(["p", "n", "a", "c"]), max_size=7),
 ).map(" ".join)
 # A problem line with one supply node (1) and one demand node (6), then arcs
-# 1 -> {2, 3} -> {4, 5} -> 6 and at most one other line, so that many texts
-# describe a layered graph.
+# 1 -> {2, 3} -> {4, 5} -> 6, label lines, and at most one other line, so
+# that many texts describe a layered graph, some with every node labelled.
 _dimacs_arcs = st.tuples(
     st.sampled_from([(1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 6)]),
     st.integers(1, 3),
     st.integers(0, 9),
 ).map(lambda arc: "a %d %d 0 %d %d" % (*arc[0], arc[1], arc[2]))
+# Label lines for the point nodes 2, 3 and the pair nodes 4, 5 of such texts:
+# all four (most often), the last three, the last one or none; ids may repeat
+# and pairs be unordered.
+_node_labels = st.tuples(*[st.integers(0, 3)] * 6, st.sampled_from([0, 0, 0, 1, 3, 4])).map(
+    lambda t: [
+        "c point 2 %d" % t[0], "c point 3 %d" % t[1], "c pair 4 %d %d" % (t[2], t[2] + t[3] - 1),
+        "c pair 5 %d %d" % (t[4], t[4] + t[5] - 1),
+    ][t[6]:]
+)
 _dimacs_texts = st.one_of(
     st.text(),
     st.lists(_dimacs_lines, max_size=12).map("\n".join),
     st.tuples(
         st.lists(_dimacs_arcs, max_size=9, unique_by=lambda arc: tuple(arc.split()[1:3])),
+        _node_labels,
         st.lists(_dimacs_lines, max_size=1),
-    ).map(lambda lines: "\n".join(["p min 6 9", "n 1 2", "n 6 -2", *lines[0], *lines[1]])),
+    ).map(lambda lines: "\n".join(["p min 6 9", "n 1 2", "n 6 -2", *lines[0], *lines[1], *lines[2]])),
 )
 
 

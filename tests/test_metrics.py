@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,14 @@ class TestTrajectoryIO:
     def test_timestamps_must_increase(self):
         with pytest.raises(MetricsError):
             Trajectory([0.0, 0.0], np.zeros((2, 3)), np.tile(_quat.IDENTITY, (2, 1)))
+
+    @pytest.mark.parametrize("stamps", [("inf", "inf"), ("-inf", "-inf"), ("nan", "0.1"), ("0.0", "nan"), ("inf", "nan")])
+    def test_non_finite_timestamps_raise_a_metrics_error_not_a_warning(self, stamps):
+        text = "".join(f"{ts} 1 2 3 0 0 0 1\n" for ts in stamps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MetricsError, match="strictly increasing"):
+                load_trajectory(io.StringIO(text))
 
 
 _tum_fields = st.one_of(
