@@ -14,29 +14,13 @@ from mapsparse import (
     apply_selection,
     attribute_C,
     attribute_S,
-    cull_keyframes,
     generate,
     select_grid_bucketed,
     select_radius_suppressed,
     select_top_m,
     sparsify,
 )
-from mapsparse.sparsifier import SelectionResult
-
-
-def selection_from_ids(slam_map, kept):
-    return SelectionResult(
-        kept_point_ids=frozenset(kept),
-        dropped_point_ids=frozenset(p.id for p in slam_map.points if p.id not in kept),
-        culled_keyframe_ids=frozenset(cull_keyframes(slam_map, set(kept), 10)),
-        underviewed_point_ids=frozenset(),
-        point_flow={},
-        total_flow=None,
-        total_cost=None,
-        n_input_points=slam_map.n_points,
-        n_input_keyframes=slam_map.n_keyframes,
-    )
-
+from mapsparse.sparsifier import selection_from_kept
 
 stats = {name: [] for name in ("flow", "topm", "grid", "radius")}
 for seed in range(6):
@@ -50,9 +34,9 @@ for seed in range(6):
     budget = len(flow_sel.kept_point_ids)
     picks = {
         "flow": flow_sel,
-        "topm": selection_from_ids(slam_map, select_top_m(slam_map, budget)),
-        "grid": selection_from_ids(slam_map, select_grid_bucketed(slam_map, budget)),
-        "radius": selection_from_ids(slam_map, select_radius_suppressed(slam_map, budget)),
+        "topm": selection_from_kept(slam_map, select_top_m(slam_map, budget), 10),
+        "grid": selection_from_kept(slam_map, select_grid_bucketed(slam_map, budget), 10),
+        "radius": selection_from_kept(slam_map, select_radius_suppressed(slam_map, budget), 10),
     }
     for name, sel in picks.items():
         out = apply_selection(slam_map, sel)

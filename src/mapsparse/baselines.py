@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .map_model import SlamMap
+from .metrics import GRID_CELL
 
 
 def _connectivity_order(slam_map: SlamMap) -> np.ndarray:
@@ -27,8 +28,8 @@ def select_top_m(slam_map: SlamMap, budget: int) -> set[int]:
     return set(slam_map.points.id[_connectivity_order(slam_map)[:budget]].tolist())
 
 
-def select_grid_bucketed(slam_map: SlamMap, budget: int, cell_width: int = 64, cell_height: int = 48) -> set[int]:
-    """Round-robin over the per-keyframe image grid cells.
+def select_grid_bucketed(slam_map: SlamMap, budget: int) -> set[int]:
+    """Round-robin over the per-keyframe image grid cells, the GRID_CELL cells of attribute S.
 
     Cells are visited keyframe by keyframe (ascending id) in row-major order;
     each visit picks the highest-connectivity point of the cell not selected
@@ -43,6 +44,7 @@ def select_grid_bucketed(slam_map: SlamMap, budget: int, cell_width: int = 64, c
     # One bucket per (keyframe, cell row, cell column), its members by
     # descending observer count and then ascending id.
     point, frame, u, v = slam_map.observation_arrays()
+    cell_width, cell_height = GRID_CELL
     row = (v // cell_height).astype(np.int64)
     col = (u // cell_width).astype(np.int64)
     count = slam_map.observer_counts()[point]

@@ -9,8 +9,8 @@ edges carry the baseline cost and the per-pair budget capacity M.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -57,8 +57,8 @@ class GraphConfig:
     enable_cb: bool = True
 
     def __post_init__(self):
-        if self.capacity_m < 1:
-            raise GraphError("capacity_m must be >= 1")
+        if isinstance(self.capacity_m, bool) or not isinstance(self.capacity_m, Integral) or self.capacity_m < 1:
+            raise GraphError(f"capacity_m must be an integer >= 1, got {self.capacity_m!r}")
         if self.box_width < 1 or self.box_height < 1:
             raise GraphError("box dimensions must be >= 1")
 
@@ -150,53 +150,50 @@ class EdgeView(ColumnView):
     _record_type = FlowEdge
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def connectivity_cost(n: int, m: int) -> int:
-    """Source-edge cost for a point seen by n of at most m keyframes.
+def connectivity_cost(n, m: int):
+    """Source-edge cost for a point seen by n of at most m keyframes, elementwise over n.
 
     Defined by the backward recursion c(m) = 1,
     c(n) = ceil((n+1)/(n-1) * c(n+1)), evaluated in exact integer arithmetic,
     so highly connected points are the cheapest to route flow through.
     """
-    if n < 2:
-        raise ValueError(f"connectivity cost needs n >= 2, got {n}")
-    if n > m:
-        raise ValueError(f"n ({n}) must not exceed m ({m})")
-    return _connectivity_table(m)[n]
-
-
-def _connectivity_table(m: int) -> dict[int, int]:
-    """connectivity_cost(n, m) for every n in [2, m], from one pass of the recursion."""
-    table = {m: 1}
-    c = 1
+    n = np.asarray(n, np.int64)
+    if (n < 2).any():
+        raise ValueError(f"connectivity cost needs n >= 2, got {n.min()}")
+    if (n > m).any():
+        raise ValueError(f"n ({n.max()}) must not exceed m ({m})")
+    table = np.ones(max(m, 2) + 1, np.int64)
     for k in range(m - 1, 1, -1):
-        c = _ceil_div((k + 1) * c, k - 1)
-        table[k] = c
-    return table
+        table[k] = -(-(k + 1) * int(table[k + 1]) // (k - 1))
+    return table[n]
 
 
-def point_capacity(n: int) -> int:
-    """Source-edge capacity: the n*(n-1)/2 frame pairs that view the point."""
-    if n < 2:
-        raise ValueError(f"point capacity needs n >= 2, got {n}")
+def point_capacity(n):
+    """Source-edge capacity: the n*(n-1)/2 frame pairs that view the point, elementwise over n."""
+    n = np.asarray(n, np.int64)
+    if (n < 2).any():
+        raise ValueError(f"point capacity needs n >= 2, got {n.min()}")
     return n * (n - 1) // 2
 
 
-def spatial_cost(n_j: int, n_k: int) -> int:
-    """floor(log10(n_j*n_k + 1)), exact for integers of any size."""
-    if n_j < 0 or n_k < 0:
+def spatial_cost(n_j, n_k):
+    """floor(log10(n_j*n_k + 1)) elementwise, exact on int64 counts; raises where n_j*n_k + 1 leaves int64."""
+    n_j, n_k = np.asarray(n_j, np.int64), np.asarray(n_k, np.int64)
+    if (n_j < 0).any() or (n_k < 0).any():
         raise ValueError("nearby counts must be >= 0")
-    return len(str(n_j * n_k + 1)) - 1
+    if ((n_k > 0) & (n_j > (2**63 - 2) // np.maximum(n_k, 1))).any():
+        raise ValueError("nearby count product n_j*n_k + 1 must fit in int64")
+    # The digits of n_j*n_k + 1 less one, found among 10**0 .. 10**18, the powers of ten below 2**63.
+    return np.searchsorted(10 ** np.arange(19, dtype=np.int64), n_j * n_k + 1, "right") - 1
 
 
-def baseline_cost(d: float) -> int:
-    """ceil(10 / (0.1*d + 1)) for a camera-center distance d in meters."""
-    if not math.isfinite(d) or d < 0:
-        raise ValueError(f"baseline distance must be finite and >= 0, got {d}")
-    return math.ceil(10.0 / (0.1 * d + 1.0))
+def baseline_cost(d):
+    """ceil(10 / (0.1*d + 1)) for camera-center distances d in meters, elementwise."""
+    d = np.asarray(d, np.float64)
+    bad = d[~(np.isfinite(d) & (d >= 0))]
+    if bad.size:
+        raise ValueError(f"baseline distance must be finite and >= 0, got {bad.flat[0]}")
+    return np.ceil(10.0 / (0.1 * d + 1.0)).astype(np.int64)
 
 
 # Candidate (keypoint, neighbour) pairs tested at once by _nearby_counts: a
@@ -204,9 +201,6 @@ def baseline_cost(d: float) -> int:
 # fastest of 2**12..2**17 on the benchmark maps, and memory stays bounded
 # where many keypoints share a cell.
 _CANDIDATE_BLOCK = 1 << 14
-
-# 10**0 .. 10**18, every power of ten below 2**63, for exact digit counts.
-_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
 
 
 def _nearby_counts(slam_map: SlamMap, box_width: int, box_height: int, wanted: np.ndarray) -> np.ndarray:
@@ -346,28 +340,23 @@ def build_graph(slam_map: SlamMap, config: GraphConfig) -> FlowGraph:
     n_pairs = len(pair_keys)
     point_rank = np.repeat(np.cumsum(eligible) - 1, n_run)
 
-    frame_ids = np.array([kf.id for kf in slam_map.keyframes], np.int64)
-    pairs = np.column_stack([frame_ids[pair_keys // n_frames], frame_ids[pair_keys % n_frames]])
+    rows = np.column_stack(np.divmod(pair_keys, n_frames))
+    pairs = np.array([kf.id for kf in slam_map.keyframes], np.int64)[rows]
 
-    if config.enable_cc:
-        cc_table = _connectivity_table(m)
-        source_cost = np.array([0, 0] + [cc_table[c] for c in range(2, m + 1)], np.int64)[n]
-    else:
-        source_cost = np.full(n_points, _DISABLED_COST, np.int64)
+    source_cost = connectivity_cost(n, m) if config.enable_cc else np.full(n_points, _DISABLED_COST)
 
     if config.enable_cs:
         # Only the rows of eligible points are read, through first and second.
         nearby = _nearby_counts(slam_map, config.box_width, config.box_height, np.repeat(eligible, n_run))
-        product = nearby[first] * nearby[second] + 1
-        middle_cost = np.searchsorted(_POWERS_OF_TEN, product, "right") - 1
+        middle_cost = spatial_cost(nearby[first], nearby[second])
     else:
-        middle_cost = np.full(len(first), _DISABLED_COST, np.int64)
+        middle_cost = np.full(len(first), _DISABLED_COST)
 
     if config.enable_cb:
-        centers = {kf.id: kf.pose.center() for kf in slam_map.keyframes}
-        sink_cost = [baseline_cost(float(np.linalg.norm(centers[a] - centers[b]))) for a, b in pairs.tolist()]
+        centers = np.array([kf.pose.center() for kf in slam_map.keyframes])
+        sink_cost = baseline_cost(np.linalg.norm(centers[rows[:, 0]] - centers[rows[:, 1]], axis=1))
     else:
-        sink_cost = [_DISABLED_COST] * n_pairs
+        sink_cost = np.full(n_pairs, _DISABLED_COST)
 
     point_index = np.arange(1, n_points + 1)
     pair_index = np.arange(n_points + 1, n_points + 1 + n_pairs)
@@ -376,8 +365,8 @@ def build_graph(slam_map: SlamMap, config: GraphConfig) -> FlowGraph:
         pairs,
         np.concatenate([np.zeros(n_points, np.int64), 1 + point_rank[first], pair_index]),
         np.concatenate([point_index, n_points + 1 + pair_of, np.full(n_pairs, n_points + n_pairs + 1)]),
-        np.concatenate([n * (n - 1) // 2, np.ones(len(first), np.int64), np.full(n_pairs, config.capacity_m)]),
-        np.concatenate([source_cost, middle_cost, np.array(sink_cost, np.int64)]),
+        np.concatenate([point_capacity(n), np.ones(len(first), np.int64), np.full(n_pairs, config.capacity_m)]),
+        np.concatenate([source_cost, middle_cost, sink_cost]),
     )
 
 

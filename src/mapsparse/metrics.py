@@ -250,16 +250,21 @@ def attribute_F(slam_map: SlamMap) -> int:
     return int(spans[seen_twice].max())
 
 
-def attribute_S(slam_map: SlamMap, cell_width: int = 64, cell_height: int = 48) -> float:
+# (width, height) in pixels of the image-grid cells of attribute_S and the grid-bucketing baseline.
+GRID_CELL = (64, 48)
+
+
+def attribute_S(slam_map: SlamMap) -> float:
     """Mean percentage of occupied image-grid cells over keyframes.
 
-    Each image is partitioned into cell_width x cell_height pixel cells
-    (edge cells may be smaller, so every keypoint lands in exactly one cell);
-    a keyframe's occupancy is the percentage of its cells holding at least
-    one observation.
+    Each image is partitioned into GRID_CELL (64 x 48) pixel cells (edge
+    cells may be smaller, so every keypoint lands in exactly one cell); a
+    keyframe's occupancy is the percentage of its cells holding at least one
+    observation.
     """
     if slam_map.n_keyframes == 0:
         raise MetricsError("map has no keyframes")
+    cell_width, cell_height = GRID_CELL
     _, frame, u, v = slam_map.observation_arrays()
     col = np.floor_divide(u, cell_width)
     row = np.floor_divide(v, cell_height)

@@ -127,21 +127,20 @@ def select_points(result: FlowResult, graph: FlowGraph, theta_ratio: float) -> s
     the default 0.5 reduces to the integer test 2*flow > capacity and a point
     sitting exactly on the threshold is dropped.
     """
+    return _above_threshold(_point_flow(result, graph), theta_ratio)
+
+
+def _above_threshold(point_flow: dict[int, tuple[int, int]], theta_ratio: float) -> set[int]:
+    """The ids of ``point_flow`` whose flow strictly exceeds theta_ratio * capacity, exactly."""
     frac = Fraction(theta_ratio)
-    num, den = frac.numerator, frac.denominator
-    return {
-        pid
-        for pid, flow, cap in _source_edges(result, graph)
-        if flow * den > num * cap
-    }
+    return {pid for pid, (flow, cap) in point_flow.items() if flow * frac.denominator > frac.numerator * cap}
 
 
-def _source_edges(result: FlowResult, graph: FlowGraph):
-    """(point id, flow, capacity) of every source edge, as Python ints."""
-    source_edges = list(graph.point_source_edge.values())
-    caps = graph.capacity[source_edges].tolist()
+def _point_flow(result: FlowResult, graph: FlowGraph) -> dict[int, tuple[int, int]]:
+    """Point id -> (flow, capacity) of its source edge, as Python ints."""
+    caps = graph.capacity[list(graph.point_source_edge.values())].tolist()
     flows = result.edge_flows
-    return [(pid, flows[ei], cap) for (pid, ei), cap in zip(graph.point_source_edge.items(), caps)]
+    return {pid: (flows[ei], cap) for (pid, ei), cap in zip(graph.point_source_edge.items(), caps)}
 
 
 def cull_keyframes(slam_map: SlamMap, kept_points: set[int], keyframe_min_points: int) -> set[int]:
@@ -150,6 +149,8 @@ def cull_keyframes(slam_map: SlamMap, kept_points: set[int], keyframe_min_points
     The first and last keyframes (by seq_index) are never culled; they anchor
     the trajectory.
     """
+    if keyframe_min_points < 1:
+        raise ValueError("keyframe_min_points must be >= 1")
     if not slam_map.keyframes:
         return set()
     by_seq = sorted(slam_map.keyframes, key=lambda k: k.seq_index)
@@ -174,14 +175,15 @@ def sparsify(slam_map: SlamMap, config: SparsifyConfig) -> SelectionResult:
     result = solve(graph)
     t2 = time.perf_counter()
 
-    kept = select_points(result, graph, config.theta_ratio)
+    point_flow = _point_flow(result, graph)
+    kept = _above_threshold(point_flow, config.theta_ratio)
     if not config.drop_underviewed:
         kept |= underviewed_points(slam_map)
     return selection_from_kept(
         slam_map,
         kept,
         config.keyframe_min_points,
-        point_flow={pid: (flow, cap) for pid, flow, cap in _source_edges(result, graph)},
+        point_flow=point_flow,
         total_flow=result.total_flow,
         total_cost=result.total_cost,
         build_ms=(t1 - t0) * 1000.0,

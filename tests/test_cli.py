@@ -108,6 +108,20 @@ def test_sparsify_rejects_a_negative_window(generated, tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("strategy", ["flow", "topm", "grid", "radius"])
+@pytest.mark.parametrize("min_kf_points", ["0", "-3"])
+def test_sparsify_rejects_min_kf_points_below_one(strategy, min_kf_points, generated, tmp_path, capsys):
+    map_path, _ = generated
+    out_path = tmp_path / "sparse.json"
+    rc = main([
+        "sparsify", "--map", str(map_path), "--strategy", strategy, "--capacity-m", "5", "--budget", "50",
+        "--min-kf-points", min_kf_points, "--out", str(out_path),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: keyframe_min_points must be >= 1\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("strategy", ["topm", "grid", "radius"])
 def test_sparsify_rejects_a_window_with_a_baseline_strategy(strategy, generated, tmp_path, capsys):
     map_path, _ = generated

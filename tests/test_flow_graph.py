@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +133,93 @@ class TestBaselineCost:
             baseline_cost(-1.0)
         with pytest.raises(ValueError):
             baseline_cost(float("nan"))
+
+
+def connectivity_reference(m):
+    """c(n) for n in [2, m] from c(n) = ceil((n+1)/(n-1) * c(n+1)), c(m) = 1, in fractions."""
+    c = [1]
+    for n in range(m - 1, 1, -1):
+        c.append(math.ceil(Fraction(n + 1, n - 1) * c[-1]))
+    return c[::-1]
+
+
+INT64_MAX = 2**63 - 1
+
+
+def baseline_steps():
+    """Distances on each ceil step of the baseline cost, 10 / (0.1*d + 1) = k, and one ulp either side."""
+    steps = np.array([100.0 / k - 10.0 for k in range(1, 11)])
+    d = np.concatenate([steps, np.nextafter(steps, np.inf), np.nextafter(steps, -np.inf)])
+    return np.sort(d[d >= 0])
+
+
+class TestCostsOnArrays:
+    """Each cost function, given arrays, equals its scalar calls element by element."""
+
+    def test_connectivity_cost_for_every_n_up_to_m(self):
+        for m in range(2, 151):
+            n = np.arange(2, m + 1)
+            costs = connectivity_cost(n, m)
+            assert costs.dtype == np.int64 and costs.shape == n.shape
+            assert costs.tolist() == [connectivity_cost(int(k), m) for k in n] == connectivity_reference(m)
+            column = n[::-1].reshape(-1, 1)
+            assert connectivity_cost(column, m).tolist() == [[c] for c in connectivity_reference(m)[::-1]]
+
+    def test_point_capacity(self):
+        n = np.array([2, 3, 4, 10, 150, 10**6, 3_037_000_499])  # the last: n*(n-1) just below 2**63
+        assert point_capacity(n).tolist() == [point_capacity(int(k)) for k in n] == [k * (k - 1) // 2 for k in n.tolist()]
+
+    def test_spatial_cost_at_decade_boundaries(self):
+        product = np.array([10**d + e for d in range(19) for e in (-2, -1, 0) if 0 <= 10**d + e < INT64_MAX])
+        for n_j, n_k in ((product, 1), (1, product), (product, np.ones_like(product))):
+            costs = spatial_cost(n_j, n_k)
+            expected = [len(str(p + 1)) - 1 for p in product.tolist()]
+            assert costs.tolist() == [spatial_cost(int(p), 1) for p in product] == expected
+        factored = np.array([[9, 11], [3, 3], [1, 9], [1, 8], [99, 101], [3, 333], [31622, 31623], [3_037_000_499] * 2])
+        assert spatial_cost(factored[:, 0], factored[:, 1]).tolist() == [
+            len(str(a * b + 1)) - 1 for a, b in factored.tolist()
+        ]
+
+    def test_spatial_cost_up_to_the_int64_limit(self):
+        assert spatial_cost(INT64_MAX - 1, 1) == 18
+        assert spatial_cost(np.array([0, INT64_MAX]), np.array([INT64_MAX, 0])).tolist() == [0, 0]
+        assert spatial_cost(np.array([[4, 5], [6, 7]]), 3).tolist() == [[1, 1], [1, 1]]
+
+    @pytest.mark.parametrize("n_j, n_k", [(INT64_MAX, 1), (2**62, 2), (3_037_000_500, 3_037_000_500), (2, INT64_MAX)])
+    def test_spatial_cost_raises_where_the_product_leaves_int64(self, n_j, n_k):
+        with pytest.raises(ValueError, match="int64"):
+            spatial_cost(n_j, n_k)
+        with pytest.raises(ValueError, match="int64"):
+            spatial_cost(np.array([3, n_j, 5]), np.array([4, n_k, 6]))
+
+    def test_baseline_cost_one_ulp_either_side_of_each_ceil_step(self):
+        d = baseline_steps()
+        costs = baseline_cost(d)
+        assert costs.dtype == np.int64
+        assert costs.tolist() == [baseline_cost(float(x)) for x in d] == [math.ceil(10.0 / (0.1 * x + 1.0)) for x in d]
+        assert set(costs.tolist()) == set(range(1, 11))
+        assert all(a >= b for a, b in zip(costs.tolist(), costs.tolist()[1:]))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: point_capacity(np.array([2, 3, 1, 4])),
+            lambda: connectivity_cost(np.array([2, 3, 1]), 5),
+            lambda: connectivity_cost(np.array([2, 6, 3]), 5),
+            lambda: spatial_cost(np.array([1, 2, 3]), np.array([3, -1, 4])),
+            lambda: spatial_cost(np.array([1, -2, 3]), 4),
+            lambda: baseline_cost(np.array([1.0, np.inf, 2.0])),
+            lambda: baseline_cost(np.array([1.0, 2.0, np.nan])),
+            lambda: baseline_cost(np.array([[1.0, np.nextafter(0.0, -1.0)]])),
+        ],
+    )
+    def test_one_bad_element_raises(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_scalar_calls_return_numpy_integers(self):
+        values = (connectivity_cost(2, 5), point_capacity(4), spatial_cost(3, 3), baseline_cost(10.0))
+        assert all(isinstance(v, np.integer) for v in values) and values == (12, 6, 1, 5)
 
 
 class TestBuildGraph:
@@ -476,6 +566,16 @@ class TestGraphConfig:
             GraphConfig(capacity_m=0)
         with pytest.raises(GraphError):
             GraphConfig(capacity_m=1, box_width=0)
+
+    @pytest.mark.parametrize("capacity_m", [1.5, 2.0, True, False, np.float64(3), np.bool_(True), "4", None])
+    def test_capacity_must_be_an_integer(self, capacity_m):
+        with pytest.raises(GraphError, match="capacity_m must be an integer >= 1"):
+            GraphConfig(capacity_m=capacity_m)
+
+    @pytest.mark.parametrize("capacity_m", [1, 7, np.int64(7), np.int32(7), np.uint8(7)])
+    def test_python_and_numpy_integers_are_accepted(self, capacity_m, four_frame_map):
+        graph = build_graph(four_frame_map, GraphConfig(capacity_m=capacity_m))
+        assert graph.capacity[list(graph.pair_sink_edge.values())].tolist() == [int(capacity_m)] * 6
 
 
 class TestDimacs:

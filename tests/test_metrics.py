@@ -1,6 +1,7 @@
 import io
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import WORKLOAD_SHAPES, make_map, map_from_records
 from map_oracles import attribute_C_oracle, attribute_F_oracle, attribute_S_oracle
-from mapsparse import _quat
+from mapsparse import _quat, metrics
 from mapsparse.map_model import CameraIntrinsics, Observation
 from mapsparse.metrics import (
     AlignmentError,
@@ -335,8 +336,9 @@ def assert_attributes_match_oracles(slam_map):
     else:
         assert attribute_F(slam_map) == expected_f
     if slam_map.n_keyframes:
-        for cells in ((64, 48), (7, 5)):
-            assert attribute_S(slam_map, *cells) == attribute_S_oracle(slam_map, *cells)
+        assert attribute_S(slam_map) == attribute_S_oracle(slam_map, 64, 48)
+        with mock.patch.object(metrics, "GRID_CELL", (7, 5)):
+            assert attribute_S(slam_map) == attribute_S_oracle(slam_map, 7, 5)
 
 
 @settings(max_examples=150, deadline=None)

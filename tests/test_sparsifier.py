@@ -186,6 +186,13 @@ def test_config_validation():
         SparsifyConfig(graph=GraphConfig(capacity_m=1), keyframe_min_points=0)
 
 
+@pytest.mark.parametrize("keyframe_min_points", [0, -3])
+def test_cull_keyframes_rejects_a_minimum_below_one(keyframe_min_points):
+    slam_map = make_map([(0, 0, 0), (1, 0, 0)], {0: [(0, 10, 10), (1, 10, 10)]})
+    with pytest.raises(ValueError, match="keyframe_min_points must be >= 1"):
+        cull_keyframes(slam_map, {0}, keyframe_min_points)
+
+
 @settings(max_examples=150, deadline=None)
 @given(slam_map=messy_maps(), data=st.data())
 def test_column_steps_match_record_by_record_oracles(slam_map, data):
