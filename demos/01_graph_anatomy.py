@@ -57,7 +57,7 @@ labels += [("sink",)]
 
 result = solve(graph)
 print(f"{'edge':<34}{'cap':>4}{'cost':>6}{'flow':>6}")
-for e, f in zip(graph.edges, result.edge_flows):
+for e, f in zip(graph.edges, result.edge_flows.tolist()):
     print(f"{str(labels[e.tail]) + ' -> ' + str(labels[e.head]):<34}{e.capacity:>4}{e.cost:>6}{f:>6}")
 
 print(f"\ntotal flow {result.total_flow}, total cost {result.total_cost}")

@@ -30,7 +30,7 @@ from .map_model import (
     save_map,
     validate,
 )
-from .mcmf import FlowResult, max_flow_oracle, parse_dimacs, solve, verify_optimality
+from .mcmf import FlowResult, parse_dimacs, solve, verify_optimality
 from .metrics import (
     AlignmentError,
     MetricsError,

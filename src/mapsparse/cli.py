@@ -46,7 +46,12 @@ def _add_sparsify(sub):
     p.add_argument("--theta-ratio", type=float, default=0.5)
     p.add_argument("--no-cc", action="store_true", help="disable the connectivity cost")
     p.add_argument("--no-cs", action="store_true", help="disable the spatial-diversity cost")
-    p.add_argument("--no-cb", action="store_true", help="disable the baseline cost")
+    p.add_argument(
+        "--no-cb",
+        action="store_true",
+        help="disable the baseline cost; it only shifts total_cost, since every maximum flow fills each "
+        "frame pair to min(M, k), so the kept points and culled keyframes stay the same",
+    )
     p.add_argument("--box-width", type=int, default=64)
     p.add_argument("--box-height", type=int, default=48)
     p.add_argument("--strategy", choices=("flow", *_BASELINES), default="flow")

@@ -57,10 +57,10 @@ class GraphConfig:
     enable_cb: bool = True
 
     def __post_init__(self):
-        if isinstance(self.capacity_m, bool) or not isinstance(self.capacity_m, Integral) or self.capacity_m < 1:
-            raise GraphError(f"capacity_m must be an integer >= 1, got {self.capacity_m!r}")
-        if self.box_width < 1 or self.box_height < 1:
-            raise GraphError("box dimensions must be >= 1")
+        for name in ("capacity_m", "box_width", "box_height"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise GraphError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class FlowGraph:
@@ -150,6 +150,14 @@ class EdgeView(ColumnView):
     _record_type = FlowEdge
 
 
+def _counts(x, name: str) -> np.ndarray:
+    """x as an int64 array; ValueError unless it holds integers (Python or numpy, not bool)."""
+    a = np.asarray(x)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integer counts, got {a.ravel()[:1].tolist()[0]!r} ({a.dtype})")
+    return a.astype(np.int64, copy=False)
+
+
 def connectivity_cost(n, m: int):
     """Source-edge cost for a point seen by n of at most m keyframes, elementwise over n.
 
@@ -157,7 +165,8 @@ def connectivity_cost(n, m: int):
     c(n) = ceil((n+1)/(n-1) * c(n+1)), evaluated in exact integer arithmetic,
     so highly connected points are the cheapest to route flow through.
     """
-    n = np.asarray(n, np.int64)
+    n = _counts(n, "n")
+    m = int(_counts(m, "m"))
     if (n < 2).any():
         raise ValueError(f"connectivity cost needs n >= 2, got {n.min()}")
     if (n > m).any():
@@ -170,7 +179,7 @@ def connectivity_cost(n, m: int):
 
 def point_capacity(n):
     """Source-edge capacity: the n*(n-1)/2 frame pairs that view the point, elementwise over n."""
-    n = np.asarray(n, np.int64)
+    n = _counts(n, "n")
     if (n < 2).any():
         raise ValueError(f"point capacity needs n >= 2, got {n.min()}")
     return n * (n - 1) // 2
@@ -178,7 +187,7 @@ def point_capacity(n):
 
 def spatial_cost(n_j, n_k):
     """floor(log10(n_j*n_k + 1)) elementwise, exact on int64 counts; raises where n_j*n_k + 1 leaves int64."""
-    n_j, n_k = np.asarray(n_j, np.int64), np.asarray(n_k, np.int64)
+    n_j, n_k = _counts(n_j, "n_j"), _counts(n_k, "n_k")
     if (n_j < 0).any() or (n_k < 0).any():
         raise ValueError("nearby counts must be >= 0")
     if ((n_k > 0) & (n_j > (2**63 - 2) // np.maximum(n_k, 1))).any():

@@ -1,71 +1,69 @@
-"""Integer minimum-cost maximum-flow on the layered graph, plus optimality certificates.
+"""Integer minimum-cost maximum flow on the layered graph, and its optimality certificate.
 
-:func:`solve` first checks, in O(E), whether any source edge can bind: a
-point's source edge cannot bind when its capacity is at least the sum of the
-point's outgoing capacities. ``build_graph`` always builds such graphs (a
-point seen by n keyframes has capacity n(n-1)/2 and exactly that many
-capacity-1 pair edges). The points then pass on whatever their pairs ask
-for, so the problem splits into independent pairs. The maximum flow is the
-sum over pairs of min(M, in-capacity), every maximum flow fills each pair to
-that level, and the cheapest way to do so is for each pair to fill itself
-with the candidates of lowest cc(point) + cs(point, pair), in that order.
-That closed form is one lexsort and a segmented running sum over the
-point->pair edges.
+:func:`solve` first checks, in O(E), that no source edge can bind: a point's
+source edge cannot bind when its capacity is at least the sum of the point's
+outgoing capacities. ``build_graph`` always builds such graphs (a point seen
+by n keyframes has capacity n(n-1)/2 and exactly that many capacity-1 pair
+edges). The points then pass on whatever their pairs ask for, so the problem
+splits into independent pairs. The maximum flow is the sum over pairs of
+min(M, in-capacity), every maximum flow fills each pair to that level, and
+the cheapest way to do so is for each pair to fill itself with the
+candidates of lowest cc(point) + cs(point, pair), in that order. That closed
+form is one lexsort and a segmented running sum over the point->pair edges.
 
 Tie rule: among candidates of equal cc + cs, the lower edge index is taken
 first. ``build_graph`` emits the point->pair edges in point-id order, so on
 its graphs the lower point id wins.
 
-Graphs where some source edge can bind (DIMACS inputs, random test graphs),
-or whose capacity and cost sums could leave int64, go to the general solver,
-``_solve_ssp``. It runs successive shortest augmenting paths with vertex
-potentials: each phase computes reduced-cost shortest distances with Dijkstra
-(all costs are non-negative), lifts the potentials, and then saturates every
-remaining shortest path at once with a level-restricted blocking flow.
-Augmentation order is fixed (lowest edge index first), so results are
-reproducible. It stays the reference the closed form is tested against.
+A graph on which some source edge can bind (say, a hand-written DIMACS
+file) is outside the closed form: :func:`solve` and
+:func:`verify_optimality` raise :class:`GraphError` naming the first such
+point. They raise it too where a flow or cost sum could leave int64.
 
-:func:`verify_optimality` picks its certificate the same way: per-pair
-cheapest-fill checks in O(E) when no source edge can bind, and the
-residual-graph certificate (reachability plus Bellman-Ford) otherwise.
+:func:`verify_optimality` checks the per-pair conditions in O(E): the flow
+is feasible, fills every pair to min(M, in-capacity), and never leaves a
+cheaper candidate unused while a dearer one in the same pair carries flow.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .flow_graph import FlowGraph, GraphError
+from .flow_graph import FlowGraph, GraphError, _counts
 
-_INF = 1 << 62
+# Every flow and cost sum of the closed form stays below this bound.
+_SUM_LIMIT = 1 << 62
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowResult:
-    """Per-edge flows aligned with ``graph.edges``, plus the solved totals."""
+    """Per-edge flows aligned with ``graph.edges``, plus the solved totals.
 
-    edge_flows: tuple[int, ...]
+    ``edge_flows`` is held as a read-only int64 array; the constructor
+    converts a sequence or array of integers and raises ValueError on any
+    other. Two results are equal when their flows and totals are.
+    """
+
+    edge_flows: np.ndarray
     total_flow: int
     total_cost: int
 
+    def __post_init__(self):
+        flows = _counts(self.edge_flows, "edge_flows").view()
+        flows.flags.writeable = False
+        object.__setattr__(self, "edge_flows", flows)
 
-def _residual_arrays(graph: FlowGraph):
-    """Paired forward/reverse residual arrays; reverse of edge e is e^1."""
-    head, cap, cost = (
-        np.column_stack((forward, reverse)).ravel().tolist()
-        for forward, reverse in (
-            (graph.head, graph.tail),
-            (graph.capacity, np.zeros_like(graph.capacity)),
-            (graph.cost, -graph.cost),
+    def __eq__(self, other):
+        if not isinstance(other, FlowResult):
+            return NotImplemented
+        return (self.total_flow, self.total_cost) == (other.total_flow, other.total_cost) and np.array_equal(
+            self.edge_flows, other.edge_flows
         )
-    )
-    adj: list[list[int]] = [[] for _ in range(graph.n_vertices)]
-    for r in range(len(head)):  # arc r leaves the head of its reverse r^1
-        adj[head[r ^ 1]].append(r)
-    return head, cap, cost, adj
+
+    __hash__ = None
 
 
 class _Pairwise(NamedTuple):
@@ -82,37 +80,55 @@ class _Pairwise(NamedTuple):
     budget: np.ndarray  # per vertex: capacity of its pair->sink edge, else 0
 
 
-def _pairwise(graph: FlowGraph) -> _Pairwise | None:
-    """Edge arrays for the per-pair closed form, or None where it does not apply.
+def _pairwise(graph: FlowGraph) -> _Pairwise:
+    """Edge arrays for the per-pair closed form; GraphError where it does not apply.
 
     It applies when every point's source-edge capacity covers the sum of its
     outgoing capacities (a point without a source edge counts as capacity 0)
-    and every flow and cost sum stays below 2**62.
+    and the flow and cost sums stay below 2**62. No flow exceeds U, the sum
+    of the point->pair capacities, and no unit of flow costs more than the
+    largest cc + cs plus the largest cb, so U times that cost bounds every
+    sum; the per-pair budget M enters only through min(M, in-capacity).
     """
     tail, head, cap, cost = graph.tail, graph.head, graph.capacity, graph.cost
-    m = graph.n_edges
-    if m and int(cap.max()) * max(int(cost.max()), 1) * m >= _INF:
-        return None
     n = graph.n_vertices
     is_source = tail == graph.source_index
     is_sink = head == graph.sink_index
     middle = np.flatnonzero(~(is_source | is_sink))
+    middle_cap = cap[middle]
+    # A float sum first: below 2**62 it proves that the int64 sums cannot wrap.
+    if middle_cap.sum(dtype=np.float64) >= _SUM_LIMIT:
+        raise GraphError("the point->pair capacities sum to 2**62 or more")
+    units = int(middle_cap.sum())
     source_cap = np.zeros(n, np.int64)
     source_cap[head[is_source]] = cap[is_source]
     out_cap = np.zeros(n, np.int64)
-    np.add.at(out_cap, tail[middle], cap[middle])
-    if (out_cap > source_cap).any():
-        return None
+    np.add.at(out_cap, tail[middle], middle_cap)
+    binds = np.flatnonzero(out_cap > source_cap)
+    if len(binds):
+        v = binds[0]
+        raise GraphError(
+            f"point {graph.point_ids[v - 1]}: source capacity {source_cap[v]} is below its {out_cap[v]} units "
+            "of pair capacity, so its source edge can bind and the per-pair closed form does not apply"
+        )
     cc = np.zeros(n, np.int64)
     cc[head[is_source]] = cost[is_source]
     budget = np.zeros(n, np.int64)
     budget[tail[is_sink]] = cap[is_sink]
     key = cc[tail[middle]] + cost[middle]
+    dearest = int(key.max(initial=0)) + int(cost[is_sink].max(initial=0))
+    if units * dearest >= _SUM_LIMIT:
+        raise GraphError("the flow's cost could reach 2**62, beyond what the closed form carries in int64")
     return _Pairwise(tail, head, cap, cost, is_source, is_sink, middle, key, budget)
 
 
-def _solve_pairwise(graph: FlowGraph, pw: _Pairwise) -> FlowResult:
-    """Fill each pair to its budget with its cheapest candidates (see module doc)."""
+def solve(graph: FlowGraph) -> FlowResult:
+    """Maximum s-t flow of minimum total cost, by the per-pair closed form (see the module docstring).
+
+    Each pair fills itself to its budget with its cheapest candidates.
+    Raises GraphError on a graph where a source edge can bind.
+    """
+    pw = _pairwise(graph)
     order = np.lexsort((pw.middle, pw.key, pw.head[pw.middle]))
     mid = pw.middle[order]
     pair = pw.head[mid]
@@ -129,218 +145,21 @@ def _solve_pairwise(graph: FlowGraph, pw: _Pairwise) -> FlowResult:
     np.add.at(through, pair, taken)
     flows[pw.is_source] = through[pw.head[pw.is_source]]
     flows[pw.is_sink] = through[pw.tail[pw.is_sink]]
-    return FlowResult(tuple(flows.tolist()), int(flows[pw.is_source].sum()), int(flows @ pw.cost))
-
-
-def solve(graph: FlowGraph) -> FlowResult:
-    """Maximum s-t flow of minimum total cost, deterministic for fixed input.
-
-    Uses the per-pair closed form when no source edge can bind, and
-    successive shortest paths otherwise (see the module docstring).
-    """
-    pw = _pairwise(graph)
-    if pw is None:
-        return _solve_ssp(graph)
-    return _solve_pairwise(graph, pw)
-
-
-def _solve_ssp(graph: FlowGraph) -> FlowResult:
-    """Successive shortest paths on any layered graph; the general reference solver."""
-    n = graph.n_vertices
-    s = graph.source_index
-    t = graph.sink_index
-    head, cap, cost, adj = _residual_arrays(graph)
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    # Reduced costs are refreshed in one bulk pass after each potential lift;
-    # numpy keeps that O(E) pass cheap while the scan loops index plain lists.
-    head_np = np.array(head, dtype=np.int64)
-    tail_np = np.empty_like(head_np)
-    tail_np[0::2] = head_np[1::2]
-    tail_np[1::2] = head_np[0::2]
-    cost_np = np.array(cost, dtype=np.int64)
-    pot_np = np.zeros(n, dtype=np.int64)
-    rc = cost[:]  # equals the reduced cost while potentials are all zero
-
-    while True:
-        # Dijkstra on reduced costs, early exit once the sink is settled.
-        dist = [_INF] * n
-        dist[s] = 0
-        done = bytearray(n)
-        heap = [(0, s)]
-        dist_t = _INF
-        while heap:
-            d, v = heappop(heap)
-            if done[v]:
-                continue
-            done[v] = 1
-            if v == t:
-                dist_t = d
-                break
-            for e in adj[v]:
-                if cap[e] > 0:
-                    w = head[e]
-                    if not done[w]:
-                        nd = d + rc[e]
-                        if nd < dist[w]:
-                            dist[w] = nd
-                            heappush(heap, (nd, w))
-        if dist_t >= _INF:
-            break
-        lift = np.fromiter(dist, dtype=np.int64, count=n)
-        np.minimum(lift, dist_t, out=lift)
-        pot_np += lift
-        rc_np = cost_np + pot_np[tail_np] - pot_np[head_np]
-        rc = rc_np.tolist()
-
-        # Hop levels over the tight (zero reduced cost) residual arcs, as
-        # vectorized frontier rounds; expansion stops once the sink is leveled.
-        cap_np = np.fromiter(cap, dtype=np.int64, count=len(cap))
-        tight = (cap_np > 0) & (rc_np == 0)
-        level_np = np.full(n, -1, dtype=np.int64)
-        level_np[s] = 0
-        frontier = np.zeros(n, dtype=bool)
-        frontier[s] = True
-        depth = 0
-        while frontier.any() and level_np[t] < 0:
-            depth += 1
-            hit = np.zeros(n, dtype=bool)
-            hit[head_np[tight & frontier[tail_np]]] = True
-            frontier = hit & (level_np < 0)
-            level_np[frontier] = depth
-        if level_np[t] < 0:
-            continue
-
-        # Admissible = tight and level-monotone; prune arcs whose head cannot
-        # reach the sink so the walk below never wanders into dead ends.
-        adm = tight & (level_np[tail_np] >= 0) & (level_np[tail_np] + 1 == level_np[head_np])
-        reach = np.zeros(n, dtype=bool)
-        reach[t] = True
-        while True:
-            grow = adm & reach[head_np] & ~reach[tail_np]
-            if not grow.any():
-                break
-            reach[tail_np[grow]] = True
-        adm &= reach[head_np]
-        adm_idx = np.flatnonzero(adm)
-        order = np.argsort(tail_np[adm_idx], kind="stable")
-        adm_sorted = adm_idx[order]
-        arc_of = adm_sorted.tolist()
-        start = np.searchsorted(tail_np[adm_sorted], np.arange(n + 1)).tolist()
-
-        # Blocking flow on the admissible arc lists (current-arc discipline:
-        # pointers only advance, on saturation or on retreat from a dead head).
-        it = start[:-1]
-        path: list[int] = []
-        v = s
-        while True:
-            if v == t:
-                push = min(cap[e] for e in path)
-                sat = -1
-                for j, e in enumerate(path):
-                    cap[e] -= push
-                    cap[e ^ 1] += push
-                    if sat < 0 and cap[e] == 0:
-                        sat = j
-                first_saturated = path[sat]
-                del path[sat:]
-                v = head[first_saturated ^ 1]
-                continue
-            i = it[v]
-            end = start[v + 1]
-            chosen = -1
-            while i < end:
-                e = arc_of[i]
-                if cap[e] > 0:
-                    chosen = e
-                    break
-                i += 1
-            it[v] = i
-            if chosen >= 0:
-                path.append(chosen)
-                v = head[chosen]
-            else:
-                if v == s:
-                    break
-                e = path.pop()
-                v = head[e ^ 1]
-                it[v] += 1  # the arc into the dead vertex is done for this phase
-
-    flows = tuple(cap[1::2])
-    total_flow = sum(f for f, tl in zip(flows, graph.tail.tolist()) if tl == s)
-    total_cost = sum(f * c for f, c in zip(flows, graph.cost.tolist()))
-    assert abs(total_cost) < _INF and total_flow < _INF
-    return FlowResult(flows, total_flow, total_cost)
-
-
-def max_flow_oracle(graph: FlowGraph) -> int:
-    """Classical shortest-augmenting-path max flow, used to cross-check totals."""
-    n = graph.n_vertices
-    s = graph.source_index
-    t = graph.sink_index
-    head, cap, _, adj = _residual_arrays(graph)
-    total = 0
-    while True:
-        parent = [-1] * n
-        parent[s] = -2
-        queue = [s]
-        qi = 0
-        reached = False
-        while qi < len(queue) and not reached:
-            v = queue[qi]
-            qi += 1
-            for e in adj[v]:
-                w = head[e]
-                if cap[e] > 0 and parent[w] == -1:
-                    parent[w] = e
-                    if w == t:
-                        reached = True
-                        break
-                    queue.append(w)
-        if not reached:
-            return total
-        push = _INF
-        v = t
-        while v != s:
-            e = parent[v]
-            if cap[e] < push:
-                push = cap[e]
-            v = head[e ^ 1]
-        v = t
-        while v != s:
-            e = parent[v]
-            cap[e] -= push
-            cap[e ^ 1] += push
-            v = head[e ^ 1]
-        total += push
+    return FlowResult(flows, int(flows[pw.is_source].sum()), int(flows @ pw.cost))
 
 
 def verify_optimality(graph: FlowGraph, result: FlowResult) -> bool:
     """Certify the solved flow: feasible, maximal, and of minimum cost.
 
-    Uses the O(E) per-pair certificate when no source edge can bind, and the
-    residual-graph certificate otherwise (see the module docstring).
-    """
-    if len(result.edge_flows) != graph.n_edges:
-        return False
-    pw = _pairwise(graph)
-    if pw is None:
-        return _verify_residual(graph, result)
-    return _verify_pairwise(graph, pw, result)
-
-
-def _verify_pairwise(graph: FlowGraph, pw: _Pairwise, result: FlowResult) -> bool:
-    """Per-pair certificate for graphs whose source edges cannot bind.
-
     True iff the flow respects capacities and conservation, every pair
     carries min(M, its in-capacity) (so the flow is maximal), and in every
     pair the costliest cc + cs carrying flow is no dearer than the cheapest
-    cc + cs with spare capacity (so no exchange lowers the cost).
+    cc + cs with spare capacity (so no exchange lowers the cost). Raises
+    GraphError on a graph where a source edge can bind.
     """
-    try:
-        flows = np.array(result.edge_flows, dtype=np.int64)
-    except OverflowError:  # beyond int64 is beyond every capacity
+    pw = _pairwise(graph)
+    flows = result.edge_flows
+    if len(flows) != graph.n_edges:
         return False
     if ((flows < 0) | (flows > pw.cap)).any():
         return False
@@ -366,87 +185,6 @@ def _verify_pairwise(graph: FlowGraph, pw: _Pairwise, result: FlowResult) -> boo
     cheapest_spare = np.full(graph.n_vertices, np.iinfo(np.int64).max, np.int64)
     np.minimum.at(cheapest_spare, pair[used < cap], pw.key[used < cap])
     return bool((dearest_used <= cheapest_spare).all())
-
-
-def _verify_residual(graph: FlowGraph, result: FlowResult) -> bool:
-    """Residual-graph certificate for any layered graph.
-
-    True iff the flow respects capacities and conservation, the residual
-    graph admits no augmenting s-t path (maximality), and it contains no
-    negative-cost cycle (minimality among maximum flows).
-    """
-    n = graph.n_vertices
-    s = graph.source_index
-    t = graph.sink_index
-    flows = result.edge_flows
-    if len(flows) != graph.n_edges:
-        return False
-
-    edges = list(zip(flows, *(a.tolist() for a in (graph.tail, graph.head, graph.capacity, graph.cost))))
-    net = [0] * n
-    for f, tl, h, cap, _ in edges:
-        if not 0 <= f <= cap:
-            return False
-        net[tl] -= f
-        net[h] += f
-    for v in range(n):
-        if v not in (s, t) and net[v] != 0:
-            return False
-
-    arcs = []
-    for f, tl, h, cap, cost in edges:
-        if f < cap:
-            arcs.append((tl, h, cost))
-        if f > 0:
-            arcs.append((h, tl, -cost))
-
-    # (a) maximality: sink unreachable in the residual graph
-    reach = [False] * n
-    reach[s] = True
-    frontier = [s]
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, c in arcs:
-        out[u].append((v, c))
-    while frontier:
-        u = frontier.pop()
-        for v, _ in out[u]:
-            if not reach[v]:
-                reach[v] = True
-                frontier.append(v)
-    if reach[t]:
-        return False
-
-    # (b) minimality: no negative cycle (Bellman-Ford from an all-zero start).
-    # A pass that changes nothing proves there is none; a cycle among the
-    # predecessor pointers that relaxation keeps is a negative cycle.
-    dist = [0] * n
-    pred = [-1] * n
-    for it in range(n):
-        changed = False
-        for u, v, c in arcs:
-            nd = dist[u] + c
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                changed = True
-        if not changed:
-            return True
-        if _has_cycle(pred):
-            return False
-    return not changed
-
-
-def _has_cycle(pred: list[int]) -> bool:
-    """Whether following predecessor pointers (-1: none) from some vertex returns to it."""
-    walk_of = [0] * len(pred)  # 1 + the start of the walk that first reached each vertex
-    for start in range(len(pred)):
-        v = start
-        while v != -1 and not walk_of[v]:
-            walk_of[v] = start + 1
-            v = pred[v]
-        if v != -1 and walk_of[v] == start + 1:
-            return True
-    return False
 
 
 def _ints(fields: list[str], lineno: int, form: str) -> list[int]:

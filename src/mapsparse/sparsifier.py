@@ -138,9 +138,10 @@ def _above_threshold(point_flow: dict[int, tuple[int, int]], theta_ratio: float)
 
 def _point_flow(result: FlowResult, graph: FlowGraph) -> dict[int, tuple[int, int]]:
     """Point id -> (flow, capacity) of its source edge, as Python ints."""
-    caps = graph.capacity[list(graph.point_source_edge.values())].tolist()
-    flows = result.edge_flows
-    return {pid: (flows[ei], cap) for (pid, ei), cap in zip(graph.point_source_edge.items(), caps)}
+    source_edges = list(graph.point_source_edge.values())
+    flows = result.edge_flows[source_edges].tolist()
+    caps = graph.capacity[source_edges].tolist()
+    return dict(zip(graph.point_source_edge, zip(flows, caps)))
 
 
 def cull_keyframes(slam_map: SlamMap, kept_points: set[int], keyframe_min_points: int) -> set[int]:

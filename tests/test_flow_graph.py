@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WORKLOAD_SHAPES, make_map, map_from_records
-from flow_cases import build_graph_oracle, graph_from_edges, layer, nearby_count
+from flow_cases import build_graph_oracle, graph_from_edges, layer, nearby_count, solve_ssp
 from map_oracles import index_oracle
 from mapsparse.cli import _window_maps
 from mapsparse.flow_graph import (
@@ -220,6 +220,30 @@ class TestCostsOnArrays:
     def test_scalar_calls_return_numpy_integers(self):
         values = (connectivity_cost(2, 5), point_capacity(4), spatial_cost(3, 3), baseline_cost(10.0))
         assert all(isinstance(v, np.integer) for v in values) and values == (12, 6, 1, 5)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: point_capacity(2.5), "n"),
+            (lambda: point_capacity(np.array([2.0, 3.0])), "n"),
+            (lambda: point_capacity(True), "n"),
+            (lambda: spatial_cost(1.9, 9), "n_j"),
+            (lambda: spatial_cost(np.array([1, 2]), np.array([3.0, 4.0])), "n_k"),
+            (lambda: connectivity_cost(2.7, 5), "n"),
+            (lambda: connectivity_cost(np.array([2, 3]), 5.0), "m"),
+        ],
+    )
+    def test_non_integer_counts_raise(self, call, name):
+        # once truncated without a word: point_capacity(2.5) was 1, connectivity_cost(2.7, 5) was 12
+        with pytest.raises(ValueError, match=f"^{name} must be integer counts"):
+            call()
+
+    @pytest.mark.parametrize("count", [4, np.int64(4), np.int32(4), np.uint8(4), np.array([4], np.int16)])
+    def test_python_and_numpy_integer_counts_are_accepted(self, count):
+        assert np.ravel(point_capacity(count)).tolist() == [6]
+        assert np.ravel(spatial_cost(count, count)).tolist() == [1]
+        assert np.ravel(connectivity_cost(count, 5)).tolist() == [2]
+        assert connectivity_cost(2, np.ravel(count)[0]) == 6
 
 
 class TestBuildGraph:
@@ -577,6 +601,19 @@ class TestGraphConfig:
         graph = build_graph(four_frame_map, GraphConfig(capacity_m=capacity_m))
         assert graph.capacity[list(graph.pair_sink_edge.values())].tolist() == [int(capacity_m)] * 6
 
+    @pytest.mark.parametrize("name", ["box_width", "box_height"])
+    @pytest.mark.parametrize("value", [True, False, 1.5, 64.0, np.float64(48), np.bool_(True), "64", None, 0, -1])
+    def test_box_dimensions_must_be_integers(self, name, value):
+        with pytest.raises(GraphError, match=f"{name} must be an integer >= 1"):
+            GraphConfig(capacity_m=2, **{name: value})
+
+    @pytest.mark.parametrize("value", [1, 63, np.int64(63), np.int32(63), np.uint8(63)])
+    def test_box_dimensions_accept_python_and_numpy_integers(self, value, four_frame_map):
+        config = GraphConfig(capacity_m=2, box_width=value, box_height=value)
+        assert build_graph(four_frame_map, config).edges == build_graph(
+            four_frame_map, GraphConfig(capacity_m=2, box_width=int(value), box_height=int(value))
+        ).edges
+
 
 class TestDimacs:
     def test_format_and_round_trip(self, four_frame_map):
@@ -693,4 +730,10 @@ def test_any_text_parses_to_a_graph_or_raises_a_graph_error(text):
     except GraphError:
         return
     assert isinstance(graph, FlowGraph) and isinstance(supply, int)
-    assert solve(graph).total_flow <= sum(graph.capacity[list(graph.point_source_edge.values())].tolist())
+    try:
+        result = solve(graph)
+    except GraphError as e:
+        # outside the closed form: a source edge can bind, and the SSP oracle solves the graph
+        assert "source edge can bind" in str(e)
+        result = solve_ssp(graph)
+    assert result.total_flow <= sum(graph.capacity[list(graph.point_source_edge.values())].tolist())

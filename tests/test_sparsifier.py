@@ -1,15 +1,17 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_map
 from flow_cases import build_layered
 from map_oracles import apply_selection_oracle, cull_keyframes_oracle, index_oracle, selection_json_oracle
-from mapsparse.flow_graph import GraphConfig, GraphError
+from mapsparse.flow_graph import FlowGraph, GraphConfig, GraphError, build_graph
 from mapsparse.map_model import maps_equal, validate
-from mapsparse.mcmf import FlowResult
+from mapsparse.mcmf import FlowResult, solve
 from mapsparse.sparsifier import (
     SelectionResult,
     SparsifyConfig,
@@ -20,6 +22,7 @@ from mapsparse.sparsifier import (
     underviewed_points,
 )
 from mapsparse.synth import SynthConfig, generate
+from test_flow_graph import graph_configs, grid_maps
 from test_map_model import messy_maps
 
 
@@ -225,3 +228,44 @@ def test_report_json_is_the_bytes_of_json_dumps(include_timings):
     ]
     for result in results:
         assert result.to_json(include_timings) == selection_json_oracle(result, include_timings)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    slam_map=grid_maps(),
+    config=graph_configs,
+    theta_ratio=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    data=st.data(),
+)
+def test_baseline_cost_only_shifts_total_cost(slam_map, config, theta_ratio, data):
+    # No source edge can bind, so every maximum flow fills each pair to
+    # min(M, k) and pays the same sum of cb * min(M, k): cb, even an arbitrary
+    # one, moves no flow and no selection.
+    configs = [dataclasses.replace(config, enable_cb=flag) for flag in (True, False)]
+    try:
+        graphs = [build_graph(slam_map, c) for c in configs]
+    except GraphError:
+        assume(False)  # no point is seen by two keyframes
+    on = graphs[0]
+    sink = on.head == on.sink_index
+    any_cb = data.draw(st.lists(st.integers(0, 2**32), min_size=int(sink.sum()), max_size=int(sink.sum())))
+    cost = on.cost.copy()
+    cost[sink] = any_cb
+    graphs.append(FlowGraph(on.point_ids, on.pairs, on.tail, on.head, on.capacity, cost))
+    middle = (on.tail != on.source_index) & ~sink
+    k = np.bincount(on.head[middle], minlength=on.n_vertices)[on.tail[sink]]
+    filled = np.minimum(config.capacity_m, k)
+
+    results = [solve(graph) for graph in graphs]
+    off = results[1]  # every cb is 1
+    for graph, result in zip(graphs, results):
+        assert np.array_equal(result.edge_flows, off.edge_flows)
+        assert result.total_flow == off.total_flow
+        assert result.total_cost - off.total_cost == sum(((graph.cost[sink] - 1) * filled).tolist())
+        assert select_points(result, graph, theta_ratio) == select_points(off, graphs[1], theta_ratio)
+
+    sel_on, sel_off = (sparsify(slam_map, SparsifyConfig(graph=c, theta_ratio=theta_ratio)) for c in configs)
+    assert sel_on.kept_point_ids == sel_off.kept_point_ids
+    assert sel_on.culled_keyframe_ids == sel_off.culled_keyframe_ids
+    assert sel_on.point_flow == sel_off.point_flow
+    assert sel_on.total_cost - sel_off.total_cost == sum(((on.cost[sink] - 1) * filled).tolist())
