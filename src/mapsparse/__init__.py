@@ -9,6 +9,7 @@ from .flow_graph import (
     baseline_cost,
     build_graph,
     connectivity_cost,
+    parse_dimacs,
     point_capacity,
     spatial_cost,
     to_dimacs,
@@ -30,7 +31,7 @@ from .map_model import (
     save_map,
     validate,
 )
-from .mcmf import FlowResult, parse_dimacs, solve, verify_optimality
+from .mcmf import FlowResult, solve, verify_optimality
 from .metrics import (
     AlignmentError,
     MetricsError,

@@ -82,12 +82,3 @@ def from_rotvec(w):
     # sin(theta/2)/theta, finite at 0 via sinc
     coef = 0.5 * np.sinc(half / np.pi)
     return np.concatenate([np.cos(half), w * coef], axis=-1)
-
-
-def rotate(q, v):
-    """Rotate vector(s) v by quaternion(s) q."""
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    qv = q[..., 1:]
-    t = 2.0 * np.cross(qv, v)
-    return v + q[..., 0:1] * t + np.cross(qv, t)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, metrics, synth
-from .flow_graph import GraphConfig, GraphError
+from .flow_graph import GraphConfig
 from .map_model import SlamMap, load_map, save_map
 from .sparsifier import SelectionResult, SparsifyConfig, apply_selection, selection_from_kept, sparsify
 
@@ -171,10 +171,8 @@ def _cmd_sparsify(args) -> int:
             kept: set[int] = set()
             t0 = time.perf_counter()
             for sub in _window_maps(slam_map, args.window):
-                try:
+                if (sub.observer_counts() >= 2).any():  # windows without an eligible point keep nothing
                     kept |= sparsify(sub, config).kept_point_ids
-                except GraphError:
-                    continue  # windows without an eligible point keep nothing
             selection = selection_from_kept(
                 slam_map, kept, config.keyframe_min_points, solve_ms=(time.perf_counter() - t0) * 1000.0
             )

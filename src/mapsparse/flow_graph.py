@@ -23,9 +23,6 @@ _COST_LIMIT = 1 << 62
 # max-flow structure intact while removing cost discrimination.
 _DISABLED_COST = 1
 
-_LAYERS = ("source", "point", "pair", "sink")
-
-
 class GraphError(ValueError):
     """Raised when a flow graph cannot be built or is structurally invalid."""
 
@@ -61,20 +58,25 @@ class GraphConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
                 raise GraphError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.capacity_m >= _COST_LIMIT:
+            raise GraphError(f"capacity_m must be below 2**62, the bound on edge capacities, got {self.capacity_m}")
 
 
 class FlowGraph:
-    """Immutable four-layer DAG whose vertices are numbered layer by layer.
+    """Immutable four-layer DAG whose vertices and edges are numbered layer by layer.
 
     Vertex 0 is the source, vertices 1..P are the points of ``point_ids``,
     vertices P+1..P+Q are the frame pairs of ``pairs`` (a (Q, 2) array with
     frame_a < frame_b in each row), and vertex P+Q+1 is the sink. Edges are
     held as four read-only int64 arrays, ``tail``, ``head``, ``capacity`` and
     ``cost``, indexed by edge; ``edges`` views them as :class:`FlowEdge`
-    objects. Construction enforces the layering (source->point, point->pair,
-    pair->sink only), rejects repeated point ids, repeated pairs and parallel
-    edges, and requires capacity in [1, 2**62) and cost in [0, 2**62) on
-    every edge.
+    objects. The edges come in one fixed layout: edge i < P is the source
+    edge 0 -> i+1 of point i, the last Q edges are the sink edges of the
+    pairs in order, and the point->pair edges in between (the slice
+    ``middle``) are sorted by (point, pair). Construction enforces that
+    layout, which also rules out parallel edges, rejects repeated point ids
+    and repeated pairs, and requires capacity in [1, 2**62) and cost in
+    [0, 2**62) on every edge.
     """
 
     def __init__(self, point_ids, pairs, tail, head, capacity, cost):
@@ -87,8 +89,6 @@ class FlowGraph:
             raise GraphError("ids must fit in int64 and edge fields lie in [0, 2**62)") from e
         if point_ids.ndim != 1 or tail.ndim != 1 or len({a.shape for a in (tail, head, capacity, cost)}) != 1:
             raise GraphError("point_ids, tail, head, capacity and cost must be 1-d, the last four of one length")
-        n_points = len(point_ids)
-        n = n_points + len(pairs) + 2
 
         # Sorts, not np.unique: numpy's hash-based unique took 1.1 s on the
         # 1.3M keys of a 10000x150 map, against 0.02 s for a sort.
@@ -100,43 +100,55 @@ class FlowGraph:
         unordered = pairs[pairs[:, 0] >= pairs[:, 1]].tolist()
         if unordered:
             raise GraphError(f"frame pair must be ordered, got {tuple(unordered[0])}")
-        if len(tail) and not (0 <= min(tail.min(), head.min()) and max(tail.max(), head.max()) < n):
-            raise GraphError("edge endpoint is not a vertex index")
-        tail_layer, head_layer = np.searchsorted([1, n_points + 1, n - 1], [tail, head], "right")
-        bad = np.flatnonzero(head_layer != tail_layer + 1)
-        if len(bad):
-            i = bad[0]
-            raise GraphError(
-                f"edge {tail[i]} -> {head[i]} breaks layering ({_LAYERS[tail_layer[i]]} -> {_LAYERS[head_layer[i]]})"
-            )
+        _check_layout(len(point_ids), len(pairs), tail, head)
         if len(tail):
             if capacity.min() < 1 or capacity.max() >= _COST_LIMIT:
                 raise GraphError("edge capacity must be in [1, 2**62)")
             if cost.min() < 0 or cost.max() >= _COST_LIMIT:
                 raise GraphError("edge cost must be in [0, 2**62)")
-        key = np.sort(tail * n + head)
-        repeated = key[1:][key[1:] == key[:-1]]
-        if len(repeated):
-            raise GraphError("parallel edge %d -> %d" % divmod(int(repeated[0]), n))
 
         for a in (point_ids, pairs, tail, head, capacity, cost):
             a.flags.writeable = False
+        n_points, n_pairs, n_edges = len(point_ids), len(pairs), len(tail)
         self.point_ids, self.pairs = point_ids, pairs
         self.tail, self.head, self.capacity, self.cost = tail, head, capacity, cost
         self.edges: EdgeView = EdgeView(tail, head, capacity, cost)
-        self.n_vertices, self.source_index, self.sink_index = n, 0, n - 1
-        from_source = np.flatnonzero(tail_layer == 0)
-        self.point_source_edge: dict[int, int] = dict(
-            zip(point_ids[head[from_source] - 1].tolist(), from_source.tolist())
-        )
-        into_sink = np.flatnonzero(head_layer == 3)
+        self.n_vertices, self.source_index, self.sink_index = n_points + n_pairs + 2, 0, n_points + n_pairs + 1
+        self.middle = slice(n_points, n_edges - n_pairs)
+        self.point_source_edge: dict[int, int] = dict(zip(point_ids.tolist(), range(n_points)))
         self.pair_sink_edge: dict[tuple[int, int], int] = dict(
-            zip(map(tuple, pairs[tail[into_sink] - n_points - 1].tolist()), into_sink.tolist())
+            zip(map(tuple, pairs.tolist()), range(n_edges - n_pairs, n_edges))
         )
 
     @property
     def n_edges(self) -> int:
         return len(self.tail)
+
+
+def _check_layout(n_points: int, n_pairs: int, tail: np.ndarray, head: np.ndarray) -> None:
+    """GraphError unless the edges are the P source edges, the point->pair edges by (point, pair), the Q sink edges."""
+    n, n_edges = n_points + n_pairs + 2, len(tail)
+    if n_edges < n_points + n_pairs:
+        raise GraphError(f"{n_edges} edges cannot hold the {n_points} source and {n_pairs} sink edges")
+    outer = np.r_[0:n_points, n_edges - n_pairs : n_edges]  # the source edges, then the sink edges
+    want_tail = np.r_[np.zeros(n_points, np.int64), n_points + 1 : n - 1]
+    want_head = np.r_[1 : n_points + 1, np.full(n_pairs, n - 1)]
+    wrong = np.flatnonzero((tail[outer] != want_tail) | (head[outer] != want_head))
+    if len(wrong):
+        j, i = wrong[0], outer[wrong[0]]
+        name = "source" if i < n_points else "sink"
+        raise GraphError(f"edge {i} must be the {name} edge {want_tail[j]} -> {want_head[j]}, got {tail[i]} -> {head[i]}")
+    tail, head = tail[n_points : n_edges - n_pairs], head[n_points : n_edges - n_pairs]
+    wrong = np.flatnonzero((tail < 1) | (tail > n_points) | (head <= n_points) | (head >= n - 1))
+    if len(wrong):
+        i = wrong[0]
+        raise GraphError(f"edge {n_points + i}: {tail[i]} -> {head[i]} breaks layering, where edges go point -> pair")
+    key = tail * n + head  # strictly increasing: in (point, pair) order, and no two edges parallel
+    wrong = np.flatnonzero(key[1:] <= key[:-1])
+    if len(wrong):
+        i = wrong[0] + 1
+        what = "parallel edge" if key[i] == key[i - 1] else "point->pair edges out of (point, pair) order at"
+        raise GraphError(f"{what} {tail[i]} -> {head[i]} (edge {n_points + i}, after {tail[i - 1]} -> {head[i - 1]})")
 
 
 class EdgeView(ColumnView):
@@ -396,3 +408,99 @@ def to_dimacs(graph: FlowGraph, supply: int) -> str:
     columns = (graph.tail + 1, graph.head + 1, graph.capacity, graph.cost)
     lines.extend(map("a {} {} 0 {} {}".format, *(c.tolist() for c in columns)))
     return "\n".join(lines) + "\n"
+
+
+def _ints(fields: list[str], lineno: int, form: str) -> list[int]:
+    """The integer fields of one DIMACS record, or a GraphError naming the line."""
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise GraphError(f"line {lineno}: expected integers in '{form}'") from None
+
+
+# The comment lines that carry vertex labels, as to_dimacs writes them.
+_LABEL_FORMS = {"point": "c point NODE ID", "pair": "c pair NODE FRAME_A FRAME_B"}
+
+
+def parse_dimacs(text: str) -> tuple[FlowGraph, int]:
+    """Parse a DIMACS min-cost-flow file describing a layered graph.
+
+    Layer membership is recovered from the arc pattern: heads of source arcs
+    become points and tails of sink arcs become pairs, each layer in node id
+    order. When every point and pair node has a ``c point NODE ID`` or
+    ``c pair NODE FRAME_A FRAME_B`` line (as ``to_dimacs`` writes), those
+    label the vertices; otherwise point node N is point N and pair node N the
+    pair (N, N+1). Arcs may come in any order; they are sorted into
+    :class:`FlowGraph`'s edge layout. Returns the graph and the declared
+    supply. Malformed records, label lines included, raise
+    :class:`GraphError` naming the line.
+    """
+    n_decl = None
+    supplies: dict[int, int] = {}
+    raw_arcs: list[list[int]] = []
+    labels: dict[str, dict[int, tuple[int, ...]]] = {kind: {} for kind in _LABEL_FORMS}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] == "c":
+            form = _LABEL_FORMS.get(parts[1]) if len(parts) > 1 else None
+            if form is not None:
+                if len(parts) != len(form.split()):
+                    raise GraphError(f"line {lineno}: expected '{form}'")
+                node, *label = _ints(parts[2:], lineno, form)
+                labels[parts[1]][node] = tuple(label)
+            continue
+        if parts[0] == "p":
+            if len(parts) != 4 or parts[1] != "min":
+                raise GraphError(f"line {lineno}: expected 'p min N M'")
+            n_decl, _ = _ints(parts[2:], lineno, "p min N M")
+        elif parts[0] == "n":
+            if len(parts) != 3:
+                raise GraphError(f"line {lineno}: expected 'n ID FLOW'")
+            node, flow = _ints(parts[1:], lineno, "n ID FLOW")
+            supplies[node] = flow
+        elif parts[0] == "a":
+            if len(parts) != 6:
+                raise GraphError(f"line {lineno}: expected 'a from to low cap cost'")
+            raw_arcs.append(_ints(parts[1:], lineno, "a from to low cap cost"))
+        else:
+            raise GraphError(f"line {lineno}: unknown record '{parts[0]}'")
+    if n_decl is None:
+        raise GraphError("missing problem line")
+    positives = [v for v, sup in supplies.items() if sup > 0]
+    negatives = [v for v, sup in supplies.items() if sup < 0]
+    if len(positives) != 1 or len(negatives) != 1:
+        raise GraphError("expected exactly one supply and one demand node")
+    src, snk = positives[0], negatives[0]
+    supply = supplies[src]
+
+    points = sorted({h for tl, h, *_ in raw_arcs if tl == src})
+    pairs = sorted({tl for tl, h, *_ in raw_arcs if h == snk})
+    nodes = [src, *points, *pairs, snk]
+    index = {node: i for i, node in enumerate(nodes)}
+    if len(index) != len(nodes):
+        twice = next(node for i, node in enumerate(nodes) if index[node] != i)
+        raise GraphError(f"node {twice} is on two layers")
+    for tl, h, low, _, _ in raw_arcs:
+        if low != 0:
+            raise GraphError("only zero lower bounds are supported")
+        if tl not in index or h not in index:
+            raise GraphError(f"arc {tl}->{h} does not fit the layered structure")
+    if all(node in labels["point"] for node in points) and all(node in labels["pair"] for node in pairs):
+        point_ids = [labels["point"][node][0] for node in points]
+        pair_rows = [labels["pair"][node] for node in pairs]
+    else:
+        point_ids, pair_rows = points, [(node, node + 1) for node in pairs]
+    tail = np.array([index[arc[0]] for arc in raw_arcs], np.int64)
+    head = np.array([index[arc[1]] for arc in raw_arcs], np.int64)
+    # Source, point->pair and sink arcs all sort into place by tail, then head.
+    order = np.argsort(tail * len(nodes) + head, kind="stable").tolist()
+    return FlowGraph(
+        point_ids,
+        pair_rows,
+        tail[order],
+        head[order],
+        [raw_arcs[i][3] for i in order],
+        [raw_arcs[i][4] for i in order],
+    ), supply

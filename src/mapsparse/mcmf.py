@@ -11,9 +11,13 @@ the cheapest way to do so is for each pair to fill itself with the
 candidates of lowest cc(point) + cs(point, pair), in that order. That closed
 form is one lexsort and a segmented running sum over the point->pair edges.
 
-Tie rule: among candidates of equal cc + cs, the lower edge index is taken
-first. ``build_graph`` emits the point->pair edges in point-id order, so on
-its graphs the lower point id wins.
+Tie rule: among candidates of equal cc + cs, the lower point vertex is taken
+first. ``build_graph`` numbers the points in id order, so on its graphs the
+lower point id wins.
+
+Every pass reads :class:`FlowGraph`'s edge layout: the source edges are
+``[:P]``, the point->pair edges ``[graph.middle]``, sorted by point, and
+the sink edges ``[-Q:]``, so per-point sums are sums over runs.
 
 A graph on which some source edge can bind (say, a hand-written DIMACS
 file) is outside the closed form: :func:`solve` and
@@ -67,59 +71,53 @@ class FlowResult:
 
 
 class _Pairwise(NamedTuple):
-    """Edge arrays of a graph whose source edges cannot bind."""
+    """The point->pair edges of a graph whose source edges cannot bind, with what the closed form reads."""
 
-    tail: np.ndarray
-    head: np.ndarray
-    cap: np.ndarray
-    cost: np.ndarray
-    is_source: np.ndarray  # per edge: leaves the source
-    is_sink: np.ndarray  # per edge: enters the sink
-    middle: np.ndarray  # indices of the point->pair edges
-    key: np.ndarray  # cc(tail) + cs, per point->pair edge
-    budget: np.ndarray  # per vertex: capacity of its pair->sink edge, else 0
+    cap: np.ndarray  # capacity of each point->pair edge
+    pair: np.ndarray  # pair of each point->pair edge, 0..Q-1
+    key: np.ndarray  # cc(point) + cs of each point->pair edge
+    budget: np.ndarray  # per pair: capacity of its sink edge
+    point_runs: np.ndarray  # point i's edges are the point->pair edges point_runs[i]:point_runs[i + 1]
+
+
+def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """values[bounds[i]:bounds[i + 1]].sum() for each i, exact while the total fits in int64."""
+    return np.diff(np.concatenate(([0], np.cumsum(values)))[bounds])
 
 
 def _pairwise(graph: FlowGraph) -> _Pairwise:
     """Edge arrays for the per-pair closed form; GraphError where it does not apply.
 
     It applies when every point's source-edge capacity covers the sum of its
-    outgoing capacities (a point without a source edge counts as capacity 0)
-    and the flow and cost sums stay below 2**62. No flow exceeds U, the sum
-    of the point->pair capacities, and no unit of flow costs more than the
-    largest cc + cs plus the largest cb, so U times that cost bounds every
-    sum; the per-pair budget M enters only through min(M, in-capacity).
+    outgoing capacities and the flow and cost sums stay below 2**62. No flow
+    exceeds U, the sum of the point->pair capacities, and no unit of flow
+    costs more than the largest cc + cs plus the largest cb, so U times that
+    cost bounds every sum; the per-pair budget M enters only through
+    min(M, in-capacity).
     """
-    tail, head, cap, cost = graph.tail, graph.head, graph.capacity, graph.cost
-    n = graph.n_vertices
-    is_source = tail == graph.source_index
-    is_sink = head == graph.sink_index
-    middle = np.flatnonzero(~(is_source | is_sink))
-    middle_cap = cap[middle]
+    n_points, n_pairs = len(graph.point_ids), len(graph.pairs)
+    point = graph.tail[graph.middle]
+    cap = graph.capacity[graph.middle]
     # A float sum first: below 2**62 it proves that the int64 sums cannot wrap.
-    if middle_cap.sum(dtype=np.float64) >= _SUM_LIMIT:
+    if cap.sum(dtype=np.float64) >= _SUM_LIMIT:
         raise GraphError("the point->pair capacities sum to 2**62 or more")
-    units = int(middle_cap.sum())
-    source_cap = np.zeros(n, np.int64)
-    source_cap[head[is_source]] = cap[is_source]
-    out_cap = np.zeros(n, np.int64)
-    np.add.at(out_cap, tail[middle], middle_cap)
+    units = int(cap.sum())
+    runs = np.searchsorted(point, np.arange(1, n_points + 2))
+    source_cap = graph.capacity[:n_points]
+    out_cap = _run_sums(cap, runs)
     binds = np.flatnonzero(out_cap > source_cap)
     if len(binds):
-        v = binds[0]
+        i = binds[0]
         raise GraphError(
-            f"point {graph.point_ids[v - 1]}: source capacity {source_cap[v]} is below its {out_cap[v]} units "
+            f"point {graph.point_ids[i]}: source capacity {source_cap[i]} is below its {out_cap[i]} units "
             "of pair capacity, so its source edge can bind and the per-pair closed form does not apply"
         )
-    cc = np.zeros(n, np.int64)
-    cc[head[is_source]] = cost[is_source]
-    budget = np.zeros(n, np.int64)
-    budget[tail[is_sink]] = cap[is_sink]
-    key = cc[tail[middle]] + cost[middle]
-    dearest = int(key.max(initial=0)) + int(cost[is_sink].max(initial=0))
+    key = graph.cost[point - 1] + graph.cost[graph.middle]  # the source edge of point vertex v is edge v - 1
+    sink = slice(graph.n_edges - n_pairs, graph.n_edges)
+    dearest = int(key.max(initial=0)) + int(graph.cost[sink].max(initial=0))
     if units * dearest >= _SUM_LIMIT:
         raise GraphError("the flow's cost could reach 2**62, beyond what the closed form carries in int64")
-    return _Pairwise(tail, head, cap, cost, is_source, is_sink, middle, key, budget)
+    return _Pairwise(cap, graph.head[graph.middle] - (n_points + 1), key, graph.capacity[sink], runs)
 
 
 def solve(graph: FlowGraph) -> FlowResult:
@@ -129,23 +127,19 @@ def solve(graph: FlowGraph) -> FlowResult:
     Raises GraphError on a graph where a source edge can bind.
     """
     pw = _pairwise(graph)
-    order = np.lexsort((pw.middle, pw.key, pw.head[pw.middle]))
-    mid = pw.middle[order]
-    pair = pw.head[mid]
-    cap = pw.cap[mid]
-    before = np.cumsum(cap) - cap  # units ahead of each candidate, over all pairs
-    starts = np.flatnonzero(np.diff(pair, prepend=-1))
-    before -= np.repeat(before[starts], np.diff(starts, append=len(pair)))
+    order = np.lexsort((pw.key, pw.pair))  # stable: a tie keeps point order
+    pair = pw.pair[order]
+    cap = pw.cap[order]
+    ahead = np.concatenate(([0], np.cumsum(cap)))  # units ahead of each candidate, over all pairs
+    pair_runs = np.searchsorted(pair, np.arange(len(pw.budget) + 1))
+    before = ahead[:-1] - np.repeat(ahead[pair_runs[:-1]], np.diff(pair_runs))
     taken = np.clip(pw.budget[pair] - before, 0, cap)
 
-    flows = np.zeros(len(pw.cap), np.int64)
-    flows[mid] = taken
-    through = np.zeros(graph.n_vertices, np.int64)  # flow through each point and pair
-    np.add.at(through, pw.tail[mid], taken)
-    np.add.at(through, pair, taken)
-    flows[pw.is_source] = through[pw.head[pw.is_source]]
-    flows[pw.is_sink] = through[pw.tail[pw.is_sink]]
-    return FlowResult(flows, int(flows[pw.is_source].sum()), int(flows @ pw.cost))
+    used = np.empty_like(taken)
+    used[order] = taken
+    through_points = _run_sums(used, pw.point_runs)
+    flows = np.concatenate((through_points, used, _run_sums(taken, pair_runs)))
+    return FlowResult(flows, int(through_points.sum()), int(flows @ graph.cost))
 
 
 def verify_optimality(graph: FlowGraph, result: FlowResult) -> bool:
@@ -161,118 +155,24 @@ def verify_optimality(graph: FlowGraph, result: FlowResult) -> bool:
     flows = result.edge_flows
     if len(flows) != graph.n_edges:
         return False
-    if ((flows < 0) | (flows > pw.cap)).any():
+    if ((flows < 0) | (flows > graph.capacity)).any():
         return False
-    net = np.zeros(graph.n_vertices, np.int64)
-    np.add.at(net, pw.head, flows)
-    np.subtract.at(net, pw.tail, flows)
-    net[[graph.source_index, graph.sink_index]] = 0
-    if net.any():
+    n_points, n_pairs = len(graph.point_ids), len(graph.pairs)
+    used = flows[graph.middle]
+    inflow = np.zeros(n_pairs, np.int64)
+    np.add.at(inflow, pw.pair, used)
+    # Conservation: each point passes on its source flow, each pair its inflow.
+    if not (np.array_equal(flows[:n_points], _run_sums(used, pw.point_runs))
+            and np.array_equal(flows[graph.n_edges - n_pairs :], inflow)):
         return False
 
-    pair = pw.head[pw.middle]
-    used = flows[pw.middle]
-    cap = pw.cap[pw.middle]
-    inflow = np.zeros(graph.n_vertices, np.int64)
-    np.add.at(inflow, pair, used)
-    in_cap = np.zeros(graph.n_vertices, np.int64)
-    np.add.at(in_cap, pair, cap)
+    in_cap = np.zeros(n_pairs, np.int64)
+    np.add.at(in_cap, pw.pair, pw.cap)
     if (inflow != np.minimum(pw.budget, in_cap)).any():
         return False
 
-    dearest_used = np.full(graph.n_vertices, -1, np.int64)
-    np.maximum.at(dearest_used, pair[used > 0], pw.key[used > 0])
-    cheapest_spare = np.full(graph.n_vertices, np.iinfo(np.int64).max, np.int64)
-    np.minimum.at(cheapest_spare, pair[used < cap], pw.key[used < cap])
+    dearest_used = np.full(n_pairs, -1, np.int64)
+    np.maximum.at(dearest_used, pw.pair[used > 0], pw.key[used > 0])
+    cheapest_spare = np.full(n_pairs, np.iinfo(np.int64).max, np.int64)
+    np.minimum.at(cheapest_spare, pw.pair[used < pw.cap], pw.key[used < pw.cap])
     return bool((dearest_used <= cheapest_spare).all())
-
-
-def _ints(fields: list[str], lineno: int, form: str) -> list[int]:
-    """The integer fields of one DIMACS record, or a GraphError naming the line."""
-    try:
-        return [int(x) for x in fields]
-    except ValueError:
-        raise GraphError(f"line {lineno}: expected integers in '{form}'") from None
-
-
-# The comment lines that carry vertex labels, as to_dimacs writes them.
-_LABEL_FORMS = {"point": "c point NODE ID", "pair": "c pair NODE FRAME_A FRAME_B"}
-
-
-def parse_dimacs(text: str) -> tuple[FlowGraph, int]:
-    """Parse a DIMACS min-cost-flow file describing a layered graph.
-
-    Layer membership is recovered from the arc pattern: heads of source arcs
-    become points and tails of sink arcs become pairs, each layer in node id
-    order. When every point and pair node has a ``c point NODE ID`` or
-    ``c pair NODE FRAME_A FRAME_B`` line (as ``to_dimacs`` writes), those
-    label the vertices; otherwise point node N is point N and pair node N the
-    pair (N, N+1). Returns the graph and the declared supply. Malformed
-    records, label lines included, raise :class:`GraphError` naming the line.
-    """
-    n_decl = None
-    supplies: dict[int, int] = {}
-    raw_arcs: list[list[int]] = []
-    labels: dict[str, dict[int, tuple[int, ...]]] = {kind: {} for kind in _LABEL_FORMS}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "c":
-            form = _LABEL_FORMS.get(parts[1]) if len(parts) > 1 else None
-            if form is not None:
-                if len(parts) != len(form.split()):
-                    raise GraphError(f"line {lineno}: expected '{form}'")
-                node, *label = _ints(parts[2:], lineno, form)
-                labels[parts[1]][node] = tuple(label)
-            continue
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "min":
-                raise GraphError(f"line {lineno}: expected 'p min N M'")
-            n_decl, _ = _ints(parts[2:], lineno, "p min N M")
-        elif parts[0] == "n":
-            if len(parts) != 3:
-                raise GraphError(f"line {lineno}: expected 'n ID FLOW'")
-            node, flow = _ints(parts[1:], lineno, "n ID FLOW")
-            supplies[node] = flow
-        elif parts[0] == "a":
-            if len(parts) != 6:
-                raise GraphError(f"line {lineno}: expected 'a from to low cap cost'")
-            raw_arcs.append(_ints(parts[1:], lineno, "a from to low cap cost"))
-        else:
-            raise GraphError(f"line {lineno}: unknown record '{parts[0]}'")
-    if n_decl is None:
-        raise GraphError("missing problem line")
-    positives = [v for v, sup in supplies.items() if sup > 0]
-    negatives = [v for v, sup in supplies.items() if sup < 0]
-    if len(positives) != 1 or len(negatives) != 1:
-        raise GraphError("expected exactly one supply and one demand node")
-    src, snk = positives[0], negatives[0]
-    supply = supplies[src]
-
-    points = sorted({h for tl, h, *_ in raw_arcs if tl == src})
-    pairs = sorted({tl for tl, h, *_ in raw_arcs if h == snk})
-    nodes = [src, *points, *pairs, snk]
-    index = {node: i for i, node in enumerate(nodes)}
-    if len(index) != len(nodes):
-        twice = next(node for i, node in enumerate(nodes) if index[node] != i)
-        raise GraphError(f"node {twice} is on two layers")
-    for tl, h, low, _, _ in raw_arcs:
-        if low != 0:
-            raise GraphError("only zero lower bounds are supported")
-        if tl not in index or h not in index:
-            raise GraphError(f"arc {tl}->{h} does not fit the layered structure")
-    if all(node in labels["point"] for node in points) and all(node in labels["pair"] for node in pairs):
-        point_ids = [labels["point"][node][0] for node in points]
-        pair_rows = [labels["pair"][node] for node in pairs]
-    else:
-        point_ids, pair_rows = points, [(node, node + 1) for node in pairs]
-    tail, head, _, capacity, cost = zip(*raw_arcs) if raw_arcs else ((),) * 5
-    return FlowGraph(
-        point_ids,
-        pair_rows,
-        [index[tl] for tl in tail],
-        [index[h] for h in head],
-        capacity,
-        cost,
-    ), supply

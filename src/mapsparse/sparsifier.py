@@ -138,10 +138,8 @@ def _above_threshold(point_flow: dict[int, tuple[int, int]], theta_ratio: float)
 
 def _point_flow(result: FlowResult, graph: FlowGraph) -> dict[int, tuple[int, int]]:
     """Point id -> (flow, capacity) of its source edge, as Python ints."""
-    source_edges = list(graph.point_source_edge.values())
-    flows = result.edge_flows[source_edges].tolist()
-    caps = graph.capacity[source_edges].tolist()
-    return dict(zip(graph.point_source_edge, zip(flows, caps)))
+    source = slice(len(graph.point_ids))
+    return dict(zip(graph.point_ids.tolist(), zip(result.edge_flows[source].tolist(), graph.capacity[source].tolist())))
 
 
 def cull_keyframes(slam_map: SlamMap, kept_points: set[int], keyframe_min_points: int) -> set[int]:

@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from conftest import map_from_records
+from conftest import make_map, map_from_records
 from map_oracles import window_maps_oracle
 from mapsparse.cli import _window_maps, main
-from mapsparse.map_model import Keyframe, load_map, maps_equal, validate
+from mapsparse.map_model import Keyframe, load_map, maps_equal, save_map, validate
 from mapsparse.metrics import load_trajectory
 from mapsparse.synth import SynthConfig, generate
 
@@ -97,6 +97,26 @@ def test_sparsify_windowed(generated, tmp_path, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["counts"]["kept_points"] > 0
+
+
+def test_sparsify_windowed_keeps_nothing_from_a_window_without_an_eligible_point(tmp_path, capsys):
+    # keyframes 0 and 1 share point 0; keyframes 2 and 3 share no point
+    slam_map = make_map([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)],
+                        {0: [(0, 10, 10), (1, 10, 10)], 1: [(2, 20, 20)], 2: [(3, 30, 30)]})
+    map_path = tmp_path / "map.json"
+    save_map(slam_map, map_path)
+    assert main(["sparsify", "--map", str(map_path), "--capacity-m", "1", "--window", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kept_point_ids"] == [0]
+    assert report["dropped_point_ids"] == [1, 2]
+
+
+def test_sparsify_windowed_fails_on_a_budget_beyond_the_edge_capacity_bound(generated, capsys):
+    # once every window's GraphError was taken for "no eligible point": exit 0 with nothing kept
+    map_path, _ = generated
+    rc = main(["sparsify", "--map", str(map_path), "--capacity-m", str(2**62), "--window", "4"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: capacity_m must be below 2**62")
 
 
 def test_sparsify_rejects_a_negative_window(generated, tmp_path, capsys):

@@ -18,12 +18,13 @@ from mapsparse.flow_graph import (
     baseline_cost,
     build_graph,
     connectivity_cost,
+    parse_dimacs,
     point_capacity,
     spatial_cost,
     to_dimacs,
     _nearby_counts,
 )
-from mapsparse.mcmf import parse_dimacs, solve
+from mapsparse.mcmf import solve
 from mapsparse.synth import SynthConfig, generate
 
 
@@ -558,7 +559,10 @@ class TestFlowGraphArrays:
             FlowGraph([7], [], *([x] for x in edge))
 
     def test_rejects_parallel_edges(self):
-        with pytest.raises(GraphError, match="parallel"):
+        with pytest.raises(GraphError, match="^parallel edge 1 -> 2 \\(edge 2, after 1 -> 2\\)$"):
+            graph_from_edges([7], [(0, 1)], [FlowEdge(0, 1, 2, 0), FlowEdge(1, 2, 1, 0), FlowEdge(1, 2, 1, 0), FlowEdge(2, 3, 1, 0)])
+        # a second source edge of a point lands among the point -> pair edges
+        with pytest.raises(GraphError, match="^edge 1: 0 -> 1 breaks layering, where edges go point -> pair$"):
             graph_from_edges([7], [], [FlowEdge(0, 1, 1, 0), FlowEdge(0, 1, 2, 0)])
 
     def test_rejects_repeated_point_id(self):
@@ -574,14 +578,50 @@ class TestFlowGraphArrays:
             FlowGraph([7], [(0, 1), (2, 5), (0, 1)], [0], [1], [1], [0])
 
     def test_layers_follow_index_ranges(self):
-        graph = FlowGraph([9, 4], [(0, 1), (0, 2), (1, 2)], [0, 2, 4], [2, 4, 6], [1, 1, 3], [0, 2, 1])
+        graph = FlowGraph(LAYOUT_POINTS, LAYOUT_PAIRS, *zip(*LAYOUT_EDGES))
         assert [layer(graph, v) for v in range(graph.n_vertices)] == [
             "source", "point", "point", "pair", "pair", "pair", "sink",
         ]
-        assert graph.point_source_edge == {4: 0}
-        assert graph.pair_sink_edge == {(0, 2): 2}
-        with pytest.raises(GraphError, match="edge 1 -> 6 breaks layering \\(point -> sink\\)"):
-            FlowGraph([9, 4], [(0, 1), (0, 2), (1, 2)], [1], [6], [1], [0])
+        assert graph.middle == slice(2, 6)
+        assert [(layer(graph, e.tail), layer(graph, e.head)) for e in graph.edges] == (
+            [("source", "point")] * 2 + [("point", "pair")] * 4 + [("pair", "sink")] * 3
+        )
+        assert graph.point_source_edge == {9: 0, 4: 1}
+        assert graph.pair_sink_edge == {(0, 1): 6, (0, 2): 7, (1, 2): 8}
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param({1: None}, "edge 1 must be the source edge 0 -> 2, got 1 -> 3", id="missing-source-edge"),
+            pytest.param({0: (0, 2), 1: (0, 1)}, "edge 0 must be the source edge 0 -> 1, got 0 -> 2",
+                         id="source-edges-out-of-order"),
+            pytest.param({7: None}, "edge 5 must be the sink edge 3 -> 6, got 2 -> 5", id="missing-sink-edge"),
+            pytest.param({8: (4, 6)}, "edge 8 must be the sink edge 5 -> 6, got 4 -> 6", id="sink-edge-of-another-pair"),
+            pytest.param({3: (1, 6)}, "edge 3: 1 -> 6 breaks layering, where edges go point -> pair", id="point-to-sink"),
+            pytest.param({3: (0, 4)}, "edge 3: 0 -> 4 breaks layering, where edges go point -> pair", id="source-to-pair"),
+            pytest.param({3: (1, 7)}, "edge 3: 1 -> 7 breaks layering, where edges go point -> pair", id="beyond-the-sink"),
+            pytest.param({3: (2, 4), 4: (1, 4)}, "point->pair edges out of \\(point, pair\\) order at 1 -> 4 \\(edge 4, after 2 -> 4\\)",
+                         id="middle-out-of-point-order"),
+            pytest.param({2: (1, 4), 3: (1, 3)}, "point->pair edges out of \\(point, pair\\) order at 1 -> 3 \\(edge 3, after 1 -> 4\\)",
+                         id="middle-out-of-pair-order"),
+            pytest.param({3: (1, 3)}, "parallel edge 1 -> 3 \\(edge 3, after 1 -> 3\\)", id="repeated-middle-edge"),
+            pytest.param({2: None, 3: None, 4: None, 5: None, 6: None}, "4 edges cannot hold the 2 source and 3 sink edges",
+                         id="too-few-edges"),
+        ],
+    )
+    def test_rejects_edges_out_of_the_layout(self, edit, message):
+        edges = [edit.get(i, edge[:2]) for i, edge in enumerate(LAYOUT_EDGES)]
+        edges = [(*ends, 1, 0) for ends in edges if ends is not None]
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            FlowGraph(LAYOUT_POINTS, LAYOUT_PAIRS, *zip(*edges))
+
+
+# Points 9 and 4 (vertices 1, 2), pairs (0, 1), (0, 2), (1, 2) (vertices 3, 4, 5)
+# and their edges in the layout: source edges, point -> pair edges by (point,
+# pair), sink edges; as (tail, head, capacity, cost).
+LAYOUT_POINTS, LAYOUT_PAIRS = [9, 4], [(0, 1), (0, 2), (1, 2)]
+LAYOUT_EDGES = [(0, 1, 2, 0), (0, 2, 2, 1), (1, 3, 1, 2), (1, 4, 1, 0), (2, 4, 1, 3), (2, 5, 1, 1),
+                (3, 6, 1, 1), (4, 6, 1, 2), (5, 6, 1, 0)]
 
 
 class TestGraphConfig:
@@ -590,6 +630,12 @@ class TestGraphConfig:
             GraphConfig(capacity_m=0)
         with pytest.raises(GraphError):
             GraphConfig(capacity_m=1, box_width=0)
+
+    def test_capacity_below_the_edge_capacity_bound(self):
+        assert GraphConfig(capacity_m=2**62 - 1).capacity_m == 2**62 - 1
+        for capacity_m in (2**62, 2**64):
+            with pytest.raises(GraphError, match="^capacity_m must be below 2\\*\\*62"):
+                GraphConfig(capacity_m=capacity_m)
 
     @pytest.mark.parametrize("capacity_m", [1.5, 2.0, True, False, np.float64(3), np.bool_(True), "4", None])
     def test_capacity_must_be_an_integer(self, capacity_m):
@@ -643,6 +689,24 @@ class TestDimacs:
             assert parsed.edges == graph.edges
             assert parsed.point_source_edge == graph.point_source_edge
             assert parsed.pair_sink_edge == graph.pair_sink_edge
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_arcs_in_any_order_parse_into_the_layout(self, seed, four_frame_map):
+        slam_map, _ = generate(SynthConfig(seed=4, **WORKLOAD_SHAPES[2].values[0]))
+        rng = np.random.default_rng(seed)
+        for graph in (build_graph(four_frame_map, GraphConfig(capacity_m=2)), build_graph(slam_map, GraphConfig(capacity_m=20))):
+            text = to_dimacs(graph, solve(graph).total_flow)
+            original = text.splitlines()
+            lines = list(original)
+            arcs = [i for i, ln in enumerate(lines) if ln.startswith("a ")]
+            for i, j in zip(arcs, rng.permutation(arcs)):
+                lines[i] = original[j]
+            assert lines != original
+            parsed, supply = parse_dimacs("\n".join(lines))
+            assert parsed.edges == graph.edges
+            assert to_dimacs(parsed, supply) == text
+            assert solve(parsed) == solve(graph)
+            assert to_dimacs(*parse_dimacs(text)) == text
 
     def test_nodes_label_themselves_unless_every_node_has_a_label(self, four_frame_map):
         graph = build_graph(four_frame_map, GraphConfig(capacity_m=2))

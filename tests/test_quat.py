@@ -54,11 +54,3 @@ def test_from_rotvec_angle_matches_norm():
     w = rng.normal(scale=0.5, size=(300, 3))
     q = _quat.from_rotvec(w)
     assert np.allclose(_quat.angle(q), np.linalg.norm(w, axis=1), atol=1e-12)
-
-
-def test_rotate_matches_matrix():
-    rng = np.random.default_rng(6)
-    q = random_units(rng, 100)
-    v = rng.normal(size=(100, 3))
-    expected = np.einsum("nij,nj->ni", _quat.to_matrix(q), v)
-    assert np.allclose(_quat.rotate(q, v), expected, atol=1e-10)
