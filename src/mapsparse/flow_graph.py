@@ -10,6 +10,7 @@ edges carry the baseline cost and the per-pair budget capacity M.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -115,14 +116,22 @@ class FlowGraph:
         self.edges: EdgeView = EdgeView(tail, head, capacity, cost)
         self.n_vertices, self.source_index, self.sink_index = n_points + n_pairs + 2, 0, n_points + n_pairs + 1
         self.middle = slice(n_points, n_edges - n_pairs)
-        self.point_source_edge: dict[int, int] = dict(zip(point_ids.tolist(), range(n_points)))
-        self.pair_sink_edge: dict[tuple[int, int], int] = dict(
-            zip(map(tuple, pairs.tolist()), range(n_edges - n_pairs, n_edges))
-        )
 
     @property
     def n_edges(self) -> int:
         return len(self.tail)
+
+    # The two lookups below are built on first use: nothing on the sparsify path reads them.
+    @cached_property
+    def point_source_edge(self) -> dict[int, int]:
+        """The source edge of each point id: edge i for the point in row i."""
+        return dict(zip(self.point_ids.tolist(), range(len(self.point_ids))))
+
+    @cached_property
+    def pair_sink_edge(self) -> dict[tuple[int, int], int]:
+        """The sink edge of each (frame_a, frame_b) pair: the last Q edges, in the order of ``pairs``."""
+        first = self.n_edges - len(self.pairs)
+        return dict(zip(map(tuple, self.pairs.tolist()), range(first, self.n_edges)))
 
 
 def _check_layout(n_points: int, n_pairs: int, tail: np.ndarray, head: np.ndarray) -> None:

@@ -7,6 +7,7 @@ points and observations, the bulk of a map, as read-only numpy columns.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 from collections.abc import Iterator, Sequence
@@ -513,66 +514,116 @@ def _parse_whole(text: str) -> tuple[list, tuple, tuple]:
 _POINTS_KEY = ',\n "points": '
 _OBSERVATIONS_KEY = ',\n "observations": '
 _DOCUMENT_END = "\n}\n"
-# Characters of a points or observations array parsed at a time.
-_CHUNK_CHARS = 1 << 20
+# Bytes read from a map file at a time, and about the bytes of a points or
+# observations array parsed at a time.
+_CHUNK_CHARS = 1 << 18
 
 
-def _chunked_columns(text: str, lo: int, hi: int, columns) -> tuple[np.ndarray, ...] | None:
-    """Columns of the JSON array ``text[lo:hi]``, parsed in pieces; None where a piece fails.
+class _Pieces:
+    """A binary stream read forward in blocks of :data:`_CHUNK_CHARS` bytes.
 
-    The array is cut after a ``},`` about every :data:`_CHUNK_CHARS`
-    characters. When every piece parses to a non-empty array, each comma at a
-    cut separates two elements, so the array is the pieces' concatenation. A
-    piece that does not parse, parses to an empty array or fails its column
-    check gives None.
+    ``data`` holds the bytes read and not yet taken: no more than about two
+    blocks while an array is read in pieces.
     """
-    if hi - lo < 2 or text[lo] != "[" or text[hi - 1] != "]":
-        return None
-    if hi - lo == 2:
-        return columns([])
-    parts = []
-    start, stop = lo + 1, hi - 1
-    while True:
-        cut = text.find("},", start + _CHUNK_CHARS, stop)
-        end = stop if cut < 0 else cut + 1
-        entries = json.loads("[" + text[start:end] + "]")
-        part = columns(entries) if entries else None
-        if part is None:
+
+    def __init__(self, stream: IO[bytes]):
+        self._stream = stream
+        self.data = bytearray()
+
+    def _read(self) -> bool:
+        """Append the next block to ``data``; False at the end of the stream."""
+        block = self._stream.read(_CHUNK_CHARS)
+        self.data += block
+        return bool(block)
+
+    def find(self, sub: bytes, start: int) -> int:
+        """Index in ``data`` of the first ``sub`` at or after ``start``, reading on as needed; -1 at the end."""
+        while True:
+            at = self.data.find(sub, start)
+            if at >= 0:
+                return at
+            start = max(start, len(self.data) - len(sub) + 1)
+            if not self._read():
+                return -1
+
+    def take(self, prefix: bytes) -> bool:
+        """Whether the unread bytes start with ``prefix``, which is then taken."""
+        while len(self.data) < len(prefix) and self._read():
+            pass
+        if not self.data.startswith(prefix):
+            return False
+        del self.data[: len(prefix)]
+        return True
+
+    def at_end(self) -> bool:
+        return not self.data and not self._read()
+
+    def array(self, after: bytes, columns) -> tuple[np.ndarray, ...] | None:
+        """Columns of the JSON array that comes next and is followed by ``after``; None where a piece fails.
+
+        The array is ``[]`` or runs to the first ``\n ]`` followed by
+        ``after``, and is cut after the first ``},`` past each
+        :data:`_CHUNK_CHARS` bytes, never past its end. Each piece is decoded as
+        strict UTF-8 and turned into columns at once. When every piece parses
+        to a non-empty array, each comma at a cut separates two elements, so
+        the array is the pieces' concatenation. A piece that does not decode
+        or parse, parses to an empty array or fails its column check gives
+        None. On success ``after`` is taken too.
+        """
+        if self.take(b"[]" + after):
+            return columns([])
+        if not self.take(b"["):
             return None
-        parts.append(part)
-        if cut < 0:
-            return tuple(np.concatenate(c) for c in zip(*parts))
-        start = cut + 2
+        close = b"\n ]" + after
+        parts = []
+        while True:
+            cut = self.find(b"},", _CHUNK_CHARS)
+            # close holds no "}," and does not end in "}", so it never overlaps the cut.
+            stop = self.data.find(close, 0, len(self.data) if cut < 0 else cut)
+            if stop < 0 and cut < 0:
+                return None
+            entries = json.loads("[" + self.data[: cut + 1 if stop < 0 else stop].decode("utf-8") + "]")
+            part = columns(entries) if entries else None
+            if part is None:
+                return None
+            parts.append(part)
+            if stop >= 0:
+                del self.data[: stop + len(close)]
+                return tuple(np.concatenate(c) for c in zip(*parts))
+            del self.data[: cut + 2]
 
 
-def _parse_chunked(text: str) -> tuple[list, tuple, tuple] | None:
-    """What :func:`_parse_whole` returns, with the points and observations parsed a chunk at a time.
+def _parse_pieces(stream: IO[bytes]) -> tuple[list, tuple, tuple] | None:
+    """What :func:`_parse_whole` returns for the document in a binary stream, read forward a piece at a time.
 
-    Gives None where the text does not end the way :func:`save_map` ends a
-    document, or where the skeleton, a piece or a column check fails; the
-    caller then parses the whole document. A raw newline cannot sit inside a
-    JSON string, so the two keys found here lie outside strings. When the
-    skeleton (the text with both arrays emptied) parses, the closing
-    ``\n}\n`` makes them the last two members of the top-level object, and
-    json keeps the last of a repeated key, so these are the arrays a whole
-    parse would use.
+    The document must be laid out as :func:`save_map` ends one: a head up to
+    the first ``,\n "points": ``, the points array, exactly ``,\n
+    "observations": ``, the observations array, and ``\n}\n`` at the end of
+    the stream. Gives None where it is not, or where the skeleton (the head
+    with both arrays empty), a piece or a column check fails; the caller then
+    parses the whole document. A raw newline cannot sit inside a JSON string,
+    so the keys found here lie outside strings. When the skeleton parses, the
+    closing ``\n}\n`` makes them the last two members of the top-level
+    object, and json keeps the last of a repeated key, so these are the
+    arrays a whole parse would use. Putting the two arrays, each valid, back
+    into the skeleton gives the whole document, so it parses as the skeleton
+    and the arrays do, and its strict UTF-8 decoding is the pieces' (every
+    cut falls on an ASCII byte).
     """
-    if not text.endswith(_DOCUMENT_END):
-        return None
-    observations_at = text.rfind(_OBSERVATIONS_KEY)
-    points_at = text.rfind(_POINTS_KEY, 0, max(observations_at, 0))
-    if points_at < 0:
-        return None
-    points_lo = points_at + len(_POINTS_KEY)
+    pieces = _Pieces(stream)
+    points_key = _POINTS_KEY.encode()
     try:
-        skeleton = json.loads(text[:points_lo] + "[]" + _OBSERVATIONS_KEY + "[]" + _DOCUMENT_END)
-        points = _chunked_columns(text, points_lo, observations_at, _point_columns)
-        observations = _chunked_columns(
-            text, observations_at + len(_OBSERVATIONS_KEY), len(text) - len(_DOCUMENT_END), _observation_columns
-        )
-    except (ValueError, RecursionError):
+        at = pieces.find(points_key, 0)
+        if at < 0:
+            return None
+        head = pieces.data[:at].decode("utf-8")
+        del pieces.data[: at + len(points_key)]
+        skeleton = json.loads(head + _POINTS_KEY + "[]" + _OBSERVATIONS_KEY + "[]" + _DOCUMENT_END)
+        points = pieces.array(_OBSERVATIONS_KEY.encode(), _point_columns)
+        observations = points and pieces.array(_DOCUMENT_END.encode(), _observation_columns)
+    except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         return None
-    if points is None or observations is None:
+    if observations is None or not pieces.at_end():
         return None
     return _parse_records(_section(skeleton, "keyframes"), "keyframes", _parse_keyframe), points, observations
 
@@ -585,14 +636,29 @@ def load_map(source: Source) -> SlamMap:
     parsed map violates invariants (e.g. an observation referencing a
     missing point). Every integer field must fit in int64.
 
-    A document laid out as :func:`save_map` writes it has its points and
-    observations parsed in chunks of about a MiB of text, so no more than a
-    chunk of them is held as Python objects at once; any other document, and
-    any document that fails, is parsed whole, with the same result.
+    A path is read forward :data:`_CHUNK_CHARS` bytes at a time. A document
+    laid out as :func:`save_map` writes it has its points and observations
+    parsed in pieces of about that size, so neither its bytes, its text nor
+    more than a piece of its records as Python objects are held at once; any
+    other document, and any document that fails, is read and parsed whole,
+    with the same result. A file object is read whole, then parsed the same
+    way.
     """
-    text = _read_text(source)
-    sections = _parse_chunked(text)
-    keyframes, (point_id, xyz), observations = _parse_whole(text) if sections is None else sections
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as stream:
+            sections = _parse_pieces(stream)
+        if sections is None:
+            sections = _parse_whole(_read_text(source))
+    else:  # read whole, since a pipe cannot be read again should the pieces fail
+        data = source.read()
+        from_text = isinstance(data, str)
+        if from_text:  # surrogatepass round-trips any str; a lone surrogate then fails the pieces' strict decoding
+            data = data.encode("utf-8", "surrogatepass")
+        sections = _parse_pieces(io.BytesIO(data))
+        if sections is None:
+            text = data.decode("utf-8", "surrogatepass") if from_text else _read_text(io.BytesIO(data))
+            sections = _parse_whole(text)
+    keyframes, (point_id, xyz), observations = sections
     slam_map = SlamMap(keyframes, point_id, xyz, *observations)
     report = validate(slam_map)
     if not report.ok:
@@ -605,7 +671,7 @@ def load_map(source: Source) -> SlamMap:
 _POINT_RECORD = '  {\n   "id": %s,\n   "xyz": [\n    %s,\n    %s,\n    %s\n   ]\n  }'
 _OBSERVATION_RECORD = '  {\n   "point": %s,\n   "frame": %s,\n   "uv": [\n    %s,\n    %s\n   ]\n  }'
 # Records formatted at a time.
-_SAVE_BLOCK = 1 << 14
+_SAVE_BLOCK = 1 << 12
 
 
 def _json_numbers(column: np.ndarray) -> list:
