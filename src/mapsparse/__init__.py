@@ -54,7 +54,6 @@ from .sparsifier import (
     SparsifyConfig,
     apply_selection,
     cull_keyframes,
-    select_points,
     sparsify,
 )
 from .synth import GenerationError, SynthConfig, generate, perturb_trajectory

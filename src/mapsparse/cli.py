@@ -13,7 +13,7 @@ import numpy as np
 
 from . import baselines, metrics, synth
 from .flow_graph import GraphConfig
-from .map_model import SlamMap, load_map, save_map
+from .map_model import SlamMap, _positions, load_map, save_map
 from .sparsifier import SelectionResult, SparsifyConfig, apply_selection, selection_from_kept, sparsify
 
 _BASELINES = {
@@ -130,7 +130,7 @@ def _window_maps(slam_map: SlamMap, window: int):
     window_of_obs = window_of_frame[frame]
     for w, lo in enumerate(range(0, len(frames), window)):
         on_obs = window_of_obs == w
-        on_point = np.isin(points.id, obs.point_id[on_obs])
+        on_point = _positions(obs.point_id[on_obs], points.id) >= 0  # the observation columns are sorted by point id
         yield SlamMap(
             frames[lo : lo + window],
             points.id[on_point],
@@ -168,13 +168,15 @@ def _cmd_sparsify(args) -> int:
             drop_underviewed=not args.keep_underviewed,
         )
         if args.window:
-            kept: set[int] = set()
+            kept = [np.empty(0, np.int64)]
             t0 = time.perf_counter()
             for sub in _window_maps(slam_map, args.window):
                 if (sub.observer_counts() >= 2).any():  # windows without an eligible point keep nothing
-                    kept |= sparsify(sub, config).kept_point_ids
+                    kept.append(sparsify(sub, config).kept_point_ids)
+            # selection_from_kept sorts the windows' ids together and drops the repeats
             selection = selection_from_kept(
-                slam_map, kept, config.keyframe_min_points, solve_ms=(time.perf_counter() - t0) * 1000.0
+                slam_map, np.concatenate(kept), config.keyframe_min_points,
+                solve_ms=(time.perf_counter() - t0) * 1000.0,
             )
         else:
             selection = sparsify(slam_map, config)

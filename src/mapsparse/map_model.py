@@ -659,7 +659,9 @@ def load_map(source: Source) -> SlamMap:
             text = data.decode("utf-8", "surrogatepass") if from_text else _read_text(io.BytesIO(data))
             sections = _parse_whole(text)
     keyframes, (point_id, xyz), observations = sections
+    del sections
     slam_map = SlamMap(keyframes, point_id, xyz, *observations)
+    del point_id, xyz, observations  # the map holds sorted copies; free the parsed columns before validating
     report = validate(slam_map)
     if not report.ok:
         raise MapIntegrityError("; ".join(report.violations))

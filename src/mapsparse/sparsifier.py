@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .flow_graph import FlowGraph, GraphConfig, build_graph
-from .map_model import SlamMap
+from .map_model import _INT64_MAX, SlamMap, _positions, _repeats
 from .mcmf import FlowResult, solve
 
 
@@ -28,27 +29,39 @@ class SparsifyConfig:
             raise ValueError("keyframe_min_points must be >= 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class SelectionResult:
-    """Outcome of one sparsification run.
+    """Outcome of one sparsification run, held as read-only int64 arrays.
 
-    ``point_flow`` maps each graph-eligible point id to its (flow, capacity)
-    on the source edge. Points observed by fewer than two keyframes never
+    ``kept_point_ids``, ``dropped_point_ids``, ``culled_keyframe_ids`` and
+    ``underviewed_point_ids`` are sorted arrays of distinct ids.
+    ``point_flow`` is a (P, 3) array with one (point id, flow, capacity) row
+    per graph-eligible point, in id order: the flow and capacity of the
+    point's source edge. Points observed by fewer than two keyframes never
     enter the graph; they are listed in ``underviewed_point_ids`` and routed
     to kept or dropped according to ``drop_underviewed``.
+
+    The constructor also accepts any collection of ids for the id fields and
+    a ``{id: (flow, capacity)}`` mapping for ``point_flow``, and stores them
+    in the form above.
     """
 
-    kept_point_ids: frozenset[int]
-    dropped_point_ids: frozenset[int]
-    culled_keyframe_ids: frozenset[int]
-    underviewed_point_ids: frozenset[int]
-    point_flow: dict[int, tuple[int, int]]
+    kept_point_ids: np.ndarray
+    dropped_point_ids: np.ndarray
+    culled_keyframe_ids: np.ndarray
+    underviewed_point_ids: np.ndarray
+    point_flow: np.ndarray
     total_flow: int | None
     total_cost: int | None
     n_input_points: int
     n_input_keyframes: int
     build_ms: float = 0.0
     solve_ms: float = 0.0
+
+    def __post_init__(self):
+        for name in ("kept_point_ids", "dropped_point_ids", "culled_keyframe_ids", "underviewed_point_ids"):
+            setattr(self, name, _id_array(getattr(self, name)))
+        self.point_flow = _flow_rows(self.point_flow)
 
     @property
     def mp_pct(self) -> float:
@@ -105,65 +118,111 @@ _LIST_ITEM_SEP = ",\n    "
 _POINT_FLOW_ITEM = '    "%s": {\n      "capacity": %s,\n      "flow": %s\n    }'
 
 
-def _json_ints(ids) -> str:
+def _json_ints(ids: np.ndarray) -> str:
     """Sorted integer ids as json.dumps(indent=2) writes a list at depth 1."""
-    if not ids:
+    if not len(ids):
         return "[]"
-    return "[\n    " + _LIST_ITEM_SEP.join(map(str, sorted(ids))) + "\n  ]"
+    return "[\n    " + _LIST_ITEM_SEP.join(map(str, ids.tolist())) + "\n  ]"
 
 
-def _json_point_flow(point_flow: dict[int, tuple[int, int]]) -> str:
-    """point_flow as json.dumps(indent=2, sort_keys=True) writes it at depth 1: keys in string order."""
-    if not point_flow:
+def _json_point_flow(rows: np.ndarray) -> str:
+    """point_flow rows as json.dumps(indent=2, sort_keys=True) writes the mapping at depth 1: keys in string order."""
+    if not len(rows):
         return "{}"
-    items = sorted((str(pid), c, f) for pid, (f, c) in point_flow.items())
-    return "{\n" + ",\n".join(_POINT_FLOW_ITEM % item for item in items) + "\n  }"
+    # numpy orders str ids by code point, as Python does: "-3" < "10" < "100" < "9".
+    values = rows[np.argsort(rows[:, 0].astype(str), kind="stable")][:, [0, 2, 1]].ravel().tolist()
+    return "{\n" + ",\n".join([_POINT_FLOW_ITEM] * len(rows)) % tuple(values) + "\n  }"
 
 
-def select_points(result: FlowResult, graph: FlowGraph, theta_ratio: float) -> set[int]:
-    """Points whose source-edge flow strictly exceeds theta_ratio * capacity.
+def _sealed(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _id_array(ids) -> np.ndarray:
+    """Any collection of ids as a sorted, read-only int64 array of distinct ids.
+
+    A read-only int64 array already in that form is returned as it is; any
+    other input is copied.
+    """
+    a = np.asarray(ids, np.int64) if isinstance(ids, np.ndarray) else np.fromiter(ids, np.int64)
+    if a.ndim != 1:
+        raise ValueError("ids must form a 1-d collection")
+    if not (a[1:] > a[:-1]).all():
+        a = np.sort(a)
+        a = a[~_repeats(a)]
+    elif a is ids and a.flags.writeable:
+        a = a.copy()
+    return _sealed(a)
+
+
+def _flow_rows(point_flow) -> np.ndarray:
+    """A ``{id: (flow, capacity)}`` mapping or (P, 3) rows as read-only (id, flow, capacity) rows in id order.
+
+    Read-only int64 rows already in id order are returned as they are; any
+    other input is copied.
+    """
+    if isinstance(point_flow, np.ndarray):
+        rows = np.asarray(point_flow, np.int64)
+    else:
+        rows = np.array([(pid, flow, cap) for pid, (flow, cap) in point_flow.items()], np.int64).reshape(-1, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError("point_flow must be (P, 3) rows of (point id, flow, capacity)")
+    if not (rows[1:, 0] > rows[:-1, 0]).all():
+        rows = rows[np.argsort(rows[:, 0], kind="stable")]
+        if _repeats(rows[:, 0]).any():
+            raise ValueError("point_flow lists a point id twice")
+    elif rows is point_flow and rows.flags.writeable:
+        rows = rows.copy()
+    return _sealed(rows)
+
+
+def _above_threshold(point_flow: np.ndarray, theta_ratio: float) -> np.ndarray:
+    """The ids of the ``point_flow`` rows whose flow strictly exceeds theta_ratio * capacity.
 
     The comparison is exact: the ratio is cross-multiplied as a fraction, so
     the default 0.5 reduces to the integer test 2*flow > capacity and a point
-    sitting exactly on the threshold is dropped.
+    sitting exactly on the threshold is dropped. The products are taken on
+    int64 where they fit, and as Python ints where they might not.
     """
-    return _above_threshold(_point_flow(result, graph), theta_ratio)
-
-
-def _above_threshold(point_flow: dict[int, tuple[int, int]], theta_ratio: float) -> set[int]:
-    """The ids of ``point_flow`` whose flow strictly exceeds theta_ratio * capacity, exactly."""
     frac = Fraction(theta_ratio)
-    return {pid for pid, (flow, cap) in point_flow.items() if flow * frac.denominator > frac.numerator * cap}
+    ids, flow, cap = point_flow.T
+    bound = int(point_flow[:, 1:].max(initial=0))
+    if max(frac.numerator, frac.denominator) > _INT64_MAX // max(bound, 1):
+        flow, cap = flow.astype(object), cap.astype(object)
+    return _sealed(ids[flow * frac.denominator > frac.numerator * cap])
 
 
-def _point_flow(result: FlowResult, graph: FlowGraph) -> dict[int, tuple[int, int]]:
-    """Point id -> (flow, capacity) of its source edge, as Python ints."""
+def _point_flow(result: FlowResult, graph: FlowGraph) -> np.ndarray:
+    """(point id, flow, capacity) of each point's source edge, as rows in id order.
+
+    The flows and capacities are copied, so that the rows keep no edge
+    array of the graph or the result alive.
+    """
     source = slice(len(graph.point_ids))
-    return dict(zip(graph.point_ids.tolist(), zip(result.edge_flows[source].tolist(), graph.capacity[source].tolist())))
+    rows = np.column_stack((graph.point_ids, result.edge_flows[source], graph.capacity[source]))
+    return _flow_rows(_sealed(rows))
 
 
-def cull_keyframes(slam_map: SlamMap, kept_points: set[int], keyframe_min_points: int) -> set[int]:
-    """Keyframes observing fewer than ``keyframe_min_points`` kept points.
+def cull_keyframes(slam_map: SlamMap, kept_points, keyframe_min_points: int) -> np.ndarray:
+    """Ids of the keyframes observing fewer than ``keyframe_min_points`` kept points, as a sorted array.
 
-    The first and last keyframes (by seq_index) are never culled; they anchor
-    the trajectory.
+    ``kept_points`` is any collection of point ids. The first and last
+    keyframes (by seq_index) are never culled; they anchor the trajectory.
     """
     if keyframe_min_points < 1:
         raise ValueError("keyframe_min_points must be >= 1")
     if not slam_map.keyframes:
-        return set()
+        return _id_array(())
     by_seq = sorted(slam_map.keyframes, key=lambda k: k.seq_index)
-    anchors = {by_seq[0].id, by_seq[-1].id}
     point, frame, _, _ = slam_map.observation_arrays()
-    kept = np.isin(slam_map.points.id[point], _id_array(kept_points))
-    counts = np.bincount(frame[kept], minlength=slam_map.n_keyframes)
+    kept = _positions(_id_array(kept_points), slam_map.points.id) >= 0
+    counts = np.bincount(frame[kept[point]], minlength=slam_map.n_keyframes)
     # A repeated keyframe id shares the count of its first entry, the row its observations refer to.
-    ids = [kf.id for kf in slam_map.keyframes]
-    counts = counts[np.searchsorted(np.array(ids, np.int64), ids)]
-    return {
-        kid for kid, count in zip(ids, counts.tolist())
-        if count < keyframe_min_points and kid not in anchors
-    }
+    ids = np.array([kf.id for kf in slam_map.keyframes], np.int64)
+    counts = counts[np.searchsorted(ids, ids)]
+    culled = (counts < keyframe_min_points) & (ids != by_seq[0].id) & (ids != by_seq[-1].id)
+    return _id_array(ids[culled])
 
 
 def sparsify(slam_map: SlamMap, config: SparsifyConfig) -> SelectionResult:
@@ -177,7 +236,7 @@ def sparsify(slam_map: SlamMap, config: SparsifyConfig) -> SelectionResult:
     point_flow = _point_flow(result, graph)
     kept = _above_threshold(point_flow, config.theta_ratio)
     if not config.drop_underviewed:
-        kept |= underviewed_points(slam_map)
+        kept = np.concatenate((kept, underviewed_points(slam_map)))
     return selection_from_kept(
         slam_map,
         kept,
@@ -192,25 +251,27 @@ def sparsify(slam_map: SlamMap, config: SparsifyConfig) -> SelectionResult:
 
 def selection_from_kept(
     slam_map: SlamMap,
-    kept: set[int],
+    kept,
     keyframe_min_points: int,
     *,
-    point_flow: dict[int, tuple[int, int]] | None = None,
+    point_flow: np.ndarray | None = None,
     total_flow: int | None = None,
     total_cost: int | None = None,
     build_ms: float = 0.0,
     solve_ms: float = 0.0,
 ) -> SelectionResult:
-    """The SelectionResult of keeping ``kept`` in ``slam_map``.
+    """The SelectionResult of keeping ``kept``, any collection of point ids, in ``slam_map``.
 
     The dropped points, the culled keyframes, the underviewed points and the
     input counts follow from the map; a run without a flow graph (a baseline
     or a ``--window`` run) leaves ``point_flow`` empty and the totals None.
     """
+    kept = _id_array(kept)
+    ids = slam_map.points.id
     return SelectionResult(
-        kept_point_ids=frozenset(kept),
-        dropped_point_ids=frozenset(slam_map.points.id.tolist()) - kept,
-        culled_keyframe_ids=frozenset(cull_keyframes(slam_map, kept, keyframe_min_points)),
+        kept_point_ids=kept,
+        dropped_point_ids=_id_array(ids[_positions(kept, ids) < 0]),
+        culled_keyframe_ids=cull_keyframes(slam_map, kept, keyframe_min_points),
         underviewed_point_ids=underviewed_points(slam_map),
         point_flow={} if point_flow is None else point_flow,
         total_flow=total_flow,
@@ -224,24 +285,19 @@ def selection_from_kept(
 
 def apply_selection(slam_map: SlamMap, selection: SelectionResult) -> SlamMap:
     """New map containing only kept points, surviving keyframes, and their observations."""
-    kept = _id_array(selection.kept_point_ids)
-    culled = selection.culled_keyframe_ids
+    kept, culled = selection.kept_point_ids, selection.culled_keyframe_ids
     points, obs = slam_map.points, slam_map.observations
-    on_point = np.isin(points.id, kept)
-    on_obs = np.isin(obs.point_id, kept) & ~np.isin(obs.keyframe_id, _id_array(culled))
+    on_point = _positions(kept, points.id) >= 0
+    on_obs = (_positions(kept, obs.point_id) >= 0) & (_positions(culled, obs.keyframe_id) < 0)
+    on_frame = _positions(culled, np.array([kf.id for kf in slam_map.keyframes], np.int64)) < 0
     return SlamMap(
-        [kf for kf in slam_map.keyframes if kf.id not in culled],
+        itertools.compress(slam_map.keyframes, on_frame.tolist()),
         points.id[on_point],
         points.xyz[on_point],
         *(column[on_obs] for column in (obs.point_id, obs.keyframe_id, obs.u, obs.v)),
     )
 
 
-def underviewed_points(slam_map: SlamMap) -> frozenset[int]:
-    """Ids of the points observed by fewer than two keyframes."""
-    return frozenset(slam_map.points.id[slam_map.observer_counts() < 2].tolist())
-
-
-def _id_array(ids) -> np.ndarray:
-    """A set of ids as an int64 array, for np.isin against the map's columns."""
-    return np.fromiter(ids, np.int64, len(ids))
+def underviewed_points(slam_map: SlamMap) -> np.ndarray:
+    """Ids of the points observed by fewer than two keyframes, as a sorted array."""
+    return _id_array(slam_map.points.id[slam_map.observer_counts() < 2])

@@ -3,6 +3,7 @@ filters, covisibility and the baselines."""
 
 import json
 import math
+from collections.abc import Mapping
 from itertools import combinations
 
 import numpy as np
@@ -152,8 +153,8 @@ def index_oracle(slam_map: SlamMap):
 
 
 def apply_selection_oracle(slam_map: SlamMap, selection) -> SlamMap:
-    kept = selection.kept_point_ids
-    culled = selection.culled_keyframe_ids
+    kept = set(map(int, selection.kept_point_ids))
+    culled = set(map(int, selection.culled_keyframe_ids))
     return map_from_records(
         [kf for kf in slam_map.keyframes if kf.id not in culled],
         [pt for pt in slam_map.points if pt.id in kept],
@@ -189,16 +190,23 @@ def window_maps_oracle(slam_map: SlamMap, window: int) -> list[SlamMap]:
     return maps
 
 
+def point_flow_items(point_flow) -> list[tuple[int, tuple[int, int]]]:
+    """(id, (flow, capacity)) of a {id: (flow, capacity)} mapping or of (id, flow, capacity) rows, by id."""
+    if isinstance(point_flow, Mapping):
+        return sorted(point_flow.items())
+    return sorted((pid, (f, c)) for pid, f, c in point_flow.tolist())
+
+
 def selection_json_oracle(selection, include_timings: bool = True) -> str:
     """The report as json.dumps writes the whole document."""
     doc = {
-        "kept_point_ids": sorted(selection.kept_point_ids),
-        "dropped_point_ids": sorted(selection.dropped_point_ids),
-        "culled_keyframe_ids": sorted(selection.culled_keyframe_ids),
-        "underviewed_point_ids": sorted(selection.underviewed_point_ids),
+        "kept_point_ids": sorted(map(int, selection.kept_point_ids)),
+        "dropped_point_ids": sorted(map(int, selection.dropped_point_ids)),
+        "culled_keyframe_ids": sorted(map(int, selection.culled_keyframe_ids)),
+        "underviewed_point_ids": sorted(map(int, selection.underviewed_point_ids)),
         "point_flow": {
             str(pid): {"flow": f, "capacity": c}
-            for pid, (f, c) in sorted(selection.point_flow.items())
+            for pid, (f, c) in point_flow_items(selection.point_flow)
         },
         "total_flow": selection.total_flow,
         "total_cost": selection.total_cost,

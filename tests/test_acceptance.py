@@ -59,8 +59,9 @@ def _integrity_check(slam_map, selection):
     failures = []
     if not validate(apply_selection(slam_map, selection)).ok:
         failures.append("apply_selection output failed validation")
-    for pid in selection.kept_point_ids:
-        flow, cap = selection.point_flow[pid]
+    point_flow = {pid: (flow, cap) for pid, flow, cap in selection.point_flow.tolist()}
+    for pid in selection.kept_point_ids.tolist():
+        flow, cap = point_flow[pid]
         if not 2 * flow > cap:
             failures.append(f"kept point {pid} violates 2*flow > capacity ({flow}/{cap})")
     return failures

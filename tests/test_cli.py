@@ -1,12 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import mapsparse
 
 from conftest import make_map, map_from_records
 from map_oracles import window_maps_oracle
 from mapsparse.cli import _window_maps, main
-from mapsparse.map_model import Keyframe, load_map, maps_equal, save_map, validate
+from mapsparse.map_model import Keyframe, SlamMap, load_map, maps_equal, save_map, validate
 from mapsparse.metrics import load_trajectory
 from mapsparse.synth import SynthConfig, generate
 
@@ -109,6 +115,30 @@ def test_sparsify_windowed_keeps_nothing_from_a_window_without_an_eligible_point
     report = json.loads(capsys.readouterr().out)
     assert report["kept_point_ids"] == [0]
     assert report["dropped_point_ids"] == [1, 2]
+
+
+def test_no_sparsify_job_imports_numpy_ma(generated, tmp_path):
+    # np.unique, np.union1d and np.setdiff1d import numpy.ma on first use, 1-3 MiB of a job's peak RSS;
+    # np.isin calls np.unique when the ids lie far apart, so the points here get ids 10**12 apart
+    slam_map = load_map(generated[0])
+    obs = slam_map.observations
+    map_path = tmp_path / "spread.json"
+    save_map(SlamMap(slam_map.keyframes, slam_map.points.id * 10**12, slam_map.points.xyz,
+                     obs.point_id * 10**12, obs.keyframe_id, obs.u, obs.v), map_path)
+    argv = ["sparsify", "--map", str(map_path), "--capacity-m", "5",
+            "--out", str(tmp_path / "out.json"), "--report", str(tmp_path / "report.json")]
+    script = (
+        "import sys\n"
+        "from mapsparse import cli\n"
+        f"for extra in ([], ['--window', '4']):\n"
+        f"    assert cli.main({argv!r} + extra) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(mapsparse.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_sparsify_windowed_fails_on_a_budget_beyond_the_edge_capacity_bound(generated, capsys):

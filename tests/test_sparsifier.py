@@ -1,5 +1,7 @@
 import dataclasses
 import json
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,14 +18,20 @@ from mapsparse.sparsifier import (
     SelectionResult,
     SparsifyConfig,
     apply_selection,
+    _above_threshold,
+    _point_flow,
     cull_keyframes,
-    select_points,
     sparsify,
     underviewed_points,
 )
 from mapsparse.synth import SynthConfig, generate
 from test_flow_graph import graph_configs, grid_maps
 from test_map_model import messy_maps
+
+
+ID_FIELDS = ("kept_point_ids", "dropped_point_ids", "culled_keyframe_ids", "underviewed_point_ids")
+# Ids whose string order differs from their numeric order ("-3" < "10" < "100" < "9"), and the int64 extremes.
+report_ids = st.one_of(st.integers(-20, 120), st.integers(-(2**63), 2**63 - 1))
 
 
 def config(m, **kwargs):
@@ -38,8 +46,8 @@ def test_disjoint_pairs_keep_everything():
         point_obs={i: [(2 * i, 10, 10), (2 * i + 1, 10, 10)] for i in range(5)},
     )
     selection = sparsify(slam_map, config(1, keyframe_min_points=1))
-    assert selection.kept_point_ids == {0, 1, 2, 3, 4}
-    assert selection.dropped_point_ids == frozenset()
+    assert selection.kept_point_ids.tolist() == [0, 1, 2, 3, 4]
+    assert selection.dropped_point_ids.tolist() == []
 
 
 def test_shared_pair_budget_forces_single_survivor():
@@ -50,7 +58,7 @@ def test_shared_pair_budget_forces_single_survivor():
     selection = sparsify(slam_map, config(1, keyframe_min_points=1))
     assert len(selection.kept_point_ids) == 1
     assert len(selection.dropped_point_ids) == 9
-    assert selection.kept_point_ids == {0}  # deterministic lowest-edge tie break
+    assert selection.kept_point_ids.tolist() == [0]  # deterministic lowest-edge tie break
     assert selection.total_flow == 1
 
 
@@ -61,7 +69,12 @@ def test_theta_one_keeps_nothing():
     )
     selection = sparsify(slam_map, config(5, theta_ratio=1.0, keyframe_min_points=1))
     # strict inequality: flow can never exceed capacity
-    assert selection.kept_point_ids == frozenset()
+    assert selection.kept_point_ids.tolist() == []
+
+
+def select_points(result, graph, theta_ratio):
+    """The kept point ids as sparsify thresholds them, as a list."""
+    return _above_threshold(_point_flow(result, graph), theta_ratio).tolist()
 
 
 class TestSelectPoints:
@@ -80,16 +93,30 @@ class TestSelectPoints:
             edge_flows[ei] = flows[pid]
         result = FlowResult(tuple(edge_flows), sum(flows.values()), 0)
         kept = select_points(result, graph, 0.5)
-        assert kept == {0, 2}  # 2*2 > 3 and 2*1 > 1, but 2*3 > 6 is false
+        assert kept == [0, 2]  # 2*2 > 3 and 2*1 > 1, but 2*3 > 6 is false
 
     def test_quarter_ratio(self):
         graph = build_layered([(4, 1)], [(0, 0, 1, 0)], [(4, 1)])
         ei = graph.point_source_edge[0]
         flows = [0] * graph.n_edges
         flows[ei] = 1
-        assert select_points(FlowResult(tuple(flows), 1, 0), graph, 0.25) == set()
+        assert select_points(FlowResult(tuple(flows), 1, 0), graph, 0.25) == []
         flows[ei] = 2
-        assert select_points(FlowResult(tuple(flows), 2, 0), graph, 0.25) == {0}
+        assert select_points(FlowResult(tuple(flows), 2, 0), graph, 0.25) == [0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    flows=st.dictionaries(
+        report_ids, st.integers(1, 2**62 - 1).flatmap(lambda cap: st.tuples(st.integers(0, cap), st.just(cap)))
+    ),
+    theta_ratio=st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1 / 3, 1.0, 5e-324]), st.floats(0, 1)),
+)
+def test_threshold_is_exact_fraction_arithmetic(flows, theta_ratio):
+    # a float ratio such as 0.1 is a fraction over 2**55 or more, so flow * denominator can leave int64
+    rows = np.array(sorted((pid, f, c) for pid, (f, c) in flows.items()), np.int64).reshape(-1, 3)
+    expected = [pid for pid, (f, c) in sorted(flows.items()) if f > Fraction(theta_ratio) * c]
+    assert _above_threshold(rows, theta_ratio).tolist() == expected
 
 
 class TestCullKeyframes:
@@ -98,14 +125,14 @@ class TestCullKeyframes:
             frame_positions=[(0, 0, 0), (1, 0, 0), (2, 0, 0)],
             point_obs={0: [(0, 5, 5), (2, 5, 5)]},
         )
-        assert cull_keyframes(slam_map, {0}, 1) == {1}
+        assert cull_keyframes(slam_map, {0}, 1).tolist() == [1]
 
     def test_all_frames_above_threshold(self):
         slam_map = make_map(
             frame_positions=[(0, 0, 0), (1, 0, 0)],
             point_obs={0: [(0, 5, 5), (1, 5, 5)]},
         )
-        assert cull_keyframes(slam_map, {0}, 1) == set()
+        assert cull_keyframes(slam_map, {0}, 1).tolist() == []
 
     def test_trajectory_anchors_exempt(self):
         # interior frame 1 and last frame 3 both observe too few kept points;
@@ -119,7 +146,7 @@ class TestCullKeyframes:
             },
         )
         culled = cull_keyframes(slam_map, {0, 1, 2}, 3)
-        assert culled == {1}  # frame 2 sees 3 kept, frame 3 sees 2 but is the last
+        assert culled.tolist() == [1]  # frame 2 sees 3 kept, frame 3 sees 2 but is the last
 
 
 def test_apply_selection_output_validates():
@@ -127,22 +154,24 @@ def test_apply_selection_output_validates():
     selection = sparsify(slam_map, config(3))
     out = apply_selection(slam_map, selection)
     assert validate(out).ok
-    assert {p.id for p in out.points} == set(selection.kept_point_ids)
-    assert {k.id for k in out.keyframes}.isdisjoint(selection.culled_keyframe_ids)
+    assert out.points.id.tolist() == selection.kept_point_ids.tolist()
+    assert {k.id for k in out.keyframes}.isdisjoint(selection.culled_keyframe_ids.tolist())
 
 
 def test_kept_bounded_by_total_flow():
     slam_map, _ = generate(SynthConfig(n_points=200, n_keyframes=12, dropout=0.4, seed=6))
     selection = sparsify(slam_map, config(2))
-    assert len(selection.kept_point_ids - selection.underviewed_point_ids) <= selection.total_flow
+    kept, underviewed = (set(ids.tolist()) for ids in (selection.kept_point_ids, selection.underviewed_point_ids))
+    assert len(kept - underviewed) <= selection.total_flow
 
 
 def test_partition_of_input_points():
     slam_map, _ = generate(SynthConfig(n_points=120, n_keyframes=8, dropout=0.5, seed=7))
     selection = sparsify(slam_map, config(2))
     all_ids = {p.id for p in slam_map.points}
-    assert selection.kept_point_ids | selection.dropped_point_ids == all_ids
-    assert not selection.kept_point_ids & selection.dropped_point_ids
+    kept, dropped = (set(ids.tolist()) for ids in (selection.kept_point_ids, selection.dropped_point_ids))
+    assert kept | dropped == all_ids
+    assert not kept & dropped
 
 
 def test_underviewed_points_follow_drop_flag():
@@ -151,10 +180,10 @@ def test_underviewed_points_follow_drop_flag():
         point_obs={0: [(0, 10, 10), (1, 10, 10)], 1: [(0, 50, 50)]},
     )
     dropped = sparsify(slam_map, config(5, keyframe_min_points=1))
-    assert 1 in dropped.dropped_point_ids
-    assert dropped.underviewed_point_ids == {1}
+    assert 1 in dropped.dropped_point_ids.tolist()
+    assert dropped.underviewed_point_ids.tolist() == [1]
     kept = sparsify(slam_map, config(5, keyframe_min_points=1, drop_underviewed=False))
-    assert 1 in kept.kept_point_ids
+    assert 1 in kept.kept_point_ids.tolist()
 
 
 def test_selection_result_json_is_deterministic():
@@ -205,11 +234,11 @@ def test_column_steps_match_record_by_record_oracles(slam_map, data):
     kept = frozenset(data.draw(st.lists(st.sampled_from(point_ids))))
     culled = frozenset(data.draw(st.lists(st.sampled_from(frame_ids))))
     for keyframe_min_points in (1, 2, 3):
-        assert cull_keyframes(slam_map, kept, keyframe_min_points) == cull_keyframes_oracle(
-            slam_map, kept, keyframe_min_points
+        assert cull_keyframes(slam_map, kept, keyframe_min_points).tolist() == sorted(
+            cull_keyframes_oracle(slam_map, kept, keyframe_min_points)
         )
     frames_of = index_oracle(slam_map)[0]
-    assert underviewed_points(slam_map) == {p.id for p in slam_map.points if len(frames_of[p.id]) < 2}
+    assert underviewed_points(slam_map).tolist() == sorted({p.id for p in slam_map.points if len(frames_of[p.id]) < 2})
     selection = SelectionResult(kept, frozenset(), culled, frozenset(), {}, None, None, 0, 0)
     assert maps_equal(apply_selection(slam_map, selection), apply_selection_oracle(slam_map, selection))
 
@@ -228,6 +257,56 @@ def test_report_json_is_the_bytes_of_json_dumps(include_timings):
     ]
     for result in results:
         assert result.to_json(include_timings) == selection_json_oracle(result, include_timings)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slam_map=messy_maps(), data=st.data())
+def test_array_and_set_inputs_give_one_selection(slam_map, data):
+    # frozensets plus a {id: (flow, capacity)} mapping, the form perfbench's gate passes, and arrays in any
+    # order with repeats must both be held as sorted, distinct, read-only int64 arrays
+    map_ids = sorted({p.id for p in slam_map.points} | {k.id for k in slam_map.keyframes})
+    ids = st.frozensets(st.one_of(st.sampled_from(map_ids), report_ids) if map_ids else report_ids)
+    sets = [data.draw(ids) for _ in ID_FIELDS]
+    flows = data.draw(st.dictionaries(report_ids, st.tuples(st.integers(0, 2**62 - 1), st.integers(1, 2**62 - 1))))
+    totals = [data.draw(st.none() | st.integers(0, 2**62)) for _ in range(2)]
+    counts = (slam_map.n_points, slam_map.n_keyframes)
+
+    def shuffled(rows):  # in a drawn order, some rows twice
+        rows = data.draw(st.permutations(rows))
+        return rows + rows[: data.draw(st.integers(0, len(rows)))]
+
+    as_sets = SelectionResult(*sets, flows, *totals, *counts)
+    as_arrays = SelectionResult(
+        *(np.array(shuffled(sorted(s)), np.int64) for s in sets),
+        np.array(data.draw(st.permutations([(pid, f, c) for pid, (f, c) in flows.items()])), np.int64).reshape(-1, 3),
+        *totals,
+        *counts,
+    )
+    raw = SimpleNamespace(
+        **dict(zip(ID_FIELDS, sets)), point_flow=flows, total_flow=totals[0], total_cost=totals[1],
+        n_input_points=counts[0], n_input_keyframes=counts[1],
+        mp_pct=100.0 * len(sets[0]) / counts[0] if counts[0] else 0.0,
+        kf_pct=100.0 * (counts[1] - len(sets[2])) / counts[1] if counts[1] else 0.0,
+    )
+    expected = selection_json_oracle(raw, include_timings=False)
+    for result in (as_sets, as_arrays):
+        for name, id_set in zip(ID_FIELDS, sets):
+            field = getattr(result, name)
+            assert field.dtype == np.int64 and not field.flags.writeable
+            assert field.tolist() == sorted(id_set)
+        assert result.point_flow.dtype == np.int64 and not result.point_flow.flags.writeable
+        assert result.point_flow.tolist() == [[pid, f, c] for pid, (f, c) in sorted(flows.items())]
+        assert result.to_json(include_timings=False) == expected
+        assert maps_equal(apply_selection(slam_map, result), apply_selection_oracle(slam_map, raw))
+
+
+def test_selection_result_refuses_malformed_arrays():
+    with pytest.raises(ValueError, match="point id twice"):
+        SelectionResult((), (), (), (), np.array([[4, 1, 2], [4, 0, 2]]), None, None, 0, 0)
+    with pytest.raises(ValueError, match="P, 3"):
+        SelectionResult((), (), (), (), np.zeros((2, 2), np.int64), None, None, 0, 0)
+    with pytest.raises(ValueError, match="1-d"):
+        SelectionResult(np.zeros((2, 2), np.int64), (), (), (), {}, None, None, 0, 0)
 
 
 @settings(max_examples=120, deadline=None)
@@ -265,7 +344,7 @@ def test_baseline_cost_only_shifts_total_cost(slam_map, config, theta_ratio, dat
         assert select_points(result, graph, theta_ratio) == select_points(off, graphs[1], theta_ratio)
 
     sel_on, sel_off = (sparsify(slam_map, SparsifyConfig(graph=c, theta_ratio=theta_ratio)) for c in configs)
-    assert sel_on.kept_point_ids == sel_off.kept_point_ids
-    assert sel_on.culled_keyframe_ids == sel_off.culled_keyframe_ids
-    assert sel_on.point_flow == sel_off.point_flow
+    assert np.array_equal(sel_on.kept_point_ids, sel_off.kept_point_ids)
+    assert np.array_equal(sel_on.culled_keyframe_ids, sel_off.culled_keyframe_ids)
+    assert np.array_equal(sel_on.point_flow, sel_off.point_flow)
     assert sel_on.total_cost - sel_off.total_cost == sum(((on.cost[sink] - 1) * filled).tolist())
