@@ -1,9 +1,9 @@
 """Anatomy of the point/frame-pair flow graph on a tiny hand-built map.
 
 Four keyframes share three points: point 0 is seen by frames 0+1, point 1 by
-all four frames, point 2 by frames 2+3. The script prints the covisibility
-pairs, every edge of the resulting graph with its capacity and cost, and the
-per-edge flows after the min-cost max-flow solve.
+all four frames, point 2 by frames 2+3. The script prints each frame pair of
+the resulting graph with the points whose edges enter it, every edge with its
+capacity and cost, and the per-edge flows after the min-cost max-flow solve.
 """
 
 from mapsparse import (
@@ -13,7 +13,6 @@ from mapsparse import (
     Pose,
     SlamMap,
     build_graph,
-    covisibility,
     solve,
 )
 
@@ -40,16 +39,20 @@ slam_map = SlamMap(
     v=[50, 50, 240, 240, 240, 240, 400, 400],
 )
 
-print("covisibility pairs (frame_a, frame_b) -> shared points")
-for pair in covisibility(slam_map):
-    print(f"  ({pair.frame_a}, {pair.frame_b}) -> {sorted(pair.shared_point_ids)}")
-
 graph = build_graph(slam_map, GraphConfig(capacity_m=2))
-print(f"\ngraph: {graph.n_vertices} vertices, {graph.n_edges} edges")
+print(f"graph: {graph.n_vertices} vertices, {graph.n_edges} edges")
+
+# Vertex 0 is the source, then the points, then the frame pairs, then the sink.
+print("frame pairs (frame_a, frame_b) <- the points whose edges enter them")
+tail, head = graph.tail[graph.middle], graph.head[graph.middle]
+first_pair = len(graph.point_ids) + 1
+for j, (a, b) in enumerate(graph.pairs.tolist()):
+    print(f"  ({a}, {b}) <- {graph.point_ids[tail[head == first_pair + j] - 1].tolist()}")
+
+print()
 print("point 1 is seen by all four frames, so its source edge is the cheapest")
 print("and its capacity 6 covers all six frame pairs:\n")
 
-# Vertex 0 is the source, then the points, then the frame pairs, then the sink.
 labels = [("source",)]
 labels += [("point", pid) for pid in graph.point_ids.tolist()]
 labels += [("pair", a, b) for a, b in graph.pairs.tolist()]

@@ -9,14 +9,12 @@ from .flow_graph import (
     baseline_cost,
     build_graph,
     connectivity_cost,
-    parse_dimacs,
     point_capacity,
     spatial_cost,
     to_dimacs,
 )
 from .map_model import (
     CameraIntrinsics,
-    CovisPair,
     Keyframe,
     MapFormatError,
     MapIntegrityError,
@@ -25,7 +23,6 @@ from .map_model import (
     Pose,
     SlamMap,
     ValidationReport,
-    covisibility,
     load_map,
     maps_equal,
     save_map,

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import baselines, metrics, synth
 from .flow_graph import GraphConfig
-from .map_model import SlamMap, _positions, load_map, save_map
+from .map_model import SlamMap, _sub_map, load_map, save_map
 from .sparsifier import SelectionResult, SparsifyConfig, apply_selection, selection_from_kept, sparsify
 
 _BASELINES = {
@@ -123,20 +123,14 @@ def _window_maps(slam_map: SlamMap, window: int):
     """Sub-maps of consecutive runs of ``window`` keyframes by seq_index, with
     their observations and the points those observe; ``slam_map`` is valid."""
     frames = sorted(slam_map.keyframes, key=lambda kf: kf.seq_index)
-    points, obs = slam_map.points, slam_map.observations
     rank = {kf.id: i for i, kf in enumerate(frames)}
     window_of_frame = np.array([rank[kf.id] // window for kf in slam_map.keyframes], np.int64)
     _, frame, _, _ = slam_map.observation_arrays()
     window_of_obs = window_of_frame[frame]
     for w, lo in enumerate(range(0, len(frames), window)):
         on_obs = window_of_obs == w
-        on_point = _positions(obs.point_id[on_obs], points.id) >= 0  # the observation columns are sorted by point id
-        yield SlamMap(
-            frames[lo : lo + window],
-            points.id[on_point],
-            points.xyz[on_point],
-            *(column[on_obs] for column in (obs.point_id, obs.keyframe_id, obs.u, obs.v)),
-        )
+        # The observation columns are sorted by point id, so the window's point ids come sorted.
+        yield _sub_map(slam_map, frames[lo : lo + window], slam_map.observations.point_id[on_obs], on_obs)
 
 
 def _baseline_result(slam_map: SlamMap, strategy: str, budget: int, min_kf_points: int) -> SelectionResult:

@@ -121,12 +121,7 @@ class FlowGraph:
     def n_edges(self) -> int:
         return len(self.tail)
 
-    # The two lookups below are built on first use: nothing on the sparsify path reads them.
-    @cached_property
-    def point_source_edge(self) -> dict[int, int]:
-        """The source edge of each point id: edge i for the point in row i."""
-        return dict(zip(self.point_ids.tolist(), range(len(self.point_ids))))
-
+    # Built on first use: nothing on the sparsify path reads it.
     @cached_property
     def pair_sink_edge(self) -> dict[tuple[int, int], int]:
         """The sink edge of each (frame_a, frame_b) pair: the last Q edges, in the order of ``pairs``."""
@@ -405,8 +400,8 @@ def to_dimacs(graph: FlowGraph, supply: int) -> str:
 
     ``supply`` should be the max-flow value (e.g. from the solver), so that
     third-party min-cost-flow solvers solve the equivalent problem. Comment
-    lines `c point NODE ID` and `c pair NODE FRAME_A FRAME_B` label the
-    point and pair nodes, for ``parse_dimacs``.
+    lines `c point NODE ID` and `c pair NODE FRAME_A FRAME_B` name the map
+    point and the frame pair of each point and pair node.
     """
     lines = [f"p min {graph.n_vertices} {graph.n_edges}"]
     lines.append(f"n {graph.source_index + 1} {supply}")
@@ -417,99 +412,3 @@ def to_dimacs(graph: FlowGraph, supply: int) -> str:
     columns = (graph.tail + 1, graph.head + 1, graph.capacity, graph.cost)
     lines.extend(map("a {} {} 0 {} {}".format, *(c.tolist() for c in columns)))
     return "\n".join(lines) + "\n"
-
-
-def _ints(fields: list[str], lineno: int, form: str) -> list[int]:
-    """The integer fields of one DIMACS record, or a GraphError naming the line."""
-    try:
-        return [int(x) for x in fields]
-    except ValueError:
-        raise GraphError(f"line {lineno}: expected integers in '{form}'") from None
-
-
-# The comment lines that carry vertex labels, as to_dimacs writes them.
-_LABEL_FORMS = {"point": "c point NODE ID", "pair": "c pair NODE FRAME_A FRAME_B"}
-
-
-def parse_dimacs(text: str) -> tuple[FlowGraph, int]:
-    """Parse a DIMACS min-cost-flow file describing a layered graph.
-
-    Layer membership is recovered from the arc pattern: heads of source arcs
-    become points and tails of sink arcs become pairs, each layer in node id
-    order. When every point and pair node has a ``c point NODE ID`` or
-    ``c pair NODE FRAME_A FRAME_B`` line (as ``to_dimacs`` writes), those
-    label the vertices; otherwise point node N is point N and pair node N the
-    pair (N, N+1). Arcs may come in any order; they are sorted into
-    :class:`FlowGraph`'s edge layout. Returns the graph and the declared
-    supply. Malformed records, label lines included, raise
-    :class:`GraphError` naming the line.
-    """
-    n_decl = None
-    supplies: dict[int, int] = {}
-    raw_arcs: list[list[int]] = []
-    labels: dict[str, dict[int, tuple[int, ...]]] = {kind: {} for kind in _LABEL_FORMS}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "c":
-            form = _LABEL_FORMS.get(parts[1]) if len(parts) > 1 else None
-            if form is not None:
-                if len(parts) != len(form.split()):
-                    raise GraphError(f"line {lineno}: expected '{form}'")
-                node, *label = _ints(parts[2:], lineno, form)
-                labels[parts[1]][node] = tuple(label)
-            continue
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "min":
-                raise GraphError(f"line {lineno}: expected 'p min N M'")
-            n_decl, _ = _ints(parts[2:], lineno, "p min N M")
-        elif parts[0] == "n":
-            if len(parts) != 3:
-                raise GraphError(f"line {lineno}: expected 'n ID FLOW'")
-            node, flow = _ints(parts[1:], lineno, "n ID FLOW")
-            supplies[node] = flow
-        elif parts[0] == "a":
-            if len(parts) != 6:
-                raise GraphError(f"line {lineno}: expected 'a from to low cap cost'")
-            raw_arcs.append(_ints(parts[1:], lineno, "a from to low cap cost"))
-        else:
-            raise GraphError(f"line {lineno}: unknown record '{parts[0]}'")
-    if n_decl is None:
-        raise GraphError("missing problem line")
-    positives = [v for v, sup in supplies.items() if sup > 0]
-    negatives = [v for v, sup in supplies.items() if sup < 0]
-    if len(positives) != 1 or len(negatives) != 1:
-        raise GraphError("expected exactly one supply and one demand node")
-    src, snk = positives[0], negatives[0]
-    supply = supplies[src]
-
-    points = sorted({h for tl, h, *_ in raw_arcs if tl == src})
-    pairs = sorted({tl for tl, h, *_ in raw_arcs if h == snk})
-    nodes = [src, *points, *pairs, snk]
-    index = {node: i for i, node in enumerate(nodes)}
-    if len(index) != len(nodes):
-        twice = next(node for i, node in enumerate(nodes) if index[node] != i)
-        raise GraphError(f"node {twice} is on two layers")
-    for tl, h, low, _, _ in raw_arcs:
-        if low != 0:
-            raise GraphError("only zero lower bounds are supported")
-        if tl not in index or h not in index:
-            raise GraphError(f"arc {tl}->{h} does not fit the layered structure")
-    if all(node in labels["point"] for node in points) and all(node in labels["pair"] for node in pairs):
-        point_ids = [labels["point"][node][0] for node in points]
-        pair_rows = [labels["pair"][node] for node in pairs]
-    else:
-        point_ids, pair_rows = points, [(node, node + 1) for node in pairs]
-    tail = np.array([index[arc[0]] for arc in raw_arcs], np.int64)
-    head = np.array([index[arc[1]] for arc in raw_arcs], np.int64)
-    # Source, point->pair and sink arcs all sort into place by tail, then head.
-    order = np.argsort(tail * len(nodes) + head, kind="stable").tolist()
-    return FlowGraph(
-        point_ids,
-        pair_rows,
-        tail[order],
-        head[order],
-        [raw_arcs[i][3] for i in order],
-        [raw_arcs[i][4] for i in order],
-    ), supply

@@ -1,4 +1,4 @@
-"""SLAM map data model: keyframes, map points, observations, and covisibility.
+"""SLAM map data model: keyframes, map points and observations, and map file I/O.
 
 Everything here is immutable after construction and can be shared freely
 across threads. A :class:`SlamMap` keeps its keyframes as objects and its
@@ -76,15 +76,6 @@ class Observation:
     keyframe_id: int
     u: float
     v: float
-
-
-@dataclass(frozen=True)
-class CovisPair:
-    """Unordered keyframe pair (frame_a < frame_b) sharing at least one point."""
-
-    frame_a: int
-    frame_b: int
-    shared_point_ids: frozenset[int]
 
 
 @dataclass
@@ -191,10 +182,11 @@ def _repeats(sorted_ids: np.ndarray) -> np.ndarray:
 
 def _positions(sorted_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Index of the first entry equal to each key in ``sorted_ids``, or -1 where there is none."""
+    if not len(sorted_ids):
+        return np.full(len(keys), -1, np.intp)
     pos = np.searchsorted(sorted_ids, keys)
-    found = pos < len(sorted_ids)
-    found[found] = sorted_ids[pos[found]] == keys[found]
-    return np.where(found, pos, -1)
+    # A key past the last id is compared with the last id, which it cannot equal.
+    return np.where(sorted_ids[np.minimum(pos, len(sorted_ids) - 1)] == keys, pos, -1)
 
 
 class SlamMap:
@@ -298,6 +290,14 @@ class SlamMap:
         first = np.repeat(np.arange(k), later)
         second = np.arange(len(first)) + np.repeat(np.arange(k) + 1 - (np.cumsum(later) - later), later)
         return first, second
+
+
+def _sub_map(slam_map: SlamMap, keyframes: Iterable[Keyframe], point_ids: np.ndarray, on_obs: np.ndarray) -> SlamMap:
+    """The map of ``keyframes``, the points whose ids are in the sorted array
+    ``point_ids``, and the observations where the mask ``on_obs`` holds."""
+    points, obs = slam_map.points, slam_map.observations
+    on_point = _positions(point_ids, points.id) >= 0
+    return SlamMap(keyframes, points.id[on_point], points.xyz[on_point], *(c[on_obs] for c in obs._columns))
 
 
 def maps_equal(a: SlamMap, b: SlamMap) -> bool:
@@ -863,27 +863,3 @@ def validate(slam_map: SlamMap) -> ValidationReport:
                 )
 
     return ValidationReport(v)
-
-
-def covisibility(slam_map: SlamMap) -> list[CovisPair]:
-    """All unordered keyframe pairs sharing at least one point.
-
-    Returned in lexicographic (frame_a, frame_b) order, each pair carrying its
-    full shared-point set. A point observed by n keyframes contributes to
-    exactly n*(n-1)/2 pairs.
-    """
-    point, frame, _, _ = slam_map.observation_arrays()
-    first, second = slam_map.observation_pairs()
-    # Keyframe rows sort as their ids do, so sorting by this key orders the pairs.
-    n_frames = len(slam_map.keyframes)
-    key = frame[first] * n_frames + frame[second]
-    order = np.argsort(key)
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    frame_a, frame_b = (slam_map._keyframe_ids[rows].tolist() for rows in np.divmod(key[starts], n_frames))
-    shared = slam_map.points.id[point[first[order]]].tolist()
-    bounds = np.append(starts, len(key)).tolist()
-    return [
-        CovisPair(frame_a=fa, frame_b=fb, shared_point_ids=frozenset(shared[lo:hi]))
-        for fa, fb, lo, hi in zip(frame_a, frame_b, bounds, bounds[1:])
-    ]

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .flow_graph import FlowGraph, GraphConfig, build_graph
-from .map_model import _INT64_MAX, SlamMap, _positions, _repeats
+from .map_model import _INT64_MAX, SlamMap, _positions, _repeats, _sub_map
 from .mcmf import FlowResult, solve
 
 
@@ -286,16 +286,10 @@ def selection_from_kept(
 def apply_selection(slam_map: SlamMap, selection: SelectionResult) -> SlamMap:
     """New map containing only kept points, surviving keyframes, and their observations."""
     kept, culled = selection.kept_point_ids, selection.culled_keyframe_ids
-    points, obs = slam_map.points, slam_map.observations
-    on_point = _positions(kept, points.id) >= 0
+    obs = slam_map.observations
     on_obs = (_positions(kept, obs.point_id) >= 0) & (_positions(culled, obs.keyframe_id) < 0)
     on_frame = _positions(culled, np.array([kf.id for kf in slam_map.keyframes], np.int64)) < 0
-    return SlamMap(
-        itertools.compress(slam_map.keyframes, on_frame.tolist()),
-        points.id[on_point],
-        points.xyz[on_point],
-        *(column[on_obs] for column in (obs.point_id, obs.keyframe_id, obs.u, obs.v)),
-    )
+    return _sub_map(slam_map, itertools.compress(slam_map.keyframes, on_frame.tolist()), kept, on_obs)
 
 
 def underviewed_points(slam_map: SlamMap) -> np.ndarray:

@@ -209,7 +209,7 @@ def nearby_count(slam_map, point_id, frame_id, box_width=64, box_height=48, inde
 def build_graph_oracle(slam_map, config):
     """Scalar reference for ``build_graph``: one FlowEdge at a time, every cost
     from its single-value function, disabled costs 1. Returns (point_ids,
-    pairs, edges, point_source_edge, pair_sink_edge)."""
+    pairs, edges, pair_sink_edge)."""
     index = index_oracle(slam_map)
     frames_of = index[0]
     eligible = [(pt.id, frames_of[pt.id]) for pt in slam_map.points if len(frames_of[pt.id]) >= 2]
@@ -224,11 +224,9 @@ def build_graph_oracle(slam_map, config):
     snk = 1 + len(point_ids) + len(pairs)
 
     edges = []
-    point_source_edge = {}
     for pid, frames in eligible:
         n = len(frames)
         cost = connectivity_cost(n, m) if config.enable_cc else 1
-        point_source_edge[pid] = len(edges)
         edges.append(FlowEdge(0, point_index[pid], point_capacity(n), cost))
 
     counts = {}
@@ -249,7 +247,7 @@ def build_graph_oracle(slam_map, config):
         cost = baseline_cost(float(np.linalg.norm(centers[a] - centers[b]))) if config.enable_cb else 1
         pair_sink_edge[(a, b)] = len(edges)
         edges.append(FlowEdge(pair_index[(a, b)], snk, config.capacity_m, cost))
-    return point_ids, pairs, edges, point_source_edge, pair_sink_edge
+    return point_ids, pairs, edges, pair_sink_edge
 
 
 def _residual_arrays(graph: FlowGraph):

@@ -10,7 +10,7 @@ import numpy as np
 
 from conftest import map_from_records
 from mapsparse import _quat
-from mapsparse.map_model import CovisPair, SlamMap
+from mapsparse.map_model import SlamMap
 
 _POSE_TOL = 1e-9
 
@@ -260,17 +260,15 @@ def attribute_S_oracle(slam_map: SlamMap, cell_width: int = 64, cell_height: int
     return float(np.mean(percents))
 
 
-def covisibility_oracle(slam_map: SlamMap) -> list[CovisPair]:
-    """Covisible keyframe pairs from each point's frames, pair by pair."""
+def covisibility_oracle(slam_map: SlamMap) -> list[tuple[int, int, frozenset[int]]]:
+    """Covisible keyframe pairs (frame_a, frame_b, shared point ids) from each point's frames,
+    pair by pair, in (frame_a, frame_b) order."""
     frames_of = index_oracle(slam_map)[0]
     shared: dict[tuple[int, int], set[int]] = {}
     for pt in slam_map.points:
         for a, b in combinations(frames_of[pt.id], 2):
             shared.setdefault((a, b), set()).add(pt.id)
-    return [
-        CovisPair(frame_a=a, frame_b=b, shared_point_ids=frozenset(pids))
-        for (a, b), pids in sorted(shared.items())
-    ]
+    return [(a, b, frozenset(pids)) for (a, b), pids in sorted(shared.items())]
 
 
 def _connectivity_order_oracle(slam_map: SlamMap, frames_of) -> list[int]:

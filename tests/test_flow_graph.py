@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WORKLOAD_SHAPES, make_map, map_from_records
-from flow_cases import build_graph_oracle, graph_from_edges, layer, nearby_count, solve_ssp
+from flow_cases import build_graph_oracle, graph_from_edges, layer, nearby_count
 from map_oracles import index_oracle
 from mapsparse.cli import _window_maps
 from mapsparse.flow_graph import (
@@ -18,7 +18,6 @@ from mapsparse.flow_graph import (
     baseline_cost,
     build_graph,
     connectivity_cost,
-    parse_dimacs,
     point_capacity,
     spatial_cost,
     to_dimacs,
@@ -254,14 +253,11 @@ class TestBuildGraph:
         assert graph.n_vertices == 11
         assert graph.n_edges == 3 + 8 + 6
 
-        source_caps = {
-            pid: graph.edges[ei].capacity for pid, ei in graph.point_source_edge.items()
-        }
-        assert source_caps == {0: 1, 1: 6, 2: 1}
-        source_costs = {
-            pid: graph.edges[ei].cost for pid, ei in graph.point_source_edge.items()
-        }
-        assert source_costs == {0: 6, 1: 1, 2: 6}  # m = 4
+        # edge i is the source edge of point_ids[i]
+        assert graph.point_ids.tolist() == [0, 1, 2]
+        assert [(e.tail, e.head) for e in graph.edges[:3]] == [(0, 1), (0, 2), (0, 3)]
+        assert [e.capacity for e in graph.edges[:3]] == [1, 6, 1]
+        assert [e.cost for e in graph.edges[:3]] == [6, 1, 6]  # m = 4
 
         # keypoints are far apart so every point->pair cost is zero
         pair_edges = [e for e in graph.edges if layer(graph, e.tail) == "point"]
@@ -293,7 +289,7 @@ class TestBuildGraph:
             four_frame_map,
             GraphConfig(capacity_m=2, enable_cc=False, enable_cb=False),
         )
-        assert all(graph.edges[ei].cost == 1 for ei in graph.point_source_edge.values())
+        assert all(e.cost == 1 for e in graph.edges[: len(graph.point_ids)])
         assert all(graph.edges[ei].cost == 1 for ei in graph.pair_sink_edge.values())
 
     def test_underviewed_points_excluded(self):
@@ -303,7 +299,7 @@ class TestBuildGraph:
         )
         graph = build_graph(slam_map, GraphConfig(capacity_m=1))
         assert list(graph.point_ids) == [0]
-        assert set(graph.point_source_edge) == {0}
+        assert [(e.tail, e.head) for e in graph.edges if e.tail == 0] == [(0, 1)]
 
     def test_no_eligible_point_raises(self):
         slam_map = make_map([(0, 0, 0), (1, 0, 0)], {0: [(0, 10, 10)]})
@@ -313,14 +309,14 @@ class TestBuildGraph:
     def test_source_capacity_equals_out_degree(self):
         slam_map, _ = generate(SynthConfig(n_points=120, n_keyframes=8, dropout=0.3, seed=5))
         graph = build_graph(slam_map, GraphConfig(capacity_m=3))
-        total_cap = sum(graph.edges[ei].capacity for ei in graph.point_source_edge.values())
+        sources = graph.edges[: len(graph.point_ids)]
+        total_cap = sum(e.capacity for e in sources)
         n_mid = sum(1 for e in graph.edges if layer(graph, e.tail) == "point")
         assert total_cap == n_mid
         # per point: out-degree equals source capacity
-        for pid, ei in graph.point_source_edge.items():
-            pi = 1 + list(graph.point_ids).index(pid)
-            out_deg = sum(1 for e in graph.edges if e.tail == pi)
-            assert out_deg == graph.edges[ei].capacity
+        for e in sources:
+            out_deg = sum(1 for f in graph.edges if f.tail == e.head)
+            assert out_deg == e.capacity
 
     def test_deterministic_and_input_order_invariant(self):
         slam_map, _ = generate(SynthConfig(n_points=60, n_keyframes=6, dropout=0.2, seed=8))
@@ -448,7 +444,7 @@ class TestNearbyGrid:
 
 def assert_matches_oracle(slam_map, config):
     try:
-        point_ids, pairs, edges, point_source_edge, pair_sink_edge = build_graph_oracle(slam_map, config)
+        point_ids, pairs, edges, pair_sink_edge = build_graph_oracle(slam_map, config)
     except GraphError:
         with pytest.raises(GraphError):
             build_graph(slam_map, config)
@@ -458,7 +454,6 @@ def assert_matches_oracle(slam_map, config):
     assert graph.pairs.tolist() == [list(ab) for ab in pairs]
     assert graph.n_vertices == len(point_ids) + len(pairs) + 2
     assert list(graph.edges) == edges
-    assert graph.point_source_edge == point_source_edge
     assert graph.pair_sink_edge == pair_sink_edge
 
 
@@ -539,7 +534,8 @@ class TestFlowGraphArrays:
         rebuilt = FlowGraph(graph.point_ids, graph.pairs, graph.tail, graph.head, graph.capacity, graph.cost)
         assert rebuilt.edges == graph.edges
         assert (rebuilt.n_vertices, rebuilt.source_index, rebuilt.sink_index) == (11, 0, 10)
-        assert rebuilt.point_source_edge == graph.point_source_edge
+        assert rebuilt.point_ids.tolist() == graph.point_ids.tolist()
+        assert rebuilt.pairs.tolist() == graph.pairs.tolist()
         assert rebuilt.pair_sink_edge == graph.pair_sink_edge
 
     @pytest.mark.parametrize(
@@ -586,7 +582,7 @@ class TestFlowGraphArrays:
         assert [(layer(graph, e.tail), layer(graph, e.head)) for e in graph.edges] == (
             [("source", "point")] * 2 + [("point", "pair")] * 4 + [("pair", "sink")] * 3
         )
-        assert graph.point_source_edge == {9: 0, 4: 1}
+        assert graph.point_ids.tolist() == [9, 4]  # source edges 0 and 1
         assert graph.pair_sink_edge == {(0, 1): 6, (0, 2): 7, (1, 2): 8}
 
     @pytest.mark.parametrize(
@@ -661,7 +657,62 @@ class TestGraphConfig:
         ).edges
 
 
+def dimacs_oracle(graph, supply):
+    """The DIMACS text of ``graph``, written line by line from its records."""
+    n_points, n_vertices = len(graph.point_ids), len(graph.point_ids) + len(graph.pairs) + 2
+    lines = [f"p min {n_vertices} {len(graph.edges)}", f"n 1 {supply}", f"n {n_vertices} {-supply}"]
+    for node, pid in enumerate(graph.point_ids.tolist(), start=2):
+        lines.append(f"c point {node} {pid}")
+    for node, (a, b) in enumerate(graph.pairs.tolist(), start=n_points + 2):
+        lines.append(f"c pair {node} {a} {b}")
+    for e in graph.edges:
+        lines.append(f"a {e.tail + 1} {e.head + 1} 0 {e.capacity} {e.cost}")
+    return "".join(line + "\n" for line in lines)
+
+
+def read_dimacs(text):
+    """The graph and supply that a ``to_dimacs`` text describes: vertices labelled by their
+    ``c point`` and ``c pair`` lines, the supply of node 1, and the arcs in file order."""
+    points, pairs, arcs, supplies = {}, {}, [], {}
+    for line in text.splitlines():
+        kind, *fields = line.split()
+        if fields[:1] == ["point"]:
+            points[int(fields[1])] = int(fields[2])
+        elif fields[:1] == ["pair"]:
+            pairs[int(fields[1])] = (int(fields[2]), int(fields[3]))
+        elif kind == "n":
+            supplies[int(fields[0])] = int(fields[1])
+        elif kind == "a":
+            arcs.append([int(x) for x in fields])
+    tail, head, _, capacity, cost = (np.array(c, np.int64) for c in zip(*arcs))
+    graph = FlowGraph([points[k] for k in sorted(points)], [pairs[k] for k in sorted(pairs)], tail - 1, head - 1, capacity, cost)
+    return graph, supplies[1]
+
+
 class TestDimacs:
+    def test_small_graph(self):
+        graph = FlowGraph(LAYOUT_POINTS, LAYOUT_PAIRS, *zip(*LAYOUT_EDGES))
+        assert to_dimacs(graph, 3).splitlines() == [
+            "p min 7 9", "n 1 3", "n 7 -3",
+            "c point 2 9", "c point 3 4", "c pair 4 0 1", "c pair 5 0 2", "c pair 6 1 2",
+            "a 1 2 0 2 0", "a 1 3 0 2 1", "a 2 4 0 1 2", "a 2 5 0 1 0", "a 3 5 0 1 3", "a 3 6 0 1 1",
+            "a 4 7 0 1 1", "a 5 7 0 1 2", "a 6 7 0 1 0",
+        ]
+
+    @pytest.mark.parametrize("synth, window", [pytest.param(None, 0, id="four_frame"), *WORKLOAD_SHAPES])
+    def test_matches_lines_built_from_the_records(self, synth, window, four_frame_map):
+        if synth is None:
+            maps = [four_frame_map]
+        else:
+            slam_map, _ = generate(SynthConfig(seed=4, **synth))
+            maps = [slam_map, *(_window_maps(slam_map, window) if window else [])]
+        for sub in maps:
+            graph = build_graph(sub, GraphConfig(capacity_m=2 if synth is None else 20))
+            supply = solve(graph).total_flow
+            text = to_dimacs(graph, supply)
+            assert text == dimacs_oracle(graph, supply)
+            assert text.count("\na ") == graph.n_edges
+
     def test_format_and_round_trip(self, four_frame_map):
         graph = build_graph(four_frame_map, GraphConfig(capacity_m=2))
         result = solve(graph)
@@ -671,7 +722,7 @@ class TestDimacs:
         assert lines[1].startswith("n ")
         assert sum(1 for ln in lines if ln.startswith("a ")) == graph.n_edges
 
-        parsed, supply = parse_dimacs(text)
+        parsed, supply = read_dimacs(text)
         assert supply == result.total_flow
         reparsed = solve(parsed)
         assert reparsed.total_flow == result.total_flow
@@ -682,122 +733,9 @@ class TestDimacs:
         for graph in (build_graph(four_frame_map, GraphConfig(capacity_m=2)), build_graph(slam_map, GraphConfig(capacity_m=20))):
             text = to_dimacs(graph, 3)
             assert "c point 2 %d" % graph.point_ids[0] in text.splitlines()
-            parsed, supply = parse_dimacs(text)
+            parsed, supply = read_dimacs(text)
             assert supply == 3
             assert parsed.point_ids.tolist() == graph.point_ids.tolist()
             assert parsed.pairs.tolist() == graph.pairs.tolist()
             assert parsed.edges == graph.edges
-            assert parsed.point_source_edge == graph.point_source_edge
             assert parsed.pair_sink_edge == graph.pair_sink_edge
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_arcs_in_any_order_parse_into_the_layout(self, seed, four_frame_map):
-        slam_map, _ = generate(SynthConfig(seed=4, **WORKLOAD_SHAPES[2].values[0]))
-        rng = np.random.default_rng(seed)
-        for graph in (build_graph(four_frame_map, GraphConfig(capacity_m=2)), build_graph(slam_map, GraphConfig(capacity_m=20))):
-            text = to_dimacs(graph, solve(graph).total_flow)
-            original = text.splitlines()
-            lines = list(original)
-            arcs = [i for i, ln in enumerate(lines) if ln.startswith("a ")]
-            for i, j in zip(arcs, rng.permutation(arcs)):
-                lines[i] = original[j]
-            assert lines != original
-            parsed, supply = parse_dimacs("\n".join(lines))
-            assert parsed.edges == graph.edges
-            assert to_dimacs(parsed, supply) == text
-            assert solve(parsed) == solve(graph)
-            assert to_dimacs(*parse_dimacs(text)) == text
-
-    def test_nodes_label_themselves_unless_every_node_has_a_label(self, four_frame_map):
-        graph = build_graph(four_frame_map, GraphConfig(capacity_m=2))
-        lines = to_dimacs(graph, 3).splitlines()
-        unlabelled = [ln for ln in lines if not ln.startswith("c ")]
-        one_missing = [ln for ln in lines if ln != "c pair 10 2 3"]
-        for text in (unlabelled, one_missing):
-            parsed, _ = parse_dimacs("\n".join(text))
-            assert parsed.point_ids.tolist() == [2, 3, 4]
-            assert parsed.pairs.tolist() == [[n, n + 1] for n in range(5, 11)]
-            assert parsed.edges == graph.edges
-
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            pytest.param("c pair 4 0", "line 3: expected 'c pair NODE FRAME_A FRAME_B'", id="short-pair-label"),
-            pytest.param("c pair 4 0 x", "line 3", id="non-integer-pair-label"),
-            pytest.param("c point 2", "line 3: expected 'c point NODE ID'", id="short-point-label"),
-            pytest.param("n 1", "line 3", id="short-node"),
-            pytest.param("a 1 2 0 x 1", "line 3", id="non-integer-arc"),
-            pytest.param("p min x 3", "line 3", id="non-integer-problem"),
-            pytest.param(f"a 1 2 0 {1 << 62} 1", "capacity", id="capacity-2**62"),
-            pytest.param(f"a 1 2 0 {1 << 64} 1", "2\\*\\*62", id="capacity-beyond-int64"),
-            pytest.param("a 1 3 0 1 0", "node 3 is on two layers", id="node-on-two-layers"),
-        ],
-    )
-    def test_malformed_input_raises_graph_error(self, line, message):
-        records = ["p min 4 3", "n 1 1", "a 1 2 0 1 0", "n 4 -1", "a 2 3 0 1 0", "a 3 4 0 1 0"]
-        assert parse_dimacs("\n".join(records))[1] == 1
-        records[2] = line
-        text = "\n".join(records)
-        with pytest.raises(GraphError, match=message):
-            parse_dimacs(text)
-
-
-_dimacs_tokens = st.one_of(
-    st.integers(-2, 6).map(str),
-    st.sampled_from([str(2**62), str(2**63 - 1), str(2**63), str(-(2**63) - 1), "x", "1.5", "min"]),
-)
-_dimacs_labels = st.one_of(
-    st.tuples(st.just("c point"), _dimacs_tokens, _dimacs_tokens),
-    st.tuples(st.just("c pair"), _dimacs_tokens, _dimacs_tokens, _dimacs_tokens),
-    st.lists(_dimacs_tokens, max_size=4).map(lambda tokens: ("c", "pair", *tokens)),
-).map(" ".join)
-_dimacs_lines = st.one_of(
-    _dimacs_labels,
-    st.tuples(st.just("p min"), _dimacs_tokens, _dimacs_tokens),
-    st.tuples(st.just("n"), _dimacs_tokens, _dimacs_tokens),
-    st.tuples(st.just("a"), _dimacs_tokens, _dimacs_tokens, st.just("0") | _dimacs_tokens, _dimacs_tokens, _dimacs_tokens),
-    st.lists(_dimacs_tokens | st.sampled_from(["p", "n", "a", "c"]), max_size=7),
-).map(" ".join)
-# A problem line with one supply node (1) and one demand node (6), then arcs
-# 1 -> {2, 3} -> {4, 5} -> 6, label lines, and at most one other line, so
-# that many texts describe a layered graph, some with every node labelled.
-_dimacs_arcs = st.tuples(
-    st.sampled_from([(1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 6)]),
-    st.integers(1, 3),
-    st.integers(0, 9),
-).map(lambda arc: "a %d %d 0 %d %d" % (*arc[0], arc[1], arc[2]))
-# Label lines for the point nodes 2, 3 and the pair nodes 4, 5 of such texts:
-# all four (most often), the last three, the last one or none; ids may repeat
-# and pairs be unordered.
-_node_labels = st.tuples(*[st.integers(0, 3)] * 6, st.sampled_from([0, 0, 0, 1, 3, 4])).map(
-    lambda t: [
-        "c point 2 %d" % t[0], "c point 3 %d" % t[1], "c pair 4 %d %d" % (t[2], t[2] + t[3] - 1),
-        "c pair 5 %d %d" % (t[4], t[4] + t[5] - 1),
-    ][t[6]:]
-)
-_dimacs_texts = st.one_of(
-    st.text(),
-    st.lists(_dimacs_lines, max_size=12).map("\n".join),
-    st.tuples(
-        st.lists(_dimacs_arcs, max_size=9, unique_by=lambda arc: tuple(arc.split()[1:3])),
-        _node_labels,
-        st.lists(_dimacs_lines, max_size=1),
-    ).map(lambda lines: "\n".join(["p min 6 9", "n 1 2", "n 6 -2", *lines[0], *lines[1], *lines[2]])),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(text=_dimacs_texts)
-def test_any_text_parses_to_a_graph_or_raises_a_graph_error(text):
-    try:
-        graph, supply = parse_dimacs(text)
-    except GraphError:
-        return
-    assert isinstance(graph, FlowGraph) and isinstance(supply, int)
-    try:
-        result = solve(graph)
-    except GraphError as e:
-        # outside the closed form: a source edge can bind, and the SSP oracle solves the graph
-        assert "source edge can bind" in str(e)
-        result = solve_ssp(graph)
-    assert result.total_flow <= sum(graph.capacity[list(graph.point_source_edge.values())].tolist())

@@ -17,6 +17,7 @@ from conftest import DEFAULT_INTRINSICS, IDENTITY_Q, WORKLOAD_SHAPES, make_map, 
 from map_oracles import covisibility_oracle, index_oracle, save_map_oracle, validate_oracle
 from mapsparse import map_model
 from mapsparse.cli import _window_maps
+from mapsparse.flow_graph import GraphConfig, GraphError, build_graph
 from mapsparse.map_model import (
     CameraIntrinsics,
     Keyframe,
@@ -31,7 +32,6 @@ from mapsparse.map_model import (
     _parse_point,
     _parse_records,
     _section,
-    covisibility,
     load_map,
     maps_equal,
     save_map,
@@ -230,14 +230,26 @@ def test_validate_seq_timestamp_order():
     assert any("strictly increasing" in msg for msg in report.violations)
 
 
+def covisibility(slam_map):
+    """The frame pairs of ``build_graph``'s graph as (frame_a, frame_b, ids of the points whose
+    edges enter the pair), in the graph's pair order; [] where no point is seen twice."""
+    try:
+        graph = build_graph(slam_map, GraphConfig(capacity_m=1, enable_cc=False, enable_cs=False, enable_cb=False))
+    except GraphError:
+        return []
+    n_points = len(graph.point_ids)
+    shared = [set() for _ in range(len(graph.pairs))]
+    for point_vertex, pair_vertex in zip(graph.tail[graph.middle].tolist(), graph.head[graph.middle].tolist()):
+        shared[pair_vertex - n_points - 1].add(int(graph.point_ids[point_vertex - 1]))
+    return [(a, b, frozenset(pids)) for (a, b), pids in zip(graph.pairs.tolist(), shared)]
+
+
 def test_covisibility_four_frame_fixture(four_frame_map):
     pairs = covisibility(four_frame_map)
-    assert [(p.frame_a, p.frame_b) for p in pairs] == [
-        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-    ]
-    counts = {(p.frame_a, p.frame_b): len(p.shared_point_ids) for p in pairs}
+    assert [(a, b) for a, b, _ in pairs] == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    counts = {(a, b): len(pids) for a, b, pids in pairs}
     assert counts == {(0, 1): 2, (0, 2): 1, (0, 3): 1, (1, 2): 1, (1, 3): 1, (2, 3): 2}
-    assert pairs[0].shared_point_ids == {0, 1}
+    assert pairs[0][2] == {0, 1}
 
 
 def test_covisibility_no_shared_points():
@@ -254,16 +266,15 @@ def test_covisibility_three_frames_one_point():
         point_obs={0: [(0, 5, 5), (1, 5, 5), (2, 5, 5)]},
     )
     pairs = covisibility(slam_map)
-    assert [(p.frame_a, p.frame_b) for p in pairs] == [(0, 1), (0, 2), (1, 2)]
-    assert all(len(p.shared_point_ids) == 1 for p in pairs)
+    assert [(a, b) for a, b, _ in pairs] == [(0, 1), (0, 2), (1, 2)]
+    assert all(pids == {0} for _, _, pids in pairs)
 
 
 def test_covisibility_pair_count_matches_choose_two():
     slam_map, _ = generate(SynthConfig(n_points=60, n_keyframes=7, dropout=0.3, seed=9))
-    pairs = covisibility(slam_map)
     membership = {}
-    for p in pairs:
-        for pid in p.shared_point_ids:
+    for _, _, pids in covisibility(slam_map):
+        for pid in pids:
             membership[pid] = membership.get(pid, 0) + 1
     for pid, n in zip(slam_map.points.id.tolist(), slam_map.observer_counts().tolist()):
         assert membership.get(pid, 0) == n * (n - 1) // 2
@@ -503,6 +514,18 @@ def test_validate_measures_quaternions_near_the_tolerance_one_at_a_time():
 @settings(max_examples=200, deadline=None)
 @given(slam_map=messy_maps())
 def test_indices_match_record_by_record_oracle(slam_map):
+    assert_indices_match_oracle(slam_map)
+
+
+@pytest.mark.parametrize("synth, window", WORKLOAD_SHAPES)
+def test_indices_on_workload_shaped_maps(synth, window):
+    slam_map, _ = generate(SynthConfig(seed=4, **synth))
+    for sub in [slam_map, *(_window_maps(slam_map, window) if window else [])]:
+        assert_indices_match_oracle(sub)
+
+
+def assert_indices_match_oracle(slam_map):
+    """Observer counts, observation arrays and observation pairs against :func:`index_oracle`."""
     frames_of, _, obs_by_key = index_oracle(slam_map)
     assert slam_map.observer_counts().tolist() == [len(frames_of[p.id]) for p in slam_map.points]
 
@@ -520,6 +543,51 @@ def test_indices_match_record_by_record_oracle(slam_map):
     got = [(ids[point[i]], frame_id[i], frame_id[j]) for i, j in zip(first.tolist(), second.tolist())]
     assert got == expected
     assert (point[first] == point[second]).all()
+
+
+_ids = st.one_of(st.integers(-3, 3), st.sampled_from([-(2**63), -(2**63) + 1, 2**63 - 2, 2**63 - 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_ids=st.lists(_ids, max_size=8).map(sorted), keys=st.lists(_ids, max_size=8))
+def test_positions_is_the_first_entry_of_each_key(sorted_ids, keys):
+    got = map_model._positions(np.array(sorted_ids, np.int64), np.array(keys, np.int64))
+    assert got.tolist() == [sorted_ids.index(k) if k in sorted_ids else -1 for k in keys]
+
+
+@pytest.mark.parametrize(
+    "sorted_ids, keys, expected",
+    [
+        pytest.param([], [], [], id="empty-ids-and-keys"),
+        pytest.param([], [0, -(2**63), 2**63 - 1], [-1, -1, -1], id="empty-ids"),
+        pytest.param([1, 4], [5, 2**63 - 1, 4], [-1, -1, 1], id="keys-past-the-last-id"),
+        pytest.param([1, 4], [0, -(2**63), 1], [-1, -1, 0], id="keys-before-the-first-id"),
+        pytest.param(
+            [-(2**63), -5, 2**63 - 1], [-(2**63), -5, 2**63 - 1, -(2**63) + 1, 2**63 - 2, -6],
+            [0, 1, 2, -1, -1, -1], id="negative-and-int64-extreme-keys",
+        ),
+        pytest.param([-2, 0, 0, 0, 3, 3], [0, 3, -2, 1, 3], [1, 4, 0, -1, 4], id="repeated-ids"),
+    ],
+)
+def test_positions_cases(sorted_ids, keys, expected):
+    got = map_model._positions(np.array(sorted_ids, np.int64), np.array(keys, np.int64))
+    assert got.tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(slam_map=messy_maps(), data=st.data())
+def test_sub_map_keeps_the_given_keyframes_points_and_observations(slam_map, data):
+    on_frame = data.draw(st.lists(st.booleans(), min_size=slam_map.n_keyframes, max_size=slam_map.n_keyframes))
+    keyframes = list(itertools.compress(slam_map.keyframes, on_frame))
+    point_ids = sorted(data.draw(st.lists(st.integers(-2, 7), max_size=8)))  # repeats allowed
+    on_obs = data.draw(st.lists(st.booleans(), min_size=slam_map.n_observations, max_size=slam_map.n_observations))
+    got = map_model._sub_map(slam_map, keyframes, np.array(point_ids, np.int64), np.array(on_obs, bool))
+    expected = map_from_records(
+        keyframes,
+        [pt for pt in slam_map.points if pt.id in point_ids],
+        itertools.compress(slam_map.observations, on_obs),
+    )
+    assert maps_equal(got, expected)
 
 
 def test_point_and_observation_views_are_sequences_of_records(four_frame_map):

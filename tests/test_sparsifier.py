@@ -89,7 +89,7 @@ class TestSelectPoints:
         graph = self.graph_with_caps()
         flows = {0: 2, 1: 3, 2: 1}  # per source edge
         edge_flows = [0] * graph.n_edges
-        for pid, ei in graph.point_source_edge.items():
+        for ei, pid in enumerate(graph.point_ids.tolist()):  # edge i is the source edge of point_ids[i]
             edge_flows[ei] = flows[pid]
         result = FlowResult(tuple(edge_flows), sum(flows.values()), 0)
         kept = select_points(result, graph, 0.5)
@@ -97,7 +97,7 @@ class TestSelectPoints:
 
     def test_quarter_ratio(self):
         graph = build_layered([(4, 1)], [(0, 0, 1, 0)], [(4, 1)])
-        ei = graph.point_source_edge[0]
+        ei = 0  # the source edge of point_ids[0], point 0
         flows = [0] * graph.n_edges
         flows[ei] = 1
         assert select_points(FlowResult(tuple(flows), 1, 0), graph, 0.25) == []
