@@ -34,7 +34,6 @@ from .metrics import (
     MetricsError,
     MetricsReport,
     Trajectory,
-    align,
     associate,
     ate,
     ate_rot,

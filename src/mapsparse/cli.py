@@ -14,7 +14,9 @@ import numpy as np
 from . import baselines, metrics, synth
 from .flow_graph import GraphConfig
 from .map_model import SlamMap, _sub_map, load_map, save_map
-from .sparsifier import SelectionResult, SparsifyConfig, apply_selection, selection_from_kept, sparsify
+from .sparsifier import (
+    SelectionResult, SparsifyConfig, apply_selection, selection_from_kept, sparsify, underviewed_points,
+)
 
 _BASELINES = {
     "topm": baselines.select_top_m,
@@ -165,8 +167,10 @@ def _cmd_sparsify(args) -> int:
             kept = [np.empty(0, np.int64)]
             t0 = time.perf_counter()
             for sub in _window_maps(slam_map, args.window):
-                if (sub.observer_counts() >= 2).any():  # windows without an eligible point keep nothing
+                if (sub.observer_counts() >= 2).any():
                     kept.append(sparsify(sub, config).kept_point_ids)
+            if not config.drop_underviewed:  # also those of the windows skipped above, which no sparsify saw
+                kept.append(underviewed_points(slam_map))
             # selection_from_kept sorts the windows' ids together and drops the repeats
             selection = selection_from_kept(
                 slam_map, np.concatenate(kept), config.keyframe_min_points,
@@ -190,14 +194,14 @@ def _cmd_sparsify(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    if args.map is None and (args.est is None or args.gt is None):
+    if (args.est is None) != (args.gt is None):
+        raise ValueError("--est and --gt must be given together")
+    if args.map is None and args.est is None:
         raise ValueError("provide --map and/or both --est and --gt")
     doc = {}
     if args.map:
-        slam_map = load_map(args.map)
-        report = metrics.map_report(slam_map)
-        doc.update({k: v for k, v in report.to_dict().items() if k not in ("ate_rms_m", "ate_rot_rms_deg")})
-    if args.est and args.gt:
+        doc.update(metrics.map_report(load_map(args.map)).to_dict())
+    if args.est:
         est = metrics.load_trajectory(args.est)
         gt = metrics.load_trajectory(args.gt)
         doc["ate_rms_m"] = metrics.ate(est, gt, alignment=args.align, max_offset=args.max_offset)

@@ -346,11 +346,9 @@ def build_graph(slam_map: SlamMap, config: GraphConfig) -> FlowGraph:
     observer count over the eligible points of this map. Point->pair edges
     follow each point's frame pairs in ``itertools.combinations`` order.
     """
-    point, frame, _, _ = slam_map.observation_arrays()
-    k = len(point)
-    # Observations come in one run per point, frames ascending.
-    starts = np.flatnonzero(np.diff(point, prepend=-1))
-    n_run = np.diff(starts, append=k)
+    _, frame, _, _ = slam_map.observation_arrays()
+    # Observations come in one run per point row, frames ascending; a repeated point id's later rows have none.
+    n_run = np.diff(slam_map._point_offsets)
     eligible = n_run >= 2
     if not eligible.any():
         raise GraphError("no map point is observed by at least two keyframes")
@@ -366,7 +364,7 @@ def build_graph(slam_map: SlamMap, config: GraphConfig) -> FlowGraph:
     point_rank = np.repeat(np.cumsum(eligible) - 1, n_run)
 
     rows = np.column_stack(np.divmod(pair_keys, n_frames))
-    pairs = np.array([kf.id for kf in slam_map.keyframes], np.int64)[rows]
+    pairs = slam_map._keyframe_ids[rows]
 
     source_cost = connectivity_cost(n, m) if config.enable_cc else np.full(n_points, _DISABLED_COST)
 
@@ -386,7 +384,7 @@ def build_graph(slam_map: SlamMap, config: GraphConfig) -> FlowGraph:
     point_index = np.arange(1, n_points + 1)
     pair_index = np.arange(n_points + 1, n_points + 1 + n_pairs)
     return FlowGraph(
-        slam_map.points.id[point[starts[eligible]]],
+        slam_map.points.id[eligible],
         pairs,
         np.concatenate([np.zeros(n_points, np.int64), 1 + point_rank[first], pair_index]),
         np.concatenate([point_index, n_points + 1 + pair_of, np.full(n_pairs, n_points + n_pairs + 1)]),

@@ -47,10 +47,6 @@ class Pose:
     q: tuple[float, float, float, float]
     t: tuple[float, float, float]
 
-    def rotation(self) -> np.ndarray:
-        """3x3 camera-to-world rotation matrix (assumes unit quaternion)."""
-        return _quat.to_matrix(np.array(self.q))
-
     def center(self) -> np.ndarray:
         return np.array(self.t, dtype=float)
 

@@ -17,7 +17,7 @@ from typing import IO, Union
 import numpy as np
 
 from . import _quat
-from .map_model import Pose, SlamMap, _read_text, _write_blocks
+from .map_model import SlamMap, _read_text, _write_blocks
 
 
 class MetricsError(ValueError):
@@ -48,12 +48,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.stamps)
-
-    def poses(self) -> list[tuple[float, Pose]]:
-        return [
-            (float(ts), Pose(q=tuple(q), t=tuple(t)))
-            for ts, q, t in zip(self.stamps, self.quaternions, self.positions)
-        ]
 
 
 def load_trajectory(source: Union[str, Path, IO[bytes], IO[str]]) -> Trajectory:
@@ -119,27 +113,6 @@ def associate(stamps_est, stamps_gt, max_offset: float = 0.02) -> list[tuple[int
         matches.append((i, j))
     matches.sort()
     return matches
-
-
-def align(
-    traj_est: Trajectory,
-    traj_gt: Trajectory,
-    with_scale: bool = False,
-    max_offset: float = 0.02,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Least-squares alignment of estimated onto ground-truth positions.
-
-    Returns (s, R, t) minimizing sum ||s*R*p_est + t - p_gt||^2 over the
-    timestamp-associated position pairs (s fixed to 1 unless with_scale).
-    Requires at least 3 associated pairs; collinear or coincident point sets
-    raise :class:`AlignmentError`.
-    """
-    pairs = associate(traj_est.stamps, traj_gt.stamps, max_offset)
-    if len(pairs) < 3:
-        raise AlignmentError(f"need at least 3 associated pose pairs, got {len(pairs)}")
-    idx_e = [i for i, _ in pairs]
-    idx_g = [j for _, j in pairs]
-    return _umeyama(traj_est.positions[idx_e], traj_gt.positions[idx_g], with_scale)
 
 
 def _umeyama(src: np.ndarray, dst: np.ndarray, with_scale: bool):
@@ -273,7 +246,7 @@ def attribute_S(slam_map: SlamMap) -> float:
     new_cell = np.ones(len(frame), bool)
     new_cell[1:] = (frame[1:] != frame[:-1]) | (col[1:] != col[:-1]) | (row[1:] != row[:-1])
     occupied = np.bincount(frame[new_cell], minlength=slam_map.n_keyframes)
-    ids = np.array([kf.id for kf in slam_map.keyframes], np.int64)
+    ids = slam_map._keyframe_ids
     occupied = occupied[np.searchsorted(ids, ids)]  # a repeated id: the cells of its first entry
     cells = np.array(
         [math.ceil(kf.intrinsics.width / cell_width) * math.ceil(kf.intrinsics.height / cell_height)
@@ -288,8 +261,6 @@ class MetricsReport:
     C: float
     F: int | None
     S: float
-    ate_rms: float | None
-    ate_rot_rms: float | None
     n_points: int
     n_keyframes: int
     n_observations: int
@@ -299,35 +270,22 @@ class MetricsReport:
             "C": self.C,
             "F": self.F,
             "S": self.S,
-            "ate_rms_m": self.ate_rms,
-            "ate_rot_rms_deg": self.ate_rot_rms,
             "points": self.n_points,
             "keyframes": self.n_keyframes,
             "observations": self.n_observations,
         }
 
 
-def map_report(
-    slam_map: SlamMap,
-    traj_est: Trajectory | None = None,
-    traj_gt: Trajectory | None = None,
-    alignment: str = "rigid",
-) -> MetricsReport:
-    """Bundle the C/F/S attributes and, when trajectories are given, ATE metrics."""
+def map_report(slam_map: SlamMap) -> MetricsReport:
+    """Bundle the C/F/S attributes and the map's sizes; F is None where no point has two observers."""
     try:
         f_value: int | None = attribute_F(slam_map)
     except MetricsError:
         f_value = None
-    ate_rms = ate_rot_rms = None
-    if traj_est is not None and traj_gt is not None:
-        ate_rms = ate(traj_est, traj_gt, alignment=alignment)
-        ate_rot_rms = ate_rot(traj_est, traj_gt, alignment=alignment)
     return MetricsReport(
         C=attribute_C(slam_map),
         F=f_value,
         S=attribute_S(slam_map),
-        ate_rms=ate_rms,
-        ate_rot_rms=ate_rot_rms,
         n_points=slam_map.n_points,
         n_keyframes=slam_map.n_keyframes,
         n_observations=slam_map.n_observations,

@@ -219,7 +219,7 @@ def cull_keyframes(slam_map: SlamMap, kept_points, keyframe_min_points: int) -> 
     kept = _positions(_id_array(kept_points), slam_map.points.id) >= 0
     counts = np.bincount(frame[kept[point]], minlength=slam_map.n_keyframes)
     # A repeated keyframe id shares the count of its first entry, the row its observations refer to.
-    ids = np.array([kf.id for kf in slam_map.keyframes], np.int64)
+    ids = slam_map._keyframe_ids
     counts = counts[np.searchsorted(ids, ids)]
     culled = (counts < keyframe_min_points) & (ids != by_seq[0].id) & (ids != by_seq[-1].id)
     return _id_array(ids[culled])
@@ -288,7 +288,7 @@ def apply_selection(slam_map: SlamMap, selection: SelectionResult) -> SlamMap:
     kept, culled = selection.kept_point_ids, selection.culled_keyframe_ids
     obs = slam_map.observations
     on_obs = (_positions(kept, obs.point_id) >= 0) & (_positions(culled, obs.keyframe_id) < 0)
-    on_frame = _positions(culled, np.array([kf.id for kf in slam_map.keyframes], np.int64)) < 0
+    on_frame = _positions(culled, slam_map._keyframe_ids) < 0
     return _sub_map(slam_map, itertools.compress(slam_map.keyframes, on_frame.tolist()), kept, on_obs)
 
 

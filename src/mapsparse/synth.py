@@ -1,9 +1,10 @@
 """Synthetic SLAM maps with ground-truth trajectories for desk-scale experiments.
 
-A pinhole camera (z forward, y down, no distortion) moves along a simple
-trajectory looking at the scene center; scene points are sampled uniformly in
-a cube plus optional tight clusters so that spatial-diversity costs have
-structure to discriminate. Everything is a pure function of the seed.
+A pinhole camera (:data:`CAMERA`; z forward, y down, no distortion) moves
+along a simple trajectory looking at the scene center; scene points are
+sampled uniformly in a cube plus optional tight clusters (spread extent / 80)
+so that spatial-diversity costs have structure to discriminate. Everything is
+a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from .metrics import Trajectory
 
 TRAJECTORIES = ("circle", "line", "random_walk")
 
+# The camera of every generated keyframe: 640 x 480 pixels, 525 px focal length, principal point at the center.
+CAMERA = CameraIntrinsics(fx=525.0, fy=525.0, cx=320.0, cy=240.0, width=640, height=480)
+
 
 class GenerationError(ValueError):
     pass
@@ -30,16 +34,9 @@ class SynthConfig:
     trajectory: str = "circle"
     trajectory_scale: float = 3.0  # circle radius / line length / walk step, meters
     extent: float = 8.0  # scene cube side, meters
-    width: int = 640
-    height: int = 480
-    fx: float = 525.0
-    fy: float = 525.0
-    cx: float | None = None  # defaults to width / 2
-    cy: float | None = None  # defaults to height / 2
     pixel_noise: float = 0.0
     dropout: float = 0.0
     cluster_fraction: float = 0.3
-    cluster_sigma: float | None = None  # defaults to extent / 80
     seed: int = 0
 
     def __post_init__(self):
@@ -53,16 +50,6 @@ class SynthConfig:
             raise GenerationError("cluster_fraction must be in [0, 1]")
         if self.pixel_noise < 0 or self.trajectory_scale <= 0 or self.extent <= 0:
             raise GenerationError("noise, trajectory_scale and extent must be positive")
-
-    def intrinsics(self) -> CameraIntrinsics:
-        return CameraIntrinsics(
-            fx=self.fx,
-            fy=self.fy,
-            cx=self.width / 2.0 if self.cx is None else self.cx,
-            cy=self.height / 2.0 if self.cy is None else self.cy,
-            width=self.width,
-            height=self.height,
-        )
 
 
 def _look_at(position: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -120,13 +107,11 @@ def generate(config: SynthConfig) -> tuple[SlamMap, Trajectory]:
         n_clusters = max(1, n_cluster // 25)
         centers = rng.uniform(-half, half, size=(n_clusters, 3))
         assign = rng.integers(0, n_clusters, size=n_cluster)
-        sigma = config.extent / 80.0 if config.cluster_sigma is None else config.cluster_sigma
-        xyz_parts.append(centers[assign] + rng.normal(0.0, sigma, size=(n_cluster, 3)))
+        xyz_parts.append(centers[assign] + rng.normal(0.0, config.extent / 80.0, size=(n_cluster, 3)))
     xyz = np.vstack(xyz_parts)
 
     cam_pos = _camera_positions(config, rng)
     target = np.zeros(3)
-    intr = config.intrinsics()
 
     keyframes = []
     rotations = []
@@ -140,12 +125,12 @@ def generate(config: SynthConfig) -> tuple[SlamMap, Trajectory]:
                 seq_index=i,
                 timestamp=0.1 * i,
                 pose=Pose(q=tuple(float(x) for x in q), t=tuple(float(x) for x in cam_pos[i])),
-                intrinsics=intr,
+                intrinsics=CAMERA,
             )
         )
 
-    u_max = np.nextafter(float(intr.width), 0.0)
-    v_max = np.nextafter(float(intr.height), 0.0)
+    u_max = np.nextafter(float(CAMERA.width), 0.0)
+    v_max = np.nextafter(float(CAMERA.height), 0.0)
     obs_point, obs_u, obs_v = [], [], []  # per keyframe, its visible points in id order
     for i in range(config.n_keyframes):
         local = (xyz - cam_pos[i]) @ rotations[i]  # camera coordinates (R^T (X - t))
@@ -153,14 +138,14 @@ def generate(config: SynthConfig) -> tuple[SlamMap, Trajectory]:
         noise = rng.normal(0.0, config.pixel_noise, size=(config.n_points, 2))
         z = local[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = intr.fx * local[:, 0] / z + intr.cx
-            v = intr.fy * local[:, 1] / z + intr.cy
+            u = CAMERA.fx * local[:, 0] / z + CAMERA.cx
+            v = CAMERA.fy * local[:, 1] / z + CAMERA.cy
         visible = (
             (z > 1e-9)
             & (u >= 0.0)
-            & (u < intr.width)
+            & (u < CAMERA.width)
             & (v >= 0.0)
-            & (v < intr.height)
+            & (v < CAMERA.height)
             & (keep_draw >= config.dropout)
         )
         if config.pixel_noise > 0:

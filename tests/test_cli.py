@@ -13,7 +13,7 @@ from conftest import make_map, map_from_records
 from map_oracles import window_maps_oracle
 from mapsparse.cli import _window_maps, main
 from mapsparse.map_model import Keyframe, SlamMap, load_map, maps_equal, save_map, validate
-from mapsparse.metrics import load_trajectory
+from mapsparse.metrics import load_trajectory, map_report
 from mapsparse.synth import SynthConfig, generate
 
 
@@ -115,6 +115,25 @@ def test_sparsify_windowed_keeps_nothing_from_a_window_without_an_eligible_point
     report = json.loads(capsys.readouterr().out)
     assert report["kept_point_ids"] == [0]
     assert report["dropped_point_ids"] == [1, 2]
+
+
+def test_sparsify_windowed_keep_underviewed_keeps_those_of_a_window_without_an_eligible_point(tmp_path, capsys):
+    # window 0 (keyframes 0, 1) holds points 0 and 1 and the underviewed point 2;
+    # window 1 (keyframes 2, 3) holds only the underviewed point 3, so it is not solved
+    slam_map = make_map([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)],
+                        {0: [(0, 10, 10), (1, 10, 10)], 1: [(0, 200, 200), (1, 200, 200)],
+                         2: [(0, 400, 400)], 3: [(3, 30, 30)]})
+    map_path = tmp_path / "map.json"
+    save_map(slam_map, map_path)
+    reports = []
+    for window in ([], ["--window", "2"]):
+        argv = ["sparsify", "--map", str(map_path), "--capacity-m", "5", "--keep-underviewed", *window]
+        assert main(argv) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    whole, windowed = reports
+    assert windowed["underviewed_point_ids"] == [2, 3]
+    assert windowed["kept_point_ids"] == whole["kept_point_ids"] == [0, 1, 2, 3]
+    assert windowed["dropped_point_ids"] == []
 
 
 def test_no_sparsify_job_imports_numpy_ma(generated, tmp_path):
@@ -220,8 +239,30 @@ def test_metrics_trajectories(generated, tmp_path, capsys):
     assert doc["ate_rot_rms_deg"] == 0.0
 
 
+def test_metrics_map_and_trajectories_print_the_map_keys_and_the_ate(generated, capsys):
+    map_path, gt_path = generated
+    rc = main(["metrics", "--map", str(map_path), "--est", str(gt_path), "--gt", str(gt_path), "--align", "sim"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    map_keys = map_report(load_map(map_path)).to_dict()
+    assert set(doc) == set(map_keys) | {"ate_rms_m", "ate_rot_rms_deg", "alignment"}
+    assert {key: doc[key] for key in map_keys} == map_keys
+    assert doc["alignment"] == "sim"
+
+
 def test_metrics_requires_inputs():
     assert main(["metrics"]) == 1
+
+
+@pytest.mark.parametrize("with_map", [False, True])
+@pytest.mark.parametrize("half", ["--est", "--gt"])
+def test_metrics_rejects_half_a_trajectory_pair(half, with_map, generated, capsys):
+    map_path, gt_path = generated
+    argv = ["metrics", half, str(gt_path)] + (["--map", str(map_path)] if with_map else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --est and --gt must be given together\n"
 
 
 def test_compare_csv_shape(tmp_path):

@@ -3,7 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from mapsparse.map_model import save_map, validate
+from mapsparse import _quat
+from mapsparse.map_model import CameraIntrinsics, save_map, validate
 from mapsparse.metrics import ate, ate_rot
 from mapsparse.synth import GenerationError, SynthConfig, generate, perturb_trajectory
 
@@ -44,7 +45,7 @@ def test_noiseless_observations_reproject_exactly():
     for obs in slam_map.observations:
         kf = keyframes[obs.keyframe_id]
         pt = points[obs.point_id]
-        R = kf.pose.rotation()
+        R = _quat.to_matrix(np.array(kf.pose.q))
         local = R.T @ (np.array(pt.position) - kf.pose.center())
         u = kf.intrinsics.fx * local[0] / local[2] + kf.intrinsics.cx
         v = kf.intrinsics.fy * local[1] / local[2] + kf.intrinsics.cy
@@ -59,9 +60,21 @@ def test_observation_count_bounded_by_keyframes():
 def test_trajectory_matches_keyframes():
     slam_map, traj = generate(SynthConfig(n_points=40, n_keyframes=5, seed=9))
     assert len(traj) == 5
-    for kf, (ts, pose) in zip(slam_map.keyframes, traj.poses()):
-        assert ts == kf.timestamp
-        assert pose.t == kf.pose.t
+    assert traj.stamps.tolist() == [kf.timestamp for kf in slam_map.keyframes]
+    assert traj.positions.tolist() == [list(kf.pose.t) for kf in slam_map.keyframes]
+    assert traj.quaternions.tolist() == [list(kf.pose.q) for kf in slam_map.keyframes]
+
+
+def test_every_keyframe_has_the_640x480_camera():
+    # The benchmark maps' image grid (attribute S, the grid baseline, the
+    # nearby-count boxes) is laid over this camera's 640 x 480 images.
+    camera = CameraIntrinsics(fx=525.0, fy=525.0, cx=320.0, cy=240.0, width=640, height=480)
+    for trajectory in ("circle", "line", "random_walk"):
+        slam_map, _ = generate(SynthConfig(n_points=60, n_keyframes=6, trajectory=trajectory, seed=3))
+        # repr also tells 525.0 from 525, which save_map writes differently
+        assert all(repr(kf.intrinsics) == repr(camera) for kf in slam_map.keyframes)
+        _, _, u, v = slam_map.observation_arrays()
+        assert ((0 <= u) & (u < 640) & (0 <= v) & (v < 480)).all()
 
 
 def test_perturb_zero_sigma_is_identity():
