@@ -7,7 +7,6 @@ import csv
 import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -184,10 +183,15 @@ def _cmd_sparsify(args) -> int:
         selection = _baseline_result(slam_map, args.strategy, args.budget, args.min_kf_points)
 
     if args.out:
-        save_map(apply_selection(slam_map, selection), args.out)
+        out_map = apply_selection(slam_map, selection)
+        del slam_map  # nothing below reads the input map
+        save_map(out_map, args.out)
+        del out_map
     report = selection.to_json()
     if args.report:
-        Path(args.report).write_text(report + "\n", encoding="utf-8")
+        with open(args.report, "w", encoding="utf-8") as f:
+            f.write(report)
+            f.write("\n")
     else:
         print(report)
     return 0

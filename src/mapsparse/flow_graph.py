@@ -226,6 +226,20 @@ def baseline_cost(d):
 # fastest of 2**12..2**17 on the benchmark maps, and memory stays bounded
 # where many keypoints share a cell.
 _CANDIDATE_BLOCK = 1 << 14
+# Observations whose nearby counts are taken at a time, in blocks of whole
+# keyframes, so that the counting arrays are bounded by a block, not the map.
+_FRAME_BLOCK = 1 << 14
+
+
+def _runs(sizes: np.ndarray, limit: int):
+    """Consecutive ranges [a, b) of entries whose sizes sum to at most ``limit``; an entry over it stands alone."""
+    reach = np.cumsum(sizes)
+    a = 0
+    while a < len(sizes):
+        done = reach[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(reach, done + limit, "right")))
+        yield a, b
+        a = b
 
 
 def _nearby_counts(slam_map: SlamMap, box_width: int, box_height: int, wanted: np.ndarray) -> np.ndarray:
@@ -237,6 +251,24 @@ def _nearby_counts(slam_map: SlamMap, box_width: int, box_height: int, wanted: n
     |dv| <= box_height/2, and a keypoint with a non-finite coordinate passes
     it with no other keypoint.
 
+    A keypoint's count reads only its own keyframe, so the keyframes are
+    counted in blocks of whole keyframes of about :data:`_FRAME_BLOCK`
+    observations, and a map that fits in one block is counted in place.
+    """
+    _, frame, u, v = slam_map.observation_arrays()
+    blocks = list(_runs(np.bincount(frame, minlength=slam_map.n_keyframes), _FRAME_BLOCK))
+    if len(blocks) <= 1:
+        return _nearby_block(frame, u, v, wanted, box_width, box_height)
+    out = np.zeros(len(frame), np.int64)
+    for a, b in blocks:
+        rows = np.flatnonzero((frame >= a) & (frame < b))
+        out[rows] = _nearby_block(frame[rows], u[rows], v[rows], wanted[rows], box_width, box_height)
+    return out
+
+
+def _nearby_block(frame, u, v, wanted, box_width: int, box_height: int) -> np.ndarray:
+    """:func:`_nearby_counts` of the keypoints in the columns (frame, u, v), rows of ``wanted`` only.
+
     The keypoints sit on a grid of cells, one per keyframe and column
     floor(u / box_width), each cell sorted by v. A queried keypoint visits
     the columns that overlap [u - box_width/2 - 1, u + box_width/2 + 1]
@@ -246,7 +278,6 @@ def _nearby_counts(slam_map: SlamMap, box_width: int, box_height: int, wanted: n
     widened bounds only narrow the candidates, so rounding in them cannot
     change a count.
     """
-    _, frame, u, v = slam_map.observation_arrays()
     half_u = box_width / 2.0
     half_v = box_height / 2.0
     finite = np.flatnonzero(np.isfinite(u) & np.isfinite(v))
@@ -319,11 +350,7 @@ def _nearby_counts(slam_map: SlamMap, box_width: int, box_height: int, wanted: n
 def _count_near(u, v, qu, qv, lo, width, half_u, half_v) -> np.ndarray:
     """Per query i, how many of keypoints lo[i] .. lo[i] + width[i] - 1 lie in its closed box."""
     counts = np.empty(len(lo), np.int64)
-    reach = np.cumsum(width)  # candidates of queries 0..i
-    a = 0
-    while a < len(lo):
-        done = reach[a - 1] if a else 0
-        b = max(a + 1, int(np.searchsorted(reach, done + _CANDIDATE_BLOCK, "right")))
+    for a, b in _runs(width, _CANDIDATE_BLOCK):
         w = width[a:b]
         run_end = np.cumsum(w)
         j = np.arange(run_end[-1]) + np.repeat(lo[a:b] - (run_end - w), w)
@@ -334,7 +361,6 @@ def _count_near(u, v, qu, qv, lo, width, half_u, half_v) -> np.ndarray:
         near = np.abs(du, out=du) <= half_u
         near &= np.abs(dv, out=dv) <= half_v
         counts[a:b] = np.diff(np.r_[0, np.cumsum(near)][run_end], prepend=0)
-        a = b
     return counts
 
 

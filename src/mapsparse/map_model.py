@@ -176,6 +176,14 @@ def _repeats(sorted_ids: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sorted(major: np.ndarray, minor: np.ndarray | None = None) -> bool:
+    """Whether the rows are in ascending (major, minor) order, equal rows allowed."""
+    down = major[1:] < major[:-1]
+    if minor is not None:
+        down |= (major[1:] == major[:-1]) & (minor[1:] < minor[:-1])
+    return not down.any()
+
+
 def _positions(sorted_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Index of the first entry equal to each key in ``sorted_ids``, or -1 where there is none."""
     if not len(sorted_ids):
@@ -216,10 +224,18 @@ class SlamMap:
         self.keyframes: tuple[Keyframe, ...] = tuple(sorted(keyframes, key=lambda k: k.id))
         self._keyframe_ids = np.array([kf.id for kf in self.keyframes], np.int64)
 
-        order = np.argsort(point_id, kind="stable")
-        point_id, xyz = point_id[order], xyz[order]
-        order = np.lexsort((obs_keyframe_id, obs_point_id))
-        point, frame, u, v = (c[order] for c in observation_columns)
+        # load_map and _sub_map pass sorted columns, which are copied as they
+        # are: a stable sort would leave them in place.
+        if _sorted(point_id):
+            point_id, xyz = point_id.copy(), xyz.copy()
+        else:
+            order = np.argsort(point_id, kind="stable")
+            point_id, xyz = point_id[order], xyz[order]
+        if _sorted(obs_point_id, obs_keyframe_id):
+            point, frame, u, v = (c.copy() for c in observation_columns)
+        else:
+            order = np.lexsort((obs_keyframe_id, obs_point_id))
+            point, frame, u, v = (c[order] for c in observation_columns)
 
         # Row of each observation's point and keyframe (the first entry of a
         # repeated id), or -1 where the id is missing.
@@ -511,8 +527,9 @@ _POINTS_KEY = ',\n "points": '
 _OBSERVATIONS_KEY = ',\n "observations": '
 _DOCUMENT_END = "\n}\n"
 # Bytes read from a map file at a time, and about the bytes of a points or
-# observations array parsed at a time.
-_CHUNK_CHARS = 1 << 18
+# observations array parsed at a time: 2**16 parsed as fast as 2**18 on the
+# benchmark maps, and holds a quarter of the records as Python objects.
+_CHUNK_CHARS = 1 << 16
 
 
 class _Pieces:
@@ -632,7 +649,7 @@ def load_map(source: Source) -> SlamMap:
     parsed map violates invariants (e.g. an observation referencing a
     missing point). Every integer field must fit in int64.
 
-    A path is read forward :data:`_CHUNK_CHARS` bytes at a time. A document
+    A path is read forward :data:`_CHUNK_CHARS` (2**16) bytes at a time. A document
     laid out as :func:`save_map` writes it has its points and observations
     parsed in pieces of about that size, so neither its bytes, its text nor
     more than a piece of its records as Python objects are held at once; any

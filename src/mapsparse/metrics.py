@@ -123,7 +123,7 @@ def _umeyama(src: np.ndarray, dst: np.ndarray, with_scale: bool):
     xd = dst - mu_d
     cov = xd.T @ xs / n
     U, D, Vt = np.linalg.svd(cov)
-    if D[1] <= 1e-12 * max(D[0], 1.0):
+    if D[1] <= 1e-12 * D[0]:  # relative, so that a small path is judged by its shape alone
         raise AlignmentError("degenerate point set (coincident or collinear)")
     S = np.eye(3)
     if np.linalg.det(U) * np.linalg.det(Vt) < 0:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,8 +82,10 @@ class SelectionResult:
     def to_json(self, include_timings: bool = True) -> str:
         """The report: ``json.dumps(doc, indent=2, sort_keys=True)`` of the result's fields.
 
-        The id lists and ``point_flow``, the bulk of a report, are joined as
-        text in the layout json.dumps gives them; the rest goes through json.
+        The id lists and ``point_flow``, the bulk of a report, are formatted
+        a block of entries at a time in the layout json.dumps gives them; the
+        rest goes through json with a placeholder for each, and the text is
+        joined once.
         """
         bulk = {
             "kept_point_ids": _json_ints(self.kept_point_ids),
@@ -107,31 +110,49 @@ class SelectionResult:
         }
         if include_timings:
             doc["timings_ms"] = {"build": self.build_ms, "solve": self.solve_ms}
-        text = json.dumps(doc, indent=2, sort_keys=True)
-        for key, value in bulk.items():
-            text = text.replace(f'"{key}": "{key}"', f'"{key}": {value}', 1)
-        return text
+        rest = json.dumps(doc, indent=2, sort_keys=True)
+        pieces = []
+        for key in sorted(bulk):  # the placeholders' order in the text
+            head, rest = rest.split(f'"{key}": "{key}"', 1)
+            pieces += (head, f'"{key}": ')
+            pieces.extend(bulk[key])
+        pieces.append(rest)
+        return "".join(pieces)
 
 
 # Entries of a list, and one point_flow item, at depth 1 of an indent=2 document.
 _LIST_ITEM_SEP = ",\n    "
 _POINT_FLOW_ITEM = '    "%s": {\n      "capacity": %s,\n      "flow": %s\n    }'
+# Report entries formatted at a time.
+_REPORT_BLOCK = 1 << 12
 
 
-def _json_ints(ids: np.ndarray) -> str:
-    """Sorted integer ids as json.dumps(indent=2) writes a list at depth 1."""
+def _json_ints(ids: np.ndarray) -> Iterator[str]:
+    """Sorted integer ids as json.dumps(indent=2) writes a list at depth 1, in blocks of :data:`_REPORT_BLOCK`."""
     if not len(ids):
-        return "[]"
-    return "[\n    " + _LIST_ITEM_SEP.join(map(str, ids.tolist())) + "\n  ]"
+        yield "[]"
+        return
+    for lo in range(0, len(ids), _REPORT_BLOCK):
+        yield "[\n    " if lo == 0 else _LIST_ITEM_SEP
+        yield _LIST_ITEM_SEP.join(map(str, ids[lo : lo + _REPORT_BLOCK].tolist()))
+    yield "\n  ]"
 
 
-def _json_point_flow(rows: np.ndarray) -> str:
-    """point_flow rows as json.dumps(indent=2, sort_keys=True) writes the mapping at depth 1: keys in string order."""
+def _json_point_flow(rows: np.ndarray) -> Iterator[str]:
+    """point_flow rows as json.dumps(indent=2, sort_keys=True) writes the mapping at depth 1: keys in string order.
+
+    The text comes in blocks of :data:`_REPORT_BLOCK` items.
+    """
     if not len(rows):
-        return "{}"
+        yield "{}"
+        return
     # numpy orders str ids by code point, as Python does: "-3" < "10" < "100" < "9".
-    values = rows[np.argsort(rows[:, 0].astype(str), kind="stable")][:, [0, 2, 1]].ravel().tolist()
-    return "{\n" + ",\n".join([_POINT_FLOW_ITEM] * len(rows)) % tuple(values) + "\n  }"
+    rows = rows[np.argsort(rows[:, 0].astype(str), kind="stable")]
+    for lo in range(0, len(rows), _REPORT_BLOCK):
+        values = rows[lo : lo + _REPORT_BLOCK, [0, 2, 1]].ravel().tolist()
+        yield "{\n" if lo == 0 else ",\n"
+        yield ",\n".join([_POINT_FLOW_ITEM] * (len(values) // 3)) % tuple(values)
+    yield "\n  }"
 
 
 def _sealed(a: np.ndarray) -> np.ndarray:

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WORKLOAD_SHAPES, make_map, map_from_records
+from conftest import DEFAULT_INTRINSICS, IDENTITY_Q, WORKLOAD_SHAPES, make_map, map_from_records
 from flow_cases import build_graph_oracle, graph_from_edges, layer, nearby_count
 from map_oracles import index_oracle
+from mapsparse import flow_graph
 from mapsparse.cli import _window_maps
 from mapsparse.flow_graph import (
     FlowEdge,
@@ -23,6 +26,7 @@ from mapsparse.flow_graph import (
     to_dimacs,
     _nearby_counts,
 )
+from mapsparse.map_model import Keyframe, Pose, SlamMap
 from mapsparse.mcmf import solve
 from mapsparse.synth import SynthConfig, generate
 
@@ -440,6 +444,66 @@ class TestNearbyGrid:
         maps = [slam_map] + (list(_window_maps(slam_map, window)) if window else [])
         for sub in maps:
             assert_counts_match(sub, 64, 48, graph_rows(sub))
+
+
+@st.composite
+def uneven_keyframe_maps(draw):
+    """A map of up to six keyframes holding 0 to 12 keypoints each, some with a non-finite
+    coordinate, and a mask over its observation rows."""
+    coord = st.one_of(st.floats(0.0, 160.0), st.floats(0.0, 160.0), st.sampled_from([math.nan, math.inf, -math.inf]))
+    per_frame = draw(st.lists(st.integers(0, 12), min_size=1, max_size=6))
+    point_obs = {}
+    for frame, k in enumerate(per_frame):
+        for _ in range(k):
+            point_obs[len(point_obs)] = [(frame, draw(coord), draw(coord))]
+    slam_map = make_map([(0, 0, f) for f in range(len(per_frame))], point_obs)
+    wanted = draw(st.lists(st.booleans(), min_size=len(point_obs), max_size=len(point_obs)))
+    return slam_map, np.array(wanted, bool)
+
+
+def grid_of_keypoints(n_frames, per_frame=2000):
+    """A map of n_frames keyframes, each holding per_frame keypoints spread over the image, one point each."""
+    rng = np.random.default_rng(n_frames)
+    keyframes = [Keyframe(f, f, 0.1 * f, Pose(IDENTITY_Q, (0.0, 0.0, float(f))), DEFAULT_INTRINSICS)
+                 for f in range(n_frames)]
+    n = n_frames * per_frame
+    uv = rng.uniform((0.0, 0.0), (640.0, 480.0), size=(n, 2))
+    return SlamMap(keyframes, np.arange(n), np.zeros((n, 3)), np.arange(n),
+                   np.repeat(np.arange(n_frames), per_frame), uv[:, 0], uv[:, 1])
+
+
+class TestNearbyBlocks:
+    """_nearby_counts takes whole keyframes a block of about _FRAME_BLOCK observations at a time."""
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(case=uneven_keyframe_maps())
+    def test_any_block_size_gives_the_one_block_counts(self, block, case):
+        slam_map, wanted = case
+        whole = _nearby_counts(slam_map, 64, 48, wanted)
+        with mock.patch.object(flow_graph, "_FRAME_BLOCK", block):
+            assert _nearby_counts(slam_map, 64, 48, wanted).tolist() == whole.tolist()
+            assert_counts_match(slam_map, 64, 48, wanted)
+
+    def test_peak_memory_is_bounded_by_a_block_not_the_map(self):
+        peaks = {}
+        for n_frames in (20, 40):
+            slam_map = grid_of_keypoints(n_frames)
+            wanted = np.ones(slam_map.n_observations, bool)
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                counts = _nearby_counts(slam_map, 64, 48, wanted)
+                # Less the result, which is map-sized by definition.
+                peaks[n_frames] = tracemalloc.get_traced_memory()[1] - held - counts.nbytes
+            finally:
+                tracemalloc.stop()
+            with mock.patch.object(flow_graph, "_FRAME_BLOCK", 1 << 30):
+                assert _nearby_counts(slam_map, 64, 48, wanted).tolist() == counts.tolist()
+        block_bytes = flow_graph._FRAME_BLOCK * 8  # one int64 per observation of a block
+        assert peaks[20] < 32 * block_bytes
+        # 40000 more observations add a few bytes each of masks, not the counting arrays.
+        assert peaks[40] - peaks[20] < 4 * 40000
 
 
 def assert_matches_oracle(slam_map, config):

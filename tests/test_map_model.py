@@ -590,6 +590,53 @@ def test_sub_map_keeps_the_given_keyframes_points_and_observations(slam_map, dat
     assert maps_equal(got, expected)
 
 
+def _map_of_sorted_records(keyframes, point_rows, obs_rows):
+    """SlamMap of (id, xyz) and (point, frame, u, v) rows put in order by Python's stable sort."""
+    point_rows = sorted(point_rows, key=lambda r: r[0])
+    obs_rows = sorted(obs_rows, key=lambda r: r[:2])
+    return SlamMap(
+        keyframes,
+        np.array([r[0] for r in point_rows], np.int64),
+        np.array([r[1] for r in point_rows], np.float64).reshape(-1, 3),
+        *(np.array([r[i] for r in obs_rows], t) for i, t in enumerate((np.int64, np.int64, np.float64, np.float64))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(slam_map=messy_maps(), data=st.data())
+def test_sorted_and_shuffled_columns_give_the_same_map(slam_map, data):
+    keyframes = slam_map.keyframes
+    # A map's own columns are sorted, as load_map and _sub_map pass them: taken without a sort.
+    columns = [c.copy() for c in (*slam_map.points._columns, *slam_map.observations._columns)]
+    no_sort = AssertionError("sorted columns were sorted again")
+    with mock.patch.object(np, "argsort", side_effect=no_sort), mock.patch.object(np, "lexsort", side_effect=no_sort):
+        from_sorted = SlamMap(keyframes, *columns)
+    assert maps_equal(from_sorted, slam_map)
+
+    # Shuffled columns, repeated ids among them, sort as Python's stable sort does:
+    # shuffled whole, or the observations only within each point, still in point order.
+    point_order = np.array(data.draw(st.permutations(range(slam_map.n_points))), np.intp)
+    shuffle = np.array(data.draw(st.permutations(range(slam_map.n_observations))), np.intp)
+    maps, inputs = [(from_sorted, slam_map)], list(columns)
+    for obs_order in (shuffle, np.lexsort((shuffle, columns[2]))):
+        shuffled = [c[point_order] for c in columns[:2]] + [c[obs_order] for c in columns[2:]]
+        got = SlamMap(keyframes, *shuffled)
+        expected = _map_of_sorted_records(
+            keyframes,
+            zip(shuffled[0].tolist(), shuffled[1].tolist()),
+            zip(*(c.tolist() for c in shuffled[2:])),
+        )
+        assert maps_equal(got, expected)
+        maps.append((got, expected))
+        inputs += shuffled
+
+    # Every map copied its input: writing to the caller's arrays changes none of them.
+    for c in inputs:
+        c[...] = -7
+    for got, expected in maps:
+        assert maps_equal(got, expected)
+
+
 def test_point_and_observation_views_are_sequences_of_records(four_frame_map):
     points, obs = four_frame_map.points, four_frame_map.observations
     expected_points = tuple(MapPoint(i, tuple(x)) for i, x in zip(points.id.tolist(), points.xyz.tolist()))

@@ -148,6 +148,20 @@ class TestAlign:
             with pytest.raises(AlignmentError):
                 ate(traj, traj, alignment=alignment)
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e-7, 1e-6, 1.0, 1e6])
+    def test_degeneracy_is_judged_relative_to_the_path_size(self, scale):
+        walk = random_trajectory(np.random.default_rng(7), n=20)
+        small = Trajectory(walk.stamps, walk.positions * scale, walk.quaternions)
+        for alignment in ("rigid", "sim"):
+            assert ate(small, small, alignment=alignment) < 1e-9 * scale
+        quats = np.tile(_quat.IDENTITY, (4, 1))
+        line = Trajectory(walk.stamps[:4], np.outer(np.arange(4.0), [1.0, 2.0, 3.0]) * scale, quats)
+        point = Trajectory(walk.stamps[:4], np.full((4, 3), 5.0 * scale), quats)
+        for degenerate in (line, point):
+            for alignment in ("rigid", "sim"):
+                with pytest.raises(AlignmentError):
+                    ate(degenerate, degenerate, alignment=alignment)
+
     def test_recovers_applied_transform(self):
         rng = np.random.default_rng(6)
         gt = random_trajectory(rng)

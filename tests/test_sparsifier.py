@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import make_map
 from flow_cases import build_layered
 from map_oracles import apply_selection_oracle, cull_keyframes_oracle, index_oracle, selection_json_oracle
+from mapsparse import sparsifier
 from mapsparse.flow_graph import FlowGraph, GraphConfig, GraphError, build_graph
 from mapsparse.map_model import maps_equal, validate
 from mapsparse.mcmf import FlowResult, solve
@@ -255,8 +258,9 @@ def test_report_json_is_the_bytes_of_json_dumps(include_timings):
             {9: (1, 3), 10: (0, 1), -3: (2, 2), 100: (5, 6)}, 7, 12345678901234, 4, 2, 1.5, 0.1,
         ),
     ]
-    for result in results:
-        assert result.to_json(include_timings) == selection_json_oracle(result, include_timings)
+    for result, block in itertools.product(results, (1, 2, sparsifier._REPORT_BLOCK)):  # entries formatted at a time
+        with mock.patch.object(sparsifier, "_REPORT_BLOCK", block):
+            assert result.to_json(include_timings) == selection_json_oracle(result, include_timings)
 
 
 @settings(max_examples=150, deadline=None)
