@@ -8,14 +8,10 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import baselines, metrics, synth
 from .flow_graph import GraphConfig
-from .map_model import SlamMap, _sub_map, load_map, save_map
-from .sparsifier import (
-    SelectionResult, SparsifyConfig, apply_selection, selection_from_kept, sparsify, underviewed_points,
-)
+from .map_model import SlamMap, load_map, save_map
+from .sparsifier import SelectionResult, SparsifyConfig, apply_selection, selection_from_kept, sparsify
 
 _BASELINES = {
     "topm": baselines.select_top_m,
@@ -120,20 +116,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _window_maps(slam_map: SlamMap, window: int):
-    """Sub-maps of consecutive runs of ``window`` keyframes by seq_index, with
-    their observations and the points those observe; ``slam_map`` is valid."""
-    frames = sorted(slam_map.keyframes, key=lambda kf: kf.seq_index)
-    rank = {kf.id: i for i, kf in enumerate(frames)}
-    window_of_frame = np.array([rank[kf.id] // window for kf in slam_map.keyframes], np.int64)
-    _, frame, _, _ = slam_map.observation_arrays()
-    window_of_obs = window_of_frame[frame]
-    for w, lo in enumerate(range(0, len(frames), window)):
-        on_obs = window_of_obs == w
-        # The observation columns are sorted by point id, so the window's point ids come sorted.
-        yield _sub_map(slam_map, frames[lo : lo + window], slam_map.observations.point_id[on_obs], on_obs)
-
-
 def _baseline_result(slam_map: SlamMap, strategy: str, budget: int, min_kf_points: int) -> SelectionResult:
     t0 = time.perf_counter()
     kept = _BASELINES[strategy](slam_map, budget)
@@ -141,11 +123,8 @@ def _baseline_result(slam_map: SlamMap, strategy: str, budget: int, min_kf_point
 
 
 def _cmd_sparsify(args) -> int:
-    if args.window < 0:
-        raise ValueError("--window must be >= 0")
     if args.window and args.strategy != "flow":
         raise ValueError("--window applies only to --strategy flow")
-    slam_map = load_map(args.map)
     if args.strategy == "flow":
         if args.capacity_m is None:
             raise ValueError("--capacity-m is required for the flow strategy")
@@ -161,25 +140,14 @@ def _cmd_sparsify(args) -> int:
             theta_ratio=args.theta_ratio,
             keyframe_min_points=args.min_kf_points,
             drop_underviewed=not args.keep_underviewed,
+            window=args.window,
         )
-        if args.window:
-            kept = [np.empty(0, np.int64)]
-            t0 = time.perf_counter()
-            for sub in _window_maps(slam_map, args.window):
-                if (sub.observer_counts() >= 2).any():
-                    kept.append(sparsify(sub, config).kept_point_ids)
-            if not config.drop_underviewed:  # also those of the windows skipped above, which no sparsify saw
-                kept.append(underviewed_points(slam_map))
-            # selection_from_kept sorts the windows' ids together and drops the repeats
-            selection = selection_from_kept(
-                slam_map, np.concatenate(kept), config.keyframe_min_points,
-                solve_ms=(time.perf_counter() - t0) * 1000.0,
-            )
-        else:
-            selection = sparsify(slam_map, config)
+    elif args.budget is None:
+        raise ValueError("--budget is required for baseline strategies")
+    slam_map = load_map(args.map)
+    if args.strategy == "flow":
+        selection = sparsify(slam_map, config)
     else:
-        if args.budget is None:
-            raise ValueError("--budget is required for baseline strategies")
         selection = _baseline_result(slam_map, args.strategy, args.budget, args.min_kf_points)
 
     if args.out:

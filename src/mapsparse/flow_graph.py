@@ -242,27 +242,31 @@ def _runs(sizes: np.ndarray, limit: int):
         a = b
 
 
-def _nearby_counts(slam_map: SlamMap, box_width: int, box_height: int, wanted: np.ndarray) -> np.ndarray:
+def _nearby_counts(
+    slam_map: SlamMap, box_width: int, box_height: int, wanted: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
     """Per observation, the other keypoints of its keyframe inside the box centered on it.
 
-    The counts are aligned with ``slam_map.observation_arrays()``; only the
-    rows of ``wanted``, a boolean mask over them, are counted, and the others
-    read 0. The box test is closed: |du| <= box_width/2 and
-    |dv| <= box_height/2, and a keypoint with a non-finite coordinate passes
-    it with no other keypoint.
+    The counts are aligned with ``slam_map.observation_arrays()``, or with its
+    ``rows`` (whole keyframes' rows) where given; only the rows of ``wanted``, a
+    boolean mask aligned with the counts, are counted, and the others read 0.
+    The box test is closed: |du| <= box_width/2 and |dv| <= box_height/2, and
+    a keypoint with a non-finite coordinate passes it with no other keypoint.
 
     A keypoint's count reads only its own keyframe, so the keyframes are
     counted in blocks of whole keyframes of about :data:`_FRAME_BLOCK`
     observations, and a map that fits in one block is counted in place.
     """
     _, frame, u, v = slam_map.observation_arrays()
+    if rows is not None:
+        frame, u, v = frame[rows], u[rows], v[rows]
     blocks = list(_runs(np.bincount(frame, minlength=slam_map.n_keyframes), _FRAME_BLOCK))
     if len(blocks) <= 1:
         return _nearby_block(frame, u, v, wanted, box_width, box_height)
     out = np.zeros(len(frame), np.int64)
     for a, b in blocks:
-        rows = np.flatnonzero((frame >= a) & (frame < b))
-        out[rows] = _nearby_block(frame[rows], u[rows], v[rows], wanted[rows], box_width, box_height)
+        block = np.flatnonzero((frame >= a) & (frame < b))
+        out[block] = _nearby_block(frame[block], u[block], v[block], wanted[block], box_width, box_height)
     return out
 
 
@@ -364,17 +368,25 @@ def _count_near(u, v, qu, qv, lo, width, half_u, half_v) -> np.ndarray:
     return counts
 
 
-def build_graph(slam_map: SlamMap, config: GraphConfig) -> FlowGraph:
+def build_graph(slam_map: SlamMap, config: GraphConfig, rows: np.ndarray | None = None) -> FlowGraph:
     """Construct the layered flow graph for all points with n >= 2 observers.
+
+    With ``rows``, the sorted rows of ``slam_map.observation_arrays()`` of some
+    whole keyframes, it is the graph of the map cut to those rows and keyframes.
 
     Deterministic: points and pairs are numbered, and edges emitted, in
     sorted id order, and the connectivity recursion anchor m is the maximum
-    observer count over the eligible points of this map. Point->pair edges
-    follow each point's frame pairs in ``itertools.combinations`` order.
+    observer count over the eligible points. Point->pair edges follow each
+    point's frame pairs in ``itertools.combinations`` order.
     """
-    _, frame, _, _ = slam_map.observation_arrays()
+    point, frame, _, _ = slam_map.observation_arrays()
+    if rows is None:
+        offsets = slam_map._point_offsets
+    else:
+        point, frame = point[rows], frame[rows]
+        offsets = np.searchsorted(point, np.arange(slam_map.n_points + 1))
     # Observations come in one run per point row, frames ascending; a repeated point id's later rows have none.
-    n_run = np.diff(slam_map._point_offsets)
+    n_run = np.diff(offsets)
     eligible = n_run >= 2
     if not eligible.any():
         raise GraphError("no map point is observed by at least two keyframes")
@@ -382,28 +394,32 @@ def build_graph(slam_map: SlamMap, config: GraphConfig) -> FlowGraph:
     n_points = len(n)
     m = int(n.max())
 
-    # Every (observation, later observation of the same point): one edge each.
-    first, second = slam_map.observation_pairs()
+    # Every (observation, later observation of the same point), in combinations order: one edge each.
+    k = len(point)
+    later = offsets[point + 1] - np.arange(k) - 1
+    first = np.repeat(np.arange(k), later)
+    second = np.arange(len(first)) + np.repeat(np.arange(k) + 1 - (np.cumsum(later) - later), later)
+    del later  # spent: dropped so that it does not raise the peak below
     n_frames = len(slam_map.keyframes)
     pair_keys, pair_of = np.unique(frame[first] * n_frames + frame[second], return_inverse=True)
     n_pairs = len(pair_keys)
     point_rank = np.repeat(np.cumsum(eligible) - 1, n_run)
 
-    rows = np.column_stack(np.divmod(pair_keys, n_frames))
-    pairs = slam_map._keyframe_ids[rows]
+    pair_frames = np.column_stack(np.divmod(pair_keys, n_frames))
+    pairs = slam_map._keyframe_ids[pair_frames]
 
     source_cost = connectivity_cost(n, m) if config.enable_cc else np.full(n_points, _DISABLED_COST)
 
     if config.enable_cs:
         # Only the rows of eligible points are read, through first and second.
-        nearby = _nearby_counts(slam_map, config.box_width, config.box_height, np.repeat(eligible, n_run))
+        nearby = _nearby_counts(slam_map, config.box_width, config.box_height, np.repeat(eligible, n_run), rows)
         middle_cost = spatial_cost(nearby[first], nearby[second])
     else:
         middle_cost = np.full(len(first), _DISABLED_COST)
 
     if config.enable_cb:
         centers = np.array([kf.pose.center() for kf in slam_map.keyframes])
-        sink_cost = baseline_cost(np.linalg.norm(centers[rows[:, 0]] - centers[rows[:, 1]], axis=1))
+        sink_cost = baseline_cost(np.linalg.norm(centers[pair_frames[:, 0]] - centers[pair_frames[:, 1]], axis=1))
     else:
         sink_cost = np.full(n_pairs, _DISABLED_COST)
 

@@ -288,21 +288,6 @@ class SlamMap:
         """
         return self._observation_arrays
 
-    def observation_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every (observation, later observation of the same point), as rows of :meth:`observation_arrays`.
-
-        The pairs come point by point, and within a point in
-        ``itertools.combinations`` order of its frames, so that the frame of
-        the first row is always the lower one. A point seen by n keyframes
-        gives n*(n-1)/2 pairs.
-        """
-        point = self._observation_arrays[0]
-        k = len(point)
-        later = self._point_offsets[point + 1] - np.arange(k) - 1
-        first = np.repeat(np.arange(k), later)
-        second = np.arange(len(first)) + np.repeat(np.arange(k) + 1 - (np.cumsum(later) - later), later)
-        return first, second
-
 
 def _sub_map(slam_map: SlamMap, keyframes: Iterable[Keyframe], point_ids: np.ndarray, on_obs: np.ndarray) -> SlamMap:
     """The map of ``keyframes``, the points whose ids are in the sorted array

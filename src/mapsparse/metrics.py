@@ -91,6 +91,8 @@ def associate(stamps_est, stamps_gt, max_offset: float = 0.02) -> list[tuple[int
     ``max_offset`` seconds, matched smallest time difference first, one use
     per pose on either side.
     """
+    if not max_offset >= 0:
+        raise MetricsError(f"max_offset must be >= 0, got {max_offset!r}")
     stamps_est = np.asarray(stamps_est, dtype=float)
     stamps_gt = np.asarray(stamps_gt, dtype=float)
     candidates = []

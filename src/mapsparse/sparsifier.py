@@ -8,6 +8,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -22,12 +23,15 @@ class SparsifyConfig:
     theta_ratio: float = 0.5
     keyframe_min_points: int = 10
     drop_underviewed: bool = True
+    window: int = 0  # keyframes per window, taken in seq_index order; 0 sparsifies the whole map at once
 
     def __post_init__(self):
         if not 0.0 <= self.theta_ratio <= 1.0:
             raise ValueError("theta_ratio must be in [0, 1]")
         if self.keyframe_min_points < 1:
             raise ValueError("keyframe_min_points must be >= 1")
+        if isinstance(self.window, bool) or not isinstance(self.window, Integral) or self.window < 0:
+            raise ValueError(f"window must be an integer >= 0, got {self.window!r}")
 
 
 @dataclass(eq=False)
@@ -246,27 +250,51 @@ def cull_keyframes(slam_map: SlamMap, kept_points, keyframe_min_points: int) -> 
     return _id_array(ids[culled])
 
 
-def sparsify(slam_map: SlamMap, config: SparsifyConfig) -> SelectionResult:
-    """Full pipeline on one map; deterministic for fixed (map, config)."""
-    t0 = time.perf_counter()
-    graph = build_graph(slam_map, config.graph)
-    t1 = time.perf_counter()
-    result = solve(graph)
-    t2 = time.perf_counter()
+def _window_rows(slam_map: SlamMap, window: int) -> list[np.ndarray]:
+    """The rows of ``slam_map.observation_arrays()`` of each run of ``window`` keyframes by seq_index, in row order."""
+    n_frames = slam_map.n_keyframes
+    by_seq = sorted(range(n_frames), key=lambda i: slam_map.keyframes[i].seq_index)
+    window_of_frame = np.empty(n_frames, np.int64)
+    window_of_frame[by_seq] = np.arange(n_frames) // min(window, max(n_frames, 1))
+    window_of_row = window_of_frame[slam_map.observation_arrays()[1]]
+    order = np.argsort(window_of_row, kind="stable")
+    bounds = np.searchsorted(window_of_row[order], np.arange(1, -(-n_frames // window)))
+    return np.split(order, bounds)
 
-    point_flow = _point_flow(result, graph)
-    kept = _above_threshold(point_flow, config.theta_ratio)
-    if not config.drop_underviewed:
-        kept = np.concatenate((kept, underviewed_points(slam_map)))
+
+def sparsify(slam_map: SlamMap, config: SparsifyConfig) -> SelectionResult:
+    """Full pipeline on one map, or window by window; deterministic for fixed (map, config).
+
+    A window run solves, as the map cut to the window would be, each window
+    where some point has two observers, and keeps what each keeps; with
+    ``drop_underviewed`` off, that includes the points a solved window sees
+    once. It reports no ``point_flow`` or totals, and sums its times.
+    """
+    kept = [] if config.drop_underviewed else [underviewed_points(slam_map)]
+    build_ms = solve_ms = 0.0
+    for rows in _window_rows(slam_map, config.window) if config.window else [None]:
+        if rows is not None:
+            seen = np.bincount(slam_map.observation_arrays()[0][rows], minlength=slam_map.n_points)
+            if not (seen >= 2).any():
+                continue
+            if not config.drop_underviewed:
+                kept.append(slam_map.points.id[seen == 1])
+        t0 = time.perf_counter()
+        graph = build_graph(slam_map, config.graph, rows)
+        t1 = time.perf_counter()
+        result = solve(graph)
+        t2 = time.perf_counter()
+        build_ms += (t1 - t0) * 1000.0
+        solve_ms += (t2 - t1) * 1000.0
+        point_flow = _point_flow(result, graph)
+        totals = dict(total_flow=result.total_flow, total_cost=result.total_cost)
+        del graph, result  # free this window's graph and flows before the next window's are built
+        kept.append(_above_threshold(point_flow, config.theta_ratio))
+    if config.window:
+        point_flow, totals = None, {}
     return selection_from_kept(
-        slam_map,
-        kept,
-        config.keyframe_min_points,
-        point_flow=point_flow,
-        total_flow=result.total_flow,
-        total_cost=result.total_cost,
-        build_ms=(t1 - t0) * 1000.0,
-        solve_ms=(t2 - t1) * 1000.0,
+        slam_map, np.concatenate(kept) if kept else (), config.keyframe_min_points,
+        point_flow=point_flow, build_ms=build_ms, solve_ms=solve_ms, **totals,
     )
 
 
@@ -285,7 +313,7 @@ def selection_from_kept(
 
     The dropped points, the culled keyframes, the underviewed points and the
     input counts follow from the map; a run without a flow graph (a baseline
-    or a ``--window`` run) leaves ``point_flow`` empty and the totals None.
+    or a window run) leaves ``point_flow`` empty and the totals None.
     """
     kept = _id_array(kept)
     ids = slam_map.points.id

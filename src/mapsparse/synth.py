@@ -9,6 +9,7 @@ a pure function of the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,8 @@ class SynthConfig:
             raise GenerationError("cluster_fraction must be in [0, 1]")
         if self.pixel_noise < 0 or self.trajectory_scale <= 0 or self.extent <= 0:
             raise GenerationError("noise, trajectory_scale and extent must be positive")
+        if not all(map(math.isfinite, (self.trajectory_scale, self.extent, self.pixel_noise))):
+            raise GenerationError("noise, trajectory_scale and extent must be finite")
 
 
 def _look_at(position: np.ndarray, target: np.ndarray) -> np.ndarray:

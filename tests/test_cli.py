@@ -1,19 +1,27 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mapsparse
 
 from conftest import make_map, map_from_records
 from map_oracles import window_maps_oracle
-from mapsparse.cli import _window_maps, main
-from mapsparse.map_model import Keyframe, SlamMap, load_map, maps_equal, save_map, validate
+from mapsparse.cli import main
+from mapsparse.map_model import Keyframe, SlamMap, load_map, save_map, validate
 from mapsparse.metrics import load_trajectory, map_report
+from mapsparse.sparsifier import _window_rows
 from mapsparse.synth import SynthConfig, generate
 
 
@@ -168,12 +176,30 @@ def test_sparsify_windowed_fails_on_a_budget_beyond_the_edge_capacity_bound(gene
     assert capsys.readouterr().err.startswith("error: capacity_m must be below 2**62")
 
 
+def test_a_window_job_builds_no_map_per_window(tmp_path):
+    # only the loaded map and the output map are built, however many windows the job has
+    slam_map, _ = generate(SynthConfig(n_points=400, n_keyframes=30, trajectory="line",
+                                       trajectory_scale=60.0, extent=60.0, dropout=0.4, seed=4))
+    map_path = tmp_path / "map.json"
+    save_map(slam_map, map_path)
+    init, built = SlamMap.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(SlamMap, "__init__", counted):
+        assert main(["sparsify", "--map", str(map_path), "--capacity-m", "100", "--window", "10",
+                     "--out", str(tmp_path / "sparse.json"), "--report", str(tmp_path / "report.json")]) == 0
+    assert len(built) == 2
+
+
 def test_sparsify_rejects_a_negative_window(generated, tmp_path, capsys):
     map_path, _ = generated
     out_path = tmp_path / "sparse.json"
     rc = main(["sparsify", "--map", str(map_path), "--capacity-m", "5", "--window", "-3", "--out", str(out_path)])
     assert rc == 1
-    assert capsys.readouterr().err == "error: --window must be >= 0\n"
+    assert capsys.readouterr().err == "error: window must be an integer >= 0, got -3\n"
     assert not out_path.exists()
 
 
@@ -216,10 +242,14 @@ def test_window_maps_match_record_by_record_split(window, reverse_seq):
             slam_map.points,
             slam_map.observations,
         )
-    got = list(_window_maps(slam_map, window))
+    got = _window_rows(slam_map, window)
     expected = window_maps_oracle(slam_map, window)
     assert len(got) == len(expected)
-    assert all(maps_equal(a, b) for a, b in zip(got, expected))
+    point, frame, u, v = slam_map.observation_arrays()
+    for rows, sub in zip(got, expected):
+        assert (np.diff(rows) > 0).all()
+        columns = (slam_map.points.id[point[rows]], slam_map._keyframe_ids[frame[rows]], u[rows], v[rows])
+        assert all(np.array_equal(a, b) for a, b in zip(columns, sub.observations._columns))
 
 
 def test_metrics_map_attributes(generated, capsys):
@@ -248,6 +278,12 @@ def test_metrics_map_and_trajectories_print_the_map_keys_and_the_ate(generated, 
     assert set(doc) == set(map_keys) | {"ate_rms_m", "ate_rot_rms_deg", "alignment"}
     assert {key: doc[key] for key in map_keys} == map_keys
     assert doc["alignment"] == "sim"
+
+
+def test_metrics_rejects_a_nan_max_offset(generated, capsys):
+    _, gt_path = generated
+    assert main(["metrics", "--est", str(gt_path), "--gt", str(gt_path), "--max-offset", "nan"]) == 1
+    assert capsys.readouterr().err == "error: max_offset must be >= 0, got nan\n"
 
 
 def test_metrics_requires_inputs():
@@ -304,3 +340,85 @@ def test_unknown_strategy_rejected(generated):
 
 def test_missing_map_file():
     assert main(["metrics", "--map", "/nonexistent/map.json"]) == 1
+
+
+# Argument values that have ended commands in tracebacks: non-finite and huge
+# floats, and ints beyond int64 or below zero. Map sizes stay a few hundred.
+_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0]),
+                    st.floats(-1e3, 1e3, allow_nan=False))
+_INTS = st.one_of(st.sampled_from([-(2**63), -1, 0, 2**62, 2**63 - 1, 2**63]), st.integers(-5, 300))
+_FRACTIONS = st.one_of(_FLOATS, st.floats(0.0, 1.0))  # valid values too, so that runs get past the checks
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding a 300-point map and its trajectory, the inputs of the drawn commands."""
+    path = tmp_path_factory.mktemp("fuzz")
+    assert main(["generate", "--out", str(path / "map.json"), "--gt-out", str(path / "gt.txt"),
+                 "--seed", "3", "--points", "300", "--keyframes", "12", "--dropout", "0.3"]) == 0
+    return path
+
+
+@st.composite
+def _options(draw, **values):
+    """``--name=value`` arguments, each option drawn or left out; ``=`` lets a value start with a minus."""
+    argv = []
+    for name, value in values.items():
+        if draw(st.booleans()):
+            argv.append(f"--{name.replace('_', '-')}={draw(value)}")
+    return argv
+
+
+def _flags(*names):
+    return st.lists(st.sampled_from([f"--{n}" for n in names]), unique=True)
+
+
+def assert_exits_cleanly(argv):
+    """main(argv) returns 0, or returns 1 with one ``error:`` line on stderr; any exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    message = err.getvalue()
+    assert rc == 0 or (rc == 1 and message.startswith("error: ") and message.count("\n") == 1), (rc, message)
+
+
+@settings(max_examples=100, deadline=None)
+@example(seed=0, options=["--extent=inf"])  # once an OverflowError from the generator's uniform draw
+@given(seed=_INTS, options=_options(points=st.integers(-3, 300), keyframes=st.integers(-3, 40),
+                        trajectory=st.sampled_from(["circle", "line", "random_walk"]), traj_scale=_FLOATS,
+                        extent=_FLOATS, dropout=_FRACTIONS, pixel_noise=_FLOATS, cluster_fraction=_FRACTIONS))
+def test_generate_with_any_argument_values_exits_cleanly(fuzz_dir, seed, options):
+    argv = ["generate", "--out", str(fuzz_dir / "out.json"), "--gt-out", str(fuzz_dir / "out.txt"), f"--seed={seed}"]
+    assert_exits_cleanly(argv + options)
+
+
+@settings(max_examples=100, deadline=None)
+@given(options=_options(capacity_m=_INTS, theta_ratio=_FRACTIONS, box_width=_INTS, box_height=_INTS, budget=_INTS,
+                        strategy=st.sampled_from(["flow", "topm", "grid", "radius"]), min_kf_points=_INTS,
+                        window=_INTS),
+       flags=_flags("no-cc", "no-cs", "no-cb", "keep-underviewed"))
+def test_sparsify_with_any_argument_values_exits_cleanly(fuzz_dir, options, flags):
+    argv = ["sparsify", "--map", str(fuzz_dir / "map.json"), "--out", str(fuzz_dir / "sparse.json"),
+            "--report", str(fuzz_dir / "report.json")]
+    assert_exits_cleanly(argv + options + flags)
+
+
+@settings(max_examples=60, deadline=None)
+@given(options=_options(align=st.sampled_from(["rigid", "sim", "none"]), max_offset=_FLOATS),
+       inputs=st.sampled_from([["--map"], ["--est", "--gt"], ["--map", "--est", "--gt"]]))
+def test_metrics_with_any_argument_values_exits_cleanly(fuzz_dir, options, inputs):
+    files = {"--map": "map.json", "--est": "gt.txt", "--gt": "gt.txt"}
+    assert_exits_cleanly(["metrics", *(f"{o}={fuzz_dir / files[o]}" for o in inputs), *options])
+
+
+@settings(max_examples=50, deadline=None)
+@example(options=["--extent=nan"], use_map=False)
+@given(options=_options(capacities=st.lists(_INTS, max_size=3).map(lambda c: ",".join(map(str, c))),
+                        strategies=st.sampled_from(["flow", "topm,grid", "flow,radius"]), seeds=st.integers(-2, 2),
+                        points=st.integers(-3, 120), keyframes=st.integers(-3, 15),
+                        trajectory=st.sampled_from(["circle", "line", "random_walk"]), traj_scale=_FLOATS,
+                        extent=_FLOATS, dropout=_FRACTIONS, cluster_fraction=_FRACTIONS, min_kf_points=_INTS),
+       use_map=st.booleans())
+def test_compare_with_any_argument_values_exits_cleanly(fuzz_dir, options, use_map):
+    argv = ["compare", "--out", str(fuzz_dir / "table.csv")]
+    assert_exits_cleanly(argv + options + (["--map", str(fuzz_dir / "map.json")] if use_map else []))

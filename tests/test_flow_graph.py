@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import DEFAULT_INTRINSICS, IDENTITY_Q, WORKLOAD_SHAPES, make_map, map_from_records
 from flow_cases import build_graph_oracle, graph_from_edges, layer, nearby_count
-from map_oracles import index_oracle
+from map_oracles import index_oracle, window_maps_oracle
 from mapsparse import flow_graph
-from mapsparse.cli import _window_maps
 from mapsparse.flow_graph import (
     FlowEdge,
     FlowGraph,
@@ -441,7 +440,7 @@ class TestNearbyGrid:
     @pytest.mark.parametrize("synth, window", WORKLOAD_SHAPES)
     def test_rows_build_graph_reads_on_workload_shaped_maps(self, synth, window):
         slam_map, _ = generate(SynthConfig(seed=4, **synth))
-        maps = [slam_map] + (list(_window_maps(slam_map, window)) if window else [])
+        maps = [slam_map] + (window_maps_oracle(slam_map, window) if window else [])
         for sub in maps:
             assert_counts_match(sub, 64, 48, graph_rows(sub))
 
@@ -568,7 +567,7 @@ class TestBuildGraphMatchesOracle:
     @pytest.mark.parametrize("synth, window", WORKLOAD_SHAPES)
     def test_workload_shaped_maps(self, synth, window):
         slam_map, _ = generate(SynthConfig(seed=4, **synth))
-        maps = list(_window_maps(slam_map, window)) if window else [slam_map]
+        maps = window_maps_oracle(slam_map, window) if window else [slam_map]
         for sub in maps:
             assert_matches_oracle(sub, GraphConfig(capacity_m=20))
 
@@ -769,7 +768,7 @@ class TestDimacs:
             maps = [four_frame_map]
         else:
             slam_map, _ = generate(SynthConfig(seed=4, **synth))
-            maps = [slam_map, *(_window_maps(slam_map, window) if window else [])]
+            maps = [slam_map, *(window_maps_oracle(slam_map, window) if window else [])]
         for sub in maps:
             graph = build_graph(sub, GraphConfig(capacity_m=2 if synth is None else 20))
             supply = solve(graph).total_flow

@@ -14,9 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DEFAULT_INTRINSICS, IDENTITY_Q, WORKLOAD_SHAPES, make_map, map_from_records
-from map_oracles import covisibility_oracle, index_oracle, save_map_oracle, validate_oracle
+from map_oracles import covisibility_oracle, index_oracle, save_map_oracle, validate_oracle, window_maps_oracle
 from mapsparse import map_model
-from mapsparse.cli import _window_maps
 from mapsparse.flow_graph import GraphConfig, GraphError, build_graph
 from mapsparse.map_model import (
     CameraIntrinsics,
@@ -293,7 +292,7 @@ def test_covisibility_input_order_invariant():
 @pytest.mark.parametrize("synth, window", WORKLOAD_SHAPES)
 def test_covisibility_matches_the_per_point_oracle_on_workload_shaped_maps(synth, window):
     slam_map, _ = generate(SynthConfig(seed=4, **synth))
-    for sub in [slam_map, *(_window_maps(slam_map, window) if window else [])]:
+    for sub in [slam_map, *(window_maps_oracle(slam_map, window) if window else [])]:
         assert covisibility(sub) == covisibility_oracle(sub)
 
 
@@ -520,12 +519,12 @@ def test_indices_match_record_by_record_oracle(slam_map):
 @pytest.mark.parametrize("synth, window", WORKLOAD_SHAPES)
 def test_indices_on_workload_shaped_maps(synth, window):
     slam_map, _ = generate(SynthConfig(seed=4, **synth))
-    for sub in [slam_map, *(_window_maps(slam_map, window) if window else [])]:
+    for sub in [slam_map, *(window_maps_oracle(slam_map, window) if window else [])]:
         assert_indices_match_oracle(sub)
 
 
 def assert_indices_match_oracle(slam_map):
-    """Observer counts, observation arrays and observation pairs against :func:`index_oracle`."""
+    """Observer counts and observation arrays against :func:`index_oracle`."""
     frames_of, _, obs_by_key = index_oracle(slam_map)
     assert slam_map.observer_counts().tolist() == [len(frames_of[p.id]) for p in slam_map.points]
 
@@ -536,13 +535,6 @@ def assert_indices_match_oracle(slam_map):
     assert [repr((x, y)) for x, y in zip(u.tolist(), v.tolist())] == [
         repr((obs_by_key[key].u, obs_by_key[key].v)) for key in sorted(obs_by_key)
     ]
-
-    first, second = slam_map.observation_pairs()
-    frame_id = [slam_map.keyframes[f].id for f in frame.tolist()]
-    expected = [(pid, a, b) for pid in sorted(frames_of) for a, b in itertools.combinations(frames_of[pid], 2)]
-    got = [(ids[point[i]], frame_id[i], frame_id[j]) for i, j in zip(first.tolist(), second.tolist())]
-    assert got == expected
-    assert (point[first] == point[second]).all()
 
 
 _ids = st.one_of(st.integers(-3, 3), st.sampled_from([-(2**63), -(2**63) + 1, 2**63 - 2, 2**63 - 1]))

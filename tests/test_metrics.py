@@ -122,6 +122,15 @@ class TestAssociate:
         est = [0.001, 0.002]
         assert associate(est, gt) == [(0, 0)]
 
+    @pytest.mark.parametrize("max_offset", [math.nan, -0.01, -math.inf])
+    def test_a_max_offset_not_at_least_zero_raises(self, max_offset):
+        # once no pair was associated, and ate named that instead of the argument
+        traj = Trajectory([0.0, 0.1, 0.2], np.zeros((3, 3)), np.tile(_quat.IDENTITY, (3, 1)))
+        with pytest.raises(MetricsError, match="max_offset must be >= 0"):
+            associate(traj.stamps, traj.stamps, max_offset)
+        with pytest.raises(MetricsError, match="max_offset must be >= 0"):
+            ate(traj, traj, alignment="none", max_offset=max_offset)
+
     def test_unassociated_raises_in_metrics(self):
         a = Trajectory([0.0, 0.1, 0.2], np.zeros((3, 3)), np.tile(_quat.IDENTITY, (3, 1)))
         b = Trajectory([5.0, 5.1, 5.2], np.zeros((3, 3)), np.tile(_quat.IDENTITY, (3, 1)))

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_map
+from conftest import make_map, map_from_records
 from flow_cases import build_layered
-from map_oracles import apply_selection_oracle, cull_keyframes_oracle, index_oracle, selection_json_oracle
+from map_oracles import (
+    apply_selection_oracle, cull_keyframes_oracle, index_oracle, selection_json_oracle, window_maps_oracle,
+)
 from mapsparse import sparsifier
 from mapsparse.flow_graph import FlowGraph, GraphConfig, GraphError, build_graph
-from mapsparse.map_model import maps_equal, validate
+from mapsparse.map_model import Keyframe, maps_equal, validate
 from mapsparse.mcmf import FlowResult, solve
 from mapsparse.sparsifier import (
     SelectionResult,
@@ -23,7 +25,9 @@ from mapsparse.sparsifier import (
     apply_selection,
     _above_threshold,
     _point_flow,
+    _window_rows,
     cull_keyframes,
+    selection_from_kept,
     sparsify,
     underviewed_points,
 )
@@ -352,3 +356,85 @@ def test_baseline_cost_only_shifts_total_cost(slam_map, config, theta_ratio, dat
     assert np.array_equal(sel_on.culled_keyframe_ids, sel_off.culled_keyframe_ids)
     assert np.array_equal(sel_on.point_flow, sel_off.point_flow)
     assert sel_on.total_cost - sel_off.total_cost == sum(((on.cost[sink] - 1) * filled).tolist())
+
+
+@st.composite
+def window_runs(draw):
+    """A valid map whose seq_index order is a drawn permutation of its id order, a window size from
+    1 to past the keyframe count, and a config. Points may be seen by no keyframe, once, or more often
+    than a window holds, so some windows have no point with two observers."""
+    n_frames = draw(st.integers(1, 9))
+    seq = draw(st.permutations(range(n_frames)))
+    u, v = st.integers(0, 40).map(lambda i: 8.0 * i), st.integers(0, 30).map(lambda i: 8.0 * i)
+    point_obs = {}
+    for i in range(draw(st.integers(0, 14))):
+        frames = draw(st.lists(st.integers(0, n_frames - 1), unique=True, max_size=n_frames))
+        point_obs[3 * i + 2] = [(f, draw(u), draw(v)) for f in frames]
+    slam_map = make_map([(0, 0, 7 * f) for f in range(n_frames)], point_obs)
+    keyframes = [Keyframe(kf.id, seq[kf.id], 0.1 * seq[kf.id], kf.pose, kf.intrinsics) for kf in slam_map.keyframes]
+    slam_map = map_from_records(keyframes, slam_map.points, slam_map.observations)
+    window = draw(st.one_of(st.just(1), st.integers(1, n_frames + 1), st.just(n_frames + 5)))
+    config = SparsifyConfig(
+        graph=draw(graph_configs),
+        theta_ratio=draw(st.sampled_from([0.5, 0.0, 1.0, 1 / 3])),
+        keyframe_min_points=draw(st.integers(1, 3)),
+        drop_underviewed=draw(st.booleans()),
+        window=window,
+    )
+    return slam_map, config
+
+
+def window_run_oracle(slam_map, config):
+    """A window run as whole-map sparsify runs on each window's own map, joined by selection_from_kept."""
+    whole = dataclasses.replace(config, window=0)
+    kept = [] if config.drop_underviewed else [underviewed_points(slam_map)]
+    for sub in window_maps_oracle(slam_map, config.window):
+        if (sub.observer_counts() >= 2).any():
+            kept.append(sparsify(sub, whole).kept_point_ids)
+    return selection_from_kept(slam_map, np.concatenate(kept) if kept else (), config.keyframe_min_points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=window_runs())
+def test_a_window_run_is_the_runs_on_each_windows_own_map(case):
+    slam_map, config = case
+    assert validate(slam_map).ok
+    got = sparsify(slam_map, config)
+    assert got.to_json(include_timings=False) == window_run_oracle(slam_map, config).to_json(include_timings=False)
+    assert len(got.point_flow) == 0 and got.total_flow is None and got.total_cost is None
+
+    windows = _window_rows(slam_map, config.window)
+    subs = window_maps_oracle(slam_map, config.window)
+    assert len(windows) == len(subs)
+    for rows, sub in zip(windows, subs):
+        try:
+            expected = build_graph(sub, config.graph)
+        except GraphError:
+            with pytest.raises(GraphError):
+                build_graph(slam_map, config.graph, rows)
+            continue
+        graph = build_graph(slam_map, config.graph, rows)
+        for name in ("point_ids", "pairs", "tail", "head", "capacity", "cost"):
+            assert np.array_equal(getattr(graph, name), getattr(expected, name)), name
+
+
+@pytest.mark.parametrize("window", [-1, 1.5, True, "3"])
+def test_window_must_be_an_integer_at_least_zero(window):
+    with pytest.raises(ValueError, match="window must be an integer >= 0"):
+        SparsifyConfig(graph=GraphConfig(capacity_m=1), window=window)
+
+
+def test_a_window_run_keeps_the_points_each_solved_window_sees_once():
+    # windows of 2: keyframes 0-1 solve point 0, keyframes 2-3 solve point 2; point 1 is seen once in
+    # each window, so it enters no graph, and only --keep-underviewed keeps it, as each window's own map does
+    slam_map = make_map([(0, 0, 0), (0, 0, 5), (0, 0, 10), (0, 0, 15)],
+                        {0: [(0, 10, 10), (1, 10, 10)], 1: [(1, 300, 200), (2, 300, 200)],
+                         2: [(2, 500, 400), (3, 500, 400)]})
+    for drop, kept in ((True, [0, 2]), (False, [0, 1, 2])):
+        config = SparsifyConfig(graph=GraphConfig(capacity_m=5), keyframe_min_points=1,
+                                drop_underviewed=drop, window=2)
+        selection = sparsify(slam_map, config)
+        assert selection.kept_point_ids.tolist() == kept
+        assert selection.underviewed_point_ids.tolist() == []
+        assert selection.to_json(include_timings=False) == window_run_oracle(slam_map, config).to_json(
+            include_timings=False)

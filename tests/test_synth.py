@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -101,6 +102,15 @@ def test_config_validation():
         SynthConfig(trajectory="spiral")
     with pytest.raises(GenerationError):
         SynthConfig(dropout=1.5)
+
+
+@pytest.mark.parametrize("field", ["trajectory_scale", "extent", "pixel_noise"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_numbers(field, value):
+    # Such values once passed: inf ended in an OverflowError from the uniform
+    # draw, and NaN in a misleading error or in a map with no noise added.
+    with pytest.raises(GenerationError, match="must be finite"):
+        SynthConfig(**{field: value})
 
 
 def test_cluster_fraction_produces_tight_groups():
