@@ -670,8 +670,8 @@ def load_map(source: Source) -> SlamMap:
 # them out inside the document's top-level arrays.
 _POINT_RECORD = '  {\n   "id": %s,\n   "xyz": [\n    %s,\n    %s,\n    %s\n   ]\n  }'
 _OBSERVATION_RECORD = '  {\n   "point": %s,\n   "frame": %s,\n   "uv": [\n    %s,\n    %s\n   ]\n  }'
-# Records formatted at a time.
-_SAVE_BLOCK = 1 << 12
+# Rows formatted at a time, in map files and in reports.
+_ROW_BLOCK = 1 << 12
 
 
 def _json_numbers(column: np.ndarray) -> list:
@@ -683,21 +683,46 @@ def _json_numbers(column: np.ndarray) -> list:
     return values
 
 
-def _json_records(template: str, columns) -> Iterator[str]:
-    """One ``template`` record per row of the columns, as a top-level array of an ``indent=1`` document.
+def _json_rows(template: str, columns, indent: str, brackets: str = "[]") -> Iterator[str]:
+    """One ``template`` entry per row of the columns, as a member of a top-level object laid out with ``indent``.
 
-    The text comes in blocks of :data:`_SAVE_BLOCK` records.
+    ``brackets`` are the member's: ``"[]"`` for a list, ``"{}"`` for an
+    object whose template writes each entry's key. The text comes in blocks
+    of :data:`_ROW_BLOCK` rows.
     """
     n = len(columns[0])
     if not n:
-        yield "[]"
+        yield brackets
         return
-    for lo in range(0, n, _SAVE_BLOCK):
-        block = (_json_numbers(column[lo : lo + _SAVE_BLOCK]) for column in columns)
-        values = tuple(itertools.chain.from_iterable(zip(*block)))
-        yield "[\n" if lo == 0 else ",\n"
-        yield ",\n".join([template] * (len(values) // len(columns))) % values
-    yield "\n ]"
+    width = len(columns)
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = min(_ROW_BLOCK, n - lo)
+        values = [None] * (width * rows)  # row by row: the first row's values, then the second's
+        for i, column in enumerate(columns):
+            values[i::width] = _json_numbers(column[lo : lo + rows])
+        yield brackets[0] + "\n" if lo == 0 else ",\n"
+        yield ",\n".join([template] * rows) % tuple(values)
+    yield "\n" + indent + brackets[1]
+
+
+def _json_object(members: dict, indent: str, sort_keys: bool = False) -> Iterator[str]:
+    """The text of ``json.dumps(members, indent=indent, sort_keys=sort_keys)``, member by member.
+
+    A member given as an iterator of text, such as :func:`_json_rows`, is
+    written as it comes. Any other member goes through json, each of its
+    newlines followed by ``indent``: json escapes every newline inside a
+    string, so each one it writes is layout.
+    """
+    sep = "{\n"
+    for key in sorted(members) if sort_keys else members:
+        yield sep + indent + json.dumps(key) + ": "
+        sep = ",\n"
+        value = members[key]
+        if isinstance(value, Iterator):
+            yield from value
+        else:
+            yield json.dumps(value, indent=indent, sort_keys=sort_keys).replace("\n", "\n" + indent)
+    yield "\n}" if members else "{}"
 
 
 def save_map(slam_map: SlamMap, sink: Union[str, Path, IO[bytes], IO[str]]) -> None:
@@ -727,17 +752,14 @@ def save_map(slam_map: SlamMap, sink: Union[str, Path, IO[bytes], IO[str]]) -> N
     ]
     xyz = slam_map.points.xyz
     obs = slam_map.observations
-    _write_blocks(
-        sink,
-        itertools.chain(
-            # No strings inside the keyframes, so every newline is layout.
-            ['{\n "keyframes": ' + json.dumps(keyframes, indent=1).replace("\n", "\n ") + _POINTS_KEY],
-            _json_records(_POINT_RECORD, (slam_map.points.id, xyz[:, 0], xyz[:, 1], xyz[:, 2])),
-            [_OBSERVATIONS_KEY],
-            _json_records(_OBSERVATION_RECORD, (obs.point_id, obs.keyframe_id, obs.u, obs.v)),
-            [_DOCUMENT_END],
-        ),
-    )
+    points = (slam_map.points.id, xyz[:, 0], xyz[:, 1], xyz[:, 2])
+    observations = (obs.point_id, obs.keyframe_id, obs.u, obs.v)
+    document = {
+        "keyframes": keyframes,
+        "points": _json_rows(_POINT_RECORD, points, " "),
+        "observations": _json_rows(_OBSERVATION_RECORD, observations, " "),
+    }
+    _write_blocks(sink, itertools.chain(_json_object(document, " "), ["\n"]))
 
 
 _POSE_TOL = 1e-9

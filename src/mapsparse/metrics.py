@@ -126,7 +126,10 @@ def _umeyama(src: np.ndarray, dst: np.ndarray, with_scale: bool):
     cov = xd.T @ xs / n
     U, D, Vt = np.linalg.svd(cov)
     if D[1] <= 1e-12 * D[0]:  # relative, so that a small path is judged by its shape alone
-        raise AlignmentError("degenerate point set (coincident or collinear)")
+        raise AlignmentError(
+            "degenerate point set (coincident or collinear): a collinear path, such as a --trajectory line "
+            'ground truth, can only be compared with alignment "none"'
+        )
     S = np.eye(3)
     if np.linalg.det(U) * np.linalg.det(Vt) < 0:
         S[2, 2] = -1.0
@@ -140,14 +143,14 @@ def _umeyama(src: np.ndarray, dst: np.ndarray, with_scale: bool):
     return s, R, t
 
 
+def _similarity(s: float, R: np.ndarray, t: np.ndarray, positions: np.ndarray, quaternions: np.ndarray):
+    """The poses (positions, quaternions) moved by the similarity transform (s, R, t)."""
+    return s * (positions @ R.T) + t, _quat.multiply(_quat.from_matrix(R)[None, :], quaternions)
+
+
 def transform_trajectory(traj: Trajectory, s: float, R: np.ndarray, t: np.ndarray) -> Trajectory:
     """Apply a similarity transform to every pose of a trajectory."""
-    q_r = _quat.from_matrix(R)
-    return Trajectory(
-        traj.stamps,
-        s * (traj.positions @ R.T) + t,
-        _quat.multiply(q_r[None, :], traj.quaternions),
-    )
+    return Trajectory(traj.stamps, *_similarity(s, R, t, traj.positions, traj.quaternions))
 
 
 def _aligned_pairs(traj_est, traj_gt, alignment, max_offset):
@@ -163,9 +166,7 @@ def _aligned_pairs(traj_est, traj_gt, alignment, max_offset):
     if alignment != "none":
         if alignment not in ("rigid", "sim"):
             raise MetricsError(f"unknown alignment mode '{alignment}'")
-        s, R, t = _umeyama(pos_e, pos_g, with_scale=(alignment == "sim"))
-        pos_e = s * (pos_e @ R.T) + t
-        quat_e = _quat.multiply(_quat.from_matrix(R)[None, :], quat_e)
+        pos_e, quat_e = _similarity(*_umeyama(pos_e, pos_g, with_scale=(alignment == "sim")), pos_e, quat_e)
     return pos_e, quat_e, pos_g, quat_g
 
 

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import itertools
-import json
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
@@ -13,7 +11,7 @@ from numbers import Integral
 import numpy as np
 
 from .flow_graph import FlowGraph, GraphConfig, build_graph
-from .map_model import _INT64_MAX, SlamMap, _positions, _repeats, _sub_map
+from .map_model import _INT64_MAX, SlamMap, _json_object, _json_rows, _positions, _repeats, _sub_map
 from .mcmf import FlowResult, solve
 
 
@@ -87,21 +85,10 @@ class SelectionResult:
         """The report: ``json.dumps(doc, indent=2, sort_keys=True)`` of the result's fields.
 
         The id lists and ``point_flow``, the bulk of a report, are formatted
-        a block of entries at a time in the layout json.dumps gives them; the
-        rest goes through json with a placeholder for each, and the text is
-        joined once.
+        from their arrays a block of entries at a time, in the layout
+        json.dumps gives them.
         """
-        bulk = {
-            "kept_point_ids": _json_ints(self.kept_point_ids),
-            "dropped_point_ids": _json_ints(self.dropped_point_ids),
-            "culled_keyframe_ids": _json_ints(self.culled_keyframe_ids),
-            "underviewed_point_ids": _json_ints(self.underviewed_point_ids),
-            "point_flow": _json_point_flow(self.point_flow),
-        }
         doc = {
-            **{key: key for key in bulk},  # placeholders, replaced below
-            "total_flow": self.total_flow,
-            "total_cost": self.total_cost,
             "counts": {
                 "input_points": self.n_input_points,
                 "input_keyframes": self.n_input_keyframes,
@@ -109,54 +96,31 @@ class SelectionResult:
                 "dropped_points": len(self.dropped_point_ids),
                 "culled_keyframes": len(self.culled_keyframe_ids),
             },
-            "mp_pct": self.mp_pct,
+            "culled_keyframe_ids": _json_rows(_ID_ITEM, (self.culled_keyframe_ids,), "  "),
+            "dropped_point_ids": _json_rows(_ID_ITEM, (self.dropped_point_ids,), "  "),
+            "kept_point_ids": _json_rows(_ID_ITEM, (self.kept_point_ids,), "  "),
             "kf_pct": self.kf_pct,
+            "mp_pct": self.mp_pct,
+            # (id, capacity, flow) columns, ids in string order: numpy orders str ids by code point, as Python
+            # does ("-3" < "10" < "100" < "9"). Only the writer holds the columns, so they are freed once written.
+            "point_flow": _json_rows(
+                _POINT_FLOW_ITEM,
+                self.point_flow[np.argsort(self.point_flow[:, 0].astype(str), kind="stable")].T[[0, 2, 1]],
+                "  ",
+                "{}",
+            ),
+            "total_cost": self.total_cost,
+            "total_flow": self.total_flow,
+            "underviewed_point_ids": _json_rows(_ID_ITEM, (self.underviewed_point_ids,), "  "),
         }
         if include_timings:
             doc["timings_ms"] = {"build": self.build_ms, "solve": self.solve_ms}
-        rest = json.dumps(doc, indent=2, sort_keys=True)
-        pieces = []
-        for key in sorted(bulk):  # the placeholders' order in the text
-            head, rest = rest.split(f'"{key}": "{key}"', 1)
-            pieces += (head, f'"{key}": ')
-            pieces.extend(bulk[key])
-        pieces.append(rest)
-        return "".join(pieces)
+        return "".join(_json_object(doc, "  ", sort_keys=True))
 
 
-# Entries of a list, and one point_flow item, at depth 1 of an indent=2 document.
-_LIST_ITEM_SEP = ",\n    "
+# One id list entry, and one point_flow item, at depth 1 of an indent=2 document.
+_ID_ITEM = "    %s"
 _POINT_FLOW_ITEM = '    "%s": {\n      "capacity": %s,\n      "flow": %s\n    }'
-# Report entries formatted at a time.
-_REPORT_BLOCK = 1 << 12
-
-
-def _json_ints(ids: np.ndarray) -> Iterator[str]:
-    """Sorted integer ids as json.dumps(indent=2) writes a list at depth 1, in blocks of :data:`_REPORT_BLOCK`."""
-    if not len(ids):
-        yield "[]"
-        return
-    for lo in range(0, len(ids), _REPORT_BLOCK):
-        yield "[\n    " if lo == 0 else _LIST_ITEM_SEP
-        yield _LIST_ITEM_SEP.join(map(str, ids[lo : lo + _REPORT_BLOCK].tolist()))
-    yield "\n  ]"
-
-
-def _json_point_flow(rows: np.ndarray) -> Iterator[str]:
-    """point_flow rows as json.dumps(indent=2, sort_keys=True) writes the mapping at depth 1: keys in string order.
-
-    The text comes in blocks of :data:`_REPORT_BLOCK` items.
-    """
-    if not len(rows):
-        yield "{}"
-        return
-    # numpy orders str ids by code point, as Python does: "-3" < "10" < "100" < "9".
-    rows = rows[np.argsort(rows[:, 0].astype(str), kind="stable")]
-    for lo in range(0, len(rows), _REPORT_BLOCK):
-        values = rows[lo : lo + _REPORT_BLOCK, [0, 2, 1]].ravel().tolist()
-        yield "{\n" if lo == 0 else ",\n"
-        yield ",\n".join([_POINT_FLOW_ITEM] * (len(values) // 3)) % tuple(values)
-    yield "\n  }"
 
 
 def _sealed(a: np.ndarray) -> np.ndarray:

@@ -96,7 +96,8 @@ def generate(config: SynthConfig) -> tuple[SlamMap, Trajectory]:
     An observation is emitted where a point projects in front of the camera
     and inside the image, then survives the visibility dropout; keypoints are
     the true projections plus Gaussian pixel noise clamped to image bounds.
-    Raises :class:`GenerationError` if no point ends up with two observers.
+    Raises :class:`GenerationError` if no point ends up with two observers, or
+    if the camera poses or projections overflow to non-finite values.
     """
     rng = np.random.default_rng(config.seed)
     half = config.extent / 2.0
@@ -113,14 +114,16 @@ def generate(config: SynthConfig) -> tuple[SlamMap, Trajectory]:
         xyz_parts.append(centers[assign] + rng.normal(0.0, config.extent / 80.0, size=(n_cluster, 3)))
     xyz = np.vstack(xyz_parts)
 
-    cam_pos = _camera_positions(config, rng)
-    target = np.zeros(3)
+    # Huge finite settings overflow the poses or projections to inf or NaN: checked for, not warned about.
+    at = f"at trajectory_scale={config.trajectory_scale!r} and extent={config.extent!r}"
+    with np.errstate(all="ignore"):
+        cam_pos = _camera_positions(config, rng)
+        rotations = [_look_at(position, np.zeros(3)) for position in cam_pos]
+    if not (np.isfinite(cam_pos).all() and np.isfinite(rotations).all()):
+        raise GenerationError(f"camera poses are not finite {at}")
 
     keyframes = []
-    rotations = []
-    for i in range(config.n_keyframes):
-        R = _look_at(cam_pos[i], target)
-        rotations.append(R)
+    for i, R in enumerate(rotations):
         q = _quat.from_matrix(R)
         keyframes.append(
             Keyframe(
@@ -136,15 +139,18 @@ def generate(config: SynthConfig) -> tuple[SlamMap, Trajectory]:
     v_max = np.nextafter(float(CAMERA.height), 0.0)
     obs_point, obs_u, obs_v = [], [], []  # per keyframe, its visible points in id order
     for i in range(config.n_keyframes):
-        local = (xyz - cam_pos[i]) @ rotations[i]  # camera coordinates (R^T (X - t))
         keep_draw = rng.random(config.n_points)
         noise = rng.normal(0.0, config.pixel_noise, size=(config.n_points, 2))
-        z = local[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):  # z may be 0; a point that is not in front is never visible
+            local = (xyz - cam_pos[i]) @ rotations[i]  # camera coordinates (R^T (X - t))
+            z = local[:, 2]
             u = CAMERA.fx * local[:, 0] / z + CAMERA.cx
             v = CAMERA.fy * local[:, 1] / z + CAMERA.cy
+        front = z > 1e-9
+        if not (np.isfinite(local).all() and np.isfinite(u[front]).all() and np.isfinite(v[front]).all()):
+            raise GenerationError(f"projections are not finite {at}")
         visible = (
-            (z > 1e-9)
+            front
             & (u >= 0.0)
             & (u < CAMERA.width)
             & (v >= 0.0)

@@ -53,6 +53,20 @@ def test_generate_echoes_seed(tmp_path, capsys):
     assert "seed: 42" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("options, what", [
+    (["--traj-scale", "1e308"], "camera poses are not finite at trajectory_scale=1e+308 and extent=8.0"),
+    (["--traj-scale", "1e300", "--trajectory", "random_walk"],
+     "camera poses are not finite at trajectory_scale=1e+300 and extent=8.0"),
+    (["--extent", "1e308"], "projections are not finite at trajectory_scale=3.0 and extent=1e+308"),
+], ids=["traj-scale-1e308", "random-walk-1e300", "extent-1e308"])
+def test_generate_overflowing_settings_fail_on_non_finite_poses_without_a_warning(options, what, tmp_path, capsys):
+    # once numpy overflow warnings, then "configuration produced no point observed by two keyframes"
+    argv = ["generate", "--out", str(tmp_path / "m.json"), "--gt-out", str(tmp_path / "g.txt"), "--seed", "0"]
+    assert main(argv + options) == 1
+    assert capsys.readouterr().err == f"error: {what}\n"
+
+
 def test_sparsify_flow_writes_map_and_report(generated, tmp_path):
     map_path, _ = generated
     out_path = tmp_path / "sparse.json"
@@ -284,6 +298,20 @@ def test_metrics_rejects_a_nan_max_offset(generated, capsys):
     _, gt_path = generated
     assert main(["metrics", "--est", str(gt_path), "--gt", str(gt_path), "--max-offset", "nan"]) == 1
     assert capsys.readouterr().err == "error: max_offset must be >= 0, got nan\n"
+
+
+def test_metrics_on_a_line_trajectory_points_to_alignment_none(tmp_path, capsys):
+    gt_path = tmp_path / "gt.txt"
+    argv = ["generate", "--out", str(tmp_path / "m.json"), "--gt-out", str(gt_path), "--seed", "0",
+            "--trajectory", "line"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["metrics", "--est", str(gt_path), "--gt", str(gt_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: degenerate point set (coincident or collinear): a collinear path, such as a --trajectory line "
+        'ground truth, can only be compared with alignment "none"\n'
+    )
+    assert main(["metrics", "--est", str(gt_path), "--gt", str(gt_path), "--align", "none"]) == 0
 
 
 def test_metrics_requires_inputs():

@@ -358,13 +358,66 @@ def test_save_map_writes_the_bytes_of_json_dumps(slam_map):
     expected = save_map_oracle(slam_map)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "map.json"
-        for block in (1, 2, map_model._SAVE_BLOCK):
+        for block in (1, 2, map_model._ROW_BLOCK):
             text, binary = io.StringIO(), io.BytesIO()
-            with mock.patch.object(map_model, "_SAVE_BLOCK", block):
+            with mock.patch.object(map_model, "_ROW_BLOCK", block):
                 for sink in (path, text, binary):
                     save_map(slam_map, sink)
             assert text.getvalue() == expected
             assert binary.getvalue() == path.read_bytes() == expected.encode("utf-8")
+
+
+# Text with the characters json escapes: newlines, quotes, backslashes and non-ASCII.
+_json_text = st.text(st.one_of(st.sampled_from('\n"\\\u00e9\u2603'), st.characters()), max_size=4)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | any_floats | _json_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_json_text, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _bulk_members(draw):
+    """(ids, columns) of a :func:`map_model._json_rows` member: int64 and float64 columns, possibly empty.
+
+    With ids, the member is an object from each id to its row, keyed in the
+    order json's sort_keys gives; else ids is None and it is a list of rows.
+    """
+    n = draw(st.integers(0, 5))
+    kinds = draw(st.lists(st.sampled_from([np.int64, np.float64]), min_size=1, max_size=3))
+    columns = tuple(
+        np.array(draw(st.lists(int64s if kind is np.int64 else any_floats, min_size=n, max_size=n)), kind)
+        for kind in kinds
+    )
+    if not draw(st.booleans()):
+        return None, columns
+    ids = np.array(draw(st.lists(int64s, min_size=n, max_size=n, unique=True)), np.int64)
+    order = np.argsort(ids.astype(str), kind="stable")
+    return ids[order], tuple(column[order] for column in columns)
+
+
+def _rows_member(ids, columns, indent):
+    """The member as :func:`map_model._json_rows` text, and as the value json.dumps writes the same text for."""
+    row = "[\n" + ",\n".join([indent * 3 + "%s"] * len(columns)) + "\n" + indent * 2 + "]"
+    rows = [list(values) for values in zip(*(column.tolist() for column in columns))]
+    if ids is None:
+        return map_model._json_rows(indent * 2 + row, columns, indent), rows
+    text = map_model._json_rows(indent * 2 + '"%s": ' + row, (ids, *columns), indent, "{}")
+    return text, dict(zip(map(str, ids.tolist()), rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(members=st.dictionaries(_json_text, _json_values | _bulk_members(), max_size=5),
+       indent=st.sampled_from([" ", "  "]), sort_keys=st.booleans())
+def test_json_object_writes_the_text_of_json_dumps(members, indent, sort_keys):
+    plain = {key: _rows_member(*value, indent)[1] if isinstance(value, tuple) else value
+             for key, value in members.items()}
+    expected = json.dumps(plain, indent=len(indent), sort_keys=sort_keys)
+    for block in (1, 2, map_model._ROW_BLOCK):  # rows formatted at a time
+        doc = {key: _rows_member(*value, indent)[0] if isinstance(value, tuple) else value
+               for key, value in members.items()}
+        with mock.patch.object(map_model, "_ROW_BLOCK", block):
+            assert "".join(map_model._json_object(doc, indent, sort_keys)) == expected
 
 
 @pytest.mark.parametrize("synth, window", WORKLOAD_SHAPES)

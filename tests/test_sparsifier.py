@@ -15,7 +15,7 @@ from flow_cases import build_layered
 from map_oracles import (
     apply_selection_oracle, cull_keyframes_oracle, index_oracle, selection_json_oracle, window_maps_oracle,
 )
-from mapsparse import sparsifier
+from mapsparse import map_model
 from mapsparse.flow_graph import FlowGraph, GraphConfig, GraphError, build_graph
 from mapsparse.map_model import Keyframe, maps_equal, validate
 from mapsparse.mcmf import FlowResult, solve
@@ -262,8 +262,8 @@ def test_report_json_is_the_bytes_of_json_dumps(include_timings):
             {9: (1, 3), 10: (0, 1), -3: (2, 2), 100: (5, 6)}, 7, 12345678901234, 4, 2, 1.5, 0.1,
         ),
     ]
-    for result, block in itertools.product(results, (1, 2, sparsifier._REPORT_BLOCK)):  # entries formatted at a time
-        with mock.patch.object(sparsifier, "_REPORT_BLOCK", block):
+    for result, block in itertools.product(results, (1, 2, map_model._ROW_BLOCK)):  # entries formatted at a time
+        with mock.patch.object(map_model, "_ROW_BLOCK", block):
             assert result.to_json(include_timings) == selection_json_oracle(result, include_timings)
 
 
