@@ -221,6 +221,8 @@ def _cmd_compare(args) -> int:
             raise ValueError(f"unknown strategy '{s}'")
     if args.map:
         cases = [("-", load_map(args.map))]
+    elif args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1 without --map, got {args.seeds}")
     else:
         cases = []
         for seed in range(args.seeds):

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
-from .map_model import ColumnView, SlamMap
+from .map_model import ColumnView, SlamMap, _check_int
 
 # Costs stay far below 2**62 at any realistic map size; the solver relies on it.
 _COST_LIMIT = 1 << 62
@@ -56,9 +55,7 @@ class GraphConfig:
 
     def __post_init__(self):
         for name in ("capacity_m", "box_width", "box_height"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-                raise GraphError(f"{name} must be an integer >= 1, got {value!r}")
+            _check_int(getattr(self, name), name, 1, GraphError)
         if self.capacity_m >= _COST_LIMIT:
             raise GraphError(f"capacity_m must be below 2**62, the bound on edge capacities, got {self.capacity_m}")
 
@@ -70,8 +67,8 @@ class FlowGraph:
     vertices P+1..P+Q are the frame pairs of ``pairs`` (a (Q, 2) array with
     frame_a < frame_b in each row), and vertex P+Q+1 is the sink. Edges are
     held as four read-only int64 arrays, ``tail``, ``head``, ``capacity`` and
-    ``cost``, indexed by edge; ``edges`` views them as :class:`FlowEdge`
-    objects. The edges come in one fixed layout: edge i < P is the source
+    ``cost``, indexed by edge; ``edges`` iterates them, or builds edge i,
+    as :class:`FlowEdge` objects. The edges come in one fixed layout: edge i < P is the source
     edge 0 -> i+1 of point i, the last Q edges are the sink edges of the
     pairs in order, and the point->pair edges in between (the slice
     ``middle``) are sorted by (point, pair). Construction enforces that
@@ -156,14 +153,13 @@ def _check_layout(n_points: int, n_pairs: int, tail: np.ndarray, head: np.ndarra
 
 
 class EdgeView(ColumnView):
-    """Read-only sequence of a graph's edges as :class:`FlowEdge`, built one at a time.
-
-    ``view[i]`` builds edge i alone, so indexing a few edges of a large
-    graph stays cheap. Compares equal to any sequence of equal edges.
-    """
+    """A graph's edges, iterated or indexed as :class:`FlowEdge`; ``view[i]`` builds edge i alone."""
 
     __slots__ = ()
     _record_type = FlowEdge
+
+    def __getitem__(self, i: int) -> FlowEdge:
+        return FlowEdge(*(c.item(i) for c in self._columns))
 
 
 def _counts(x, name: str) -> np.ndarray:
@@ -418,7 +414,7 @@ def build_graph(slam_map: SlamMap, config: GraphConfig, rows: np.ndarray | None 
         middle_cost = np.full(len(first), _DISABLED_COST)
 
     if config.enable_cb:
-        centers = np.array([kf.pose.center() for kf in slam_map.keyframes])
+        centers = np.array([kf.pose.t for kf in slam_map.keyframes], np.float64)
         sink_cost = baseline_cost(np.linalg.norm(centers[pair_frames[:, 0]] - centers[pair_frames[:, 1]], axis=1))
     else:
         sink_cost = np.full(n_pairs, _DISABLED_COST)

@@ -10,8 +10,9 @@ from __future__ import annotations
 import io
 import itertools
 import json
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import IO, Iterable, Union
 
@@ -47,9 +48,6 @@ class Pose:
     q: tuple[float, float, float, float]
     t: tuple[float, float, float]
 
-    def center(self) -> np.ndarray:
-        return np.array(self.t, dtype=float)
-
 
 @dataclass(frozen=True)
 class Keyframe:
@@ -83,13 +81,10 @@ class ValidationReport:
         return not self.violations
 
 
-class ColumnView(Sequence):
-    """Read-only sequence of records over equal-length numpy columns, built one at a time.
+class ColumnView:
+    """Records over equal-length numpy columns, built one at a time as they are iterated.
 
-    ``view[i]`` builds record i alone, so reading a few records of a large
-    map or graph stays cheap. Compares equal to any sequence of equal
-    records. A subclass names its ``_record_type``, whose fields are the
-    columns in order.
+    A subclass names its ``_record_type``, whose fields are the columns in order.
     """
 
     __slots__ = ("_columns",)
@@ -101,32 +96,12 @@ class ColumnView(Sequence):
     def __len__(self) -> int:
         return len(self._columns[0])
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        return self._record(i)
-
-    def _record(self, i):
-        return self._record_type(*(c.item(i) for c in self._columns))
-
     def __iter__(self):
         return map(self._record_type, *(c.tolist() for c in self._columns))
 
-    def __eq__(self, other) -> bool:
-        if type(other) is type(self):
-            return all(np.array_equal(a, b) for a, b in zip(self._columns, other._columns))
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return len(self) == len(other) and all(x == y for x, y in zip(self, other))
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({len(self)} records)"
-
 
 class PointView(ColumnView):
-    """A map's points as :class:`MapPoint`; columns ``id`` (int64) and ``xyz`` ((P, 3) float64)."""
+    """A map's points, iterated as :class:`MapPoint`; columns ``id`` (int64) and ``xyz`` ((P, 3) float64)."""
 
     __slots__ = ()
 
@@ -138,15 +113,12 @@ class PointView(ColumnView):
     def xyz(self) -> np.ndarray:
         return self._columns[1]
 
-    def _record(self, i) -> MapPoint:
-        return MapPoint(self.id.item(i), tuple(self.xyz[i].tolist()))
-
     def __iter__(self):
         return map(MapPoint, self.id.tolist(), map(tuple, self.xyz.tolist()))
 
 
 class ObservationView(ColumnView):
-    """A map's observations as :class:`Observation`; columns ``point_id`` and
+    """A map's observations, iterated as :class:`Observation`; columns ``point_id`` and
     ``keyframe_id`` (int64), ``u`` and ``v`` (float64)."""
 
     __slots__ = ()
@@ -349,6 +321,12 @@ def _int(x, where: str, field: str) -> int:
     if not _INT64_MIN <= x <= _INT64_MAX:
         raise MapFormatError(f"{where}: {field} must fit in a signed 64-bit integer, got {x!r}")
     return x
+
+
+def _check_int(value, name: str, low: int, error: type[ValueError]) -> None:
+    """Raise ``error`` unless ``value`` is an integer >= ``low`` (Python or numpy, never bool)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _num(x, where: str, field: str) -> float:
@@ -862,24 +840,18 @@ def validate(slam_map: SlamMap) -> ValidationReport:
         x = coord[rows]
         bad[rows] = ~((0.0 <= x) & (x < bound[frame_pos[rows]]))
     for i in np.flatnonzero(repeated | no_point | no_frame | bad_u | bad_v).tolist():
-        o = obs[i]
+        pid, fid = obs.point_id.item(i), obs.keyframe_id.item(i)
         if repeated[i]:
-            v.append(f"duplicate observation (point {o.point_id}, frame {o.keyframe_id})")
+            v.append(f"duplicate observation (point {pid}, frame {fid})")
         elif no_point[i]:
-            v.append(f"observation references missing point id {o.point_id}")
+            v.append(f"observation references missing point id {pid}")
         elif no_frame[i]:
-            v.append(f"observation references missing keyframe id {o.keyframe_id}")
+            v.append(f"observation references missing keyframe id {fid}")
         else:
             intr = keyframes[frame_pos[i]].intrinsics
             if bad_u[i]:
-                v.append(
-                    f"observation (point {o.point_id}, frame {o.keyframe_id}): "
-                    f"u {o.u} outside [0, {intr.width})"
-                )
+                v.append(f"observation (point {pid}, frame {fid}): u {obs.u.item(i)} outside [0, {intr.width})")
             if bad_v[i]:
-                v.append(
-                    f"observation (point {o.point_id}, frame {o.keyframe_id}): "
-                    f"v {o.v} outside [0, {intr.height})"
-                )
+                v.append(f"observation (point {pid}, frame {fid}): v {obs.v.item(i)} outside [0, {intr.height})")
 
     return ValidationReport(v)

@@ -6,12 +6,12 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
+from numbers import Rational
 
 import numpy as np
 
 from .flow_graph import FlowGraph, GraphConfig, build_graph
-from .map_model import _INT64_MAX, SlamMap, _json_object, _json_rows, _positions, _repeats, _sub_map
+from .map_model import _INT64_MAX, SlamMap, _check_int, _json_object, _json_rows, _positions, _repeats, _sub_map
 from .mcmf import FlowResult, solve
 
 
@@ -24,12 +24,11 @@ class SparsifyConfig:
     window: int = 0  # keyframes per window, taken in seq_index order; 0 sparsifies the whole map at once
 
     def __post_init__(self):
-        if not 0.0 <= self.theta_ratio <= 1.0:
-            raise ValueError("theta_ratio must be in [0, 1]")
-        if self.keyframe_min_points < 1:
-            raise ValueError("keyframe_min_points must be >= 1")
-        if isinstance(self.window, bool) or not isinstance(self.window, Integral) or self.window < 0:
-            raise ValueError(f"window must be an integer >= 0, got {self.window!r}")
+        theta = self.theta_ratio  # a type that Fraction takes exactly, as _above_threshold does
+        if isinstance(theta, bool) or not isinstance(theta, (Rational, float)) or not 0 <= theta <= 1:
+            raise ValueError(f"theta_ratio must be a number in [0, 1], got {theta!r}")
+        _check_int(self.keyframe_min_points, "keyframe_min_points", 1, ValueError)
+        _check_int(self.window, "window", 0, ValueError)
 
 
 @dataclass(eq=False)
@@ -199,8 +198,7 @@ def cull_keyframes(slam_map: SlamMap, kept_points, keyframe_min_points: int) -> 
     ``kept_points`` is any collection of point ids. The first and last
     keyframes (by seq_index) are never culled; they anchor the trajectory.
     """
-    if keyframe_min_points < 1:
-        raise ValueError("keyframe_min_points must be >= 1")
+    _check_int(keyframe_min_points, "keyframe_min_points", 1, ValueError)
     if not slam_map.keyframes:
         return _id_array(())
     by_seq = sorted(slam_map.keyframes, key=lambda k: k.seq_index)

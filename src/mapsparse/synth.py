@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quat
-from .map_model import CameraIntrinsics, Keyframe, Pose, SlamMap
+from .map_model import CameraIntrinsics, Keyframe, Pose, SlamMap, _check_int
 from .metrics import Trajectory
 
 TRAJECTORIES = ("circle", "line", "random_walk")
@@ -41,8 +41,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_points < 1 or self.n_keyframes < 1:
-            raise GenerationError("n_points and n_keyframes must be >= 1")
+        for name, low in (("n_points", 1), ("n_keyframes", 1), ("seed", 0)):
+            _check_int(getattr(self, name), name, low, GenerationError)
         if self.trajectory not in TRAJECTORIES:
             raise GenerationError(f"trajectory must be one of {TRAJECTORIES}")
         if not 0.0 <= self.dropout <= 1.0:

@@ -41,6 +41,12 @@ def graph_from_edges(point_ids, pairs, edges):
     return FlowGraph(point_ids, pairs, *columns)
 
 
+def graphs_equal(a: FlowGraph, b: FlowGraph) -> bool:
+    """Whether two graphs hold equal point ids, pairs and edge columns."""
+    names = ("point_ids", "pairs", "tail", "head", "capacity", "cost")
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in names)
+
+
 def build_layered(source_edges, middle_edges, sink_edges):
     """Construct a FlowGraph from explicit layer specs.
 
@@ -241,7 +247,7 @@ def build_graph_oracle(slam_map, config):
             cost = spatial_cost(nearby(pid, a), nearby(pid, b)) if config.enable_cs else 1
             edges.append(FlowEdge(point_index[pid], pair_index[(a, b)], 1, cost))
 
-    centers = {kf.id: kf.pose.center() for kf in slam_map.keyframes}
+    centers = {kf.id: np.array(kf.pose.t) for kf in slam_map.keyframes}
     pair_sink_edge = {}
     for a, b in pairs:
         cost = baseline_cost(float(np.linalg.norm(centers[a] - centers[b]))) if config.enable_cb else 1

@@ -138,8 +138,8 @@ def test_all_selectors_deterministic_and_order_invariant():
     slam_map, _ = generate(SynthConfig(n_points=150, n_keyframes=6, dropout=0.3, seed=7))
     permuted = map_from_records(
         list(reversed(slam_map.keyframes)),
-        list(reversed(slam_map.points)),
-        list(reversed(slam_map.observations)),
+        list(slam_map.points)[::-1],
+        list(slam_map.observations)[::-1],
     )
     for select in (select_top_m, select_grid_bucketed, select_radius_suppressed):
         assert select(slam_map, 40) == select(permuted, 40)

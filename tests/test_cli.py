@@ -19,7 +19,8 @@ import mapsparse
 from conftest import make_map, map_from_records
 from map_oracles import window_maps_oracle
 from mapsparse.cli import main
-from mapsparse.map_model import Keyframe, SlamMap, load_map, save_map, validate
+from mapsparse.flow_graph import FlowEdge
+from mapsparse.map_model import Keyframe, MapPoint, Observation, SlamMap, load_map, save_map, validate
 from mapsparse.metrics import load_trajectory, map_report
 from mapsparse.sparsifier import _window_rows
 from mapsparse.synth import SynthConfig, generate
@@ -227,7 +228,7 @@ def test_sparsify_rejects_min_kf_points_below_one(strategy, min_kf_points, gener
         "--min-kf-points", min_kf_points, "--out", str(out_path),
     ])
     assert rc == 1
-    assert capsys.readouterr().err == "error: keyframe_min_points must be >= 1\n"
+    assert capsys.readouterr().err == f"error: keyframe_min_points must be an integer >= 1, got {min_kf_points}\n"
     assert not out_path.exists()
 
 
@@ -358,6 +359,53 @@ def test_compare_matched_budgets(tmp_path):
     with open(out, newline="") as fh:
         rows = {r["strategy"]: r for r in csv.DictReader(fh)}
     assert rows["flow"]["points_kept"] == rows["radius"]["points_kept"]
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_compare_without_a_map_needs_a_seed(seeds, tmp_path, capsys):
+    # once exit 0, with a CSV of only a header and "(seeds 0..-1)"
+    out = tmp_path / "table.csv"
+    assert main(["compare", "--seeds", seeds, "--points", "80", "--keyframes", "6", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --seeds must be >= 1 without --map, got {seeds}\n"
+    assert not out.exists()
+
+
+def test_no_command_builds_a_record(tmp_path):
+    # Jobs read the map and graph columns only: with the record classes unable to
+    # construct, each command writes what it writes unpatched.
+    slam_map, _ = generate(SynthConfig(n_points=400, n_keyframes=30, trajectory="line",
+                                       trajectory_scale=60.0, extent=60.0, dropout=0.4, seed=4))
+    map_path = tmp_path / "map.json"
+    save_map(slam_map, map_path)
+    sparsify = ["sparsify", "--map", str(map_path)]
+    jobs = {
+        "whole": sparsify + ["--capacity-m", "100"],
+        "window": sparsify + ["--capacity-m", "100", "--window", "10"],
+        "grid": sparsify + ["--strategy", "grid", "--budget", "150"],
+    }
+
+    def outputs(tag):
+        written = {}
+        for name, argv in jobs.items():
+            out, report = tmp_path / f"{name}-{tag}.json", tmp_path / f"{name}-{tag}-report.json"
+            assert main(argv + ["--out", str(out), "--report", str(report)]) == 0
+            doc = json.loads(report.read_text(encoding="utf-8"))
+            del doc["timings_ms"]
+            written[name] = (out.read_bytes(), doc)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["metrics", "--map", str(map_path)]) == 0
+        written["metrics"] = stdout.getvalue()
+        return written
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a command built a {type(self).__name__}")
+
+    expected = outputs("plain")
+    with contextlib.ExitStack() as patches:
+        for record in (MapPoint, Observation, FlowEdge):
+            patches.enter_context(mock.patch.object(record, "__init__", refuse))
+        assert outputs("patched") == expected
 
 
 def test_unknown_strategy_rejected(generated):

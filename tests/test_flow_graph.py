@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DEFAULT_INTRINSICS, IDENTITY_Q, WORKLOAD_SHAPES, make_map, map_from_records
-from flow_cases import build_graph_oracle, graph_from_edges, layer, nearby_count
+from flow_cases import build_graph_oracle, graph_from_edges, graphs_equal, layer, nearby_count
 from map_oracles import index_oracle, window_maps_oracle
 from mapsparse import flow_graph
 from mapsparse.flow_graph import (
@@ -28,6 +28,9 @@ from mapsparse.flow_graph import (
 from mapsparse.map_model import Keyframe, Pose, SlamMap
 from mapsparse.mcmf import solve
 from mapsparse.synth import SynthConfig, generate
+
+# An int64 overflow warning in the graph's cost and count arithmetic fails the test that raised it.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestConnectivityCost:
@@ -258,9 +261,10 @@ class TestBuildGraph:
 
         # edge i is the source edge of point_ids[i]
         assert graph.point_ids.tolist() == [0, 1, 2]
-        assert [(e.tail, e.head) for e in graph.edges[:3]] == [(0, 1), (0, 2), (0, 3)]
-        assert [e.capacity for e in graph.edges[:3]] == [1, 6, 1]
-        assert [e.cost for e in graph.edges[:3]] == [6, 1, 6]  # m = 4
+        sources = list(graph.edges)[:3]
+        assert [(e.tail, e.head) for e in sources] == [(0, 1), (0, 2), (0, 3)]
+        assert [e.capacity for e in sources] == [1, 6, 1]
+        assert [e.cost for e in sources] == [6, 1, 6]  # m = 4
 
         # keypoints are far apart so every point->pair cost is zero
         pair_edges = [e for e in graph.edges if layer(graph, e.tail) == "point"]
@@ -292,7 +296,7 @@ class TestBuildGraph:
             four_frame_map,
             GraphConfig(capacity_m=2, enable_cc=False, enable_cb=False),
         )
-        assert all(e.cost == 1 for e in graph.edges[: len(graph.point_ids)])
+        assert all(e.cost == 1 for e in list(graph.edges)[: len(graph.point_ids)])
         assert all(graph.edges[ei].cost == 1 for ei in graph.pair_sink_edge.values())
 
     def test_underviewed_points_excluded(self):
@@ -312,7 +316,7 @@ class TestBuildGraph:
     def test_source_capacity_equals_out_degree(self):
         slam_map, _ = generate(SynthConfig(n_points=120, n_keyframes=8, dropout=0.3, seed=5))
         graph = build_graph(slam_map, GraphConfig(capacity_m=3))
-        sources = graph.edges[: len(graph.point_ids)]
+        sources = list(graph.edges)[: len(graph.point_ids)]
         total_cap = sum(e.capacity for e in sources)
         n_mid = sum(1 for e in graph.edges if layer(graph, e.tail) == "point")
         assert total_cap == n_mid
@@ -325,14 +329,12 @@ class TestBuildGraph:
         slam_map, _ = generate(SynthConfig(n_points=60, n_keyframes=6, dropout=0.2, seed=8))
         permuted = map_from_records(
             list(reversed(slam_map.keyframes)),
-            list(reversed(slam_map.points)),
-            list(reversed(slam_map.observations)),
+            list(slam_map.points)[::-1],
+            list(slam_map.observations)[::-1],
         )
         g1 = build_graph(slam_map, GraphConfig(capacity_m=4))
         g2 = build_graph(permuted, GraphConfig(capacity_m=4))
-        assert g1.point_ids.tolist() == g2.point_ids.tolist()
-        assert g1.pairs.tolist() == g2.pairs.tolist()
-        assert g1.edges == g2.edges
+        assert graphs_equal(g1, g2)
 
     def test_topological_layering(self, four_frame_map):
         graph = build_graph(four_frame_map, GraphConfig(capacity_m=2))
@@ -356,7 +358,7 @@ def assert_counts_match(slam_map, box_width, box_height, wanted=None):
     index = index_oracle(slam_map)
     for row, (p, f, count) in enumerate(zip(point, frame, batch)):
         if wanted[row]:
-            pid, fid = slam_map.points[p].id, slam_map.keyframes[f].id
+            pid, fid = slam_map.points.id.item(p), slam_map.keyframes[f].id
             assert count == nearby_count(slam_map, pid, fid, box_width, box_height, index)
         else:
             assert count == 0
@@ -573,20 +575,17 @@ class TestBuildGraphMatchesOracle:
 
 
 class TestFlowGraphArrays:
-    def test_edges_view_is_a_sequence_of_flow_edges(self, four_frame_map):
+    def test_edges_view_iterates_and_indexes_flow_edges(self, four_frame_map):
         graph = build_graph(four_frame_map, GraphConfig(capacity_m=2))
-        expected = tuple(
+        expected = [
             FlowEdge(int(t), int(h), int(c), int(w))
             for t, h, c, w in zip(graph.tail, graph.head, graph.capacity, graph.cost)
-        )
+        ]
         assert len(graph.edges) == graph.n_edges == len(expected)
-        assert graph.edges == expected
-        assert expected == graph.edges
-        assert tuple(graph.edges) == expected
+        assert list(graph.edges) == expected
         assert graph.edges[0] == expected[0]
-        assert graph.edges[-1] == expected[-1]
-        assert graph.edges[2:5] == expected[2:5]
-        assert graph.edges != expected[:-1]
+        assert graph.edges[len(expected) - 1] == expected[-1]
+        assert type(graph.edges[0].cost) is int
         with pytest.raises(IndexError):
             graph.edges[len(expected)]
         with pytest.raises(ValueError):
@@ -595,10 +594,8 @@ class TestFlowGraphArrays:
     def test_rebuilt_from_its_own_arrays(self, four_frame_map):
         graph = build_graph(four_frame_map, GraphConfig(capacity_m=2))
         rebuilt = FlowGraph(graph.point_ids, graph.pairs, graph.tail, graph.head, graph.capacity, graph.cost)
-        assert rebuilt.edges == graph.edges
+        assert graphs_equal(rebuilt, graph)
         assert (rebuilt.n_vertices, rebuilt.source_index, rebuilt.sink_index) == (11, 0, 10)
-        assert rebuilt.point_ids.tolist() == graph.point_ids.tolist()
-        assert rebuilt.pairs.tolist() == graph.pairs.tolist()
         assert rebuilt.pair_sink_edge == graph.pair_sink_edge
 
     @pytest.mark.parametrize(
@@ -715,9 +712,10 @@ class TestGraphConfig:
     @pytest.mark.parametrize("value", [1, 63, np.int64(63), np.int32(63), np.uint8(63)])
     def test_box_dimensions_accept_python_and_numpy_integers(self, value, four_frame_map):
         config = GraphConfig(capacity_m=2, box_width=value, box_height=value)
-        assert build_graph(four_frame_map, config).edges == build_graph(
-            four_frame_map, GraphConfig(capacity_m=2, box_width=int(value), box_height=int(value))
-        ).edges
+        assert graphs_equal(
+            build_graph(four_frame_map, config),
+            build_graph(four_frame_map, GraphConfig(capacity_m=2, box_width=int(value), box_height=int(value))),
+        )
 
 
 def dimacs_oracle(graph, supply):
@@ -800,5 +798,5 @@ class TestDimacs:
             assert supply == 3
             assert parsed.point_ids.tolist() == graph.point_ids.tolist()
             assert parsed.pairs.tolist() == graph.pairs.tolist()
-            assert parsed.edges == graph.edges
+            assert graphs_equal(parsed, graph)
             assert parsed.pair_sink_edge == graph.pair_sink_edge

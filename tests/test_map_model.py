@@ -166,7 +166,7 @@ def test_save_orders_arrays_by_id():
     scrambled = map_from_records(
         list(reversed(slam_map.keyframes)),
         slam_map.points,
-        list(reversed(slam_map.observations)),
+        list(slam_map.observations)[::-1],
     )
     a, b = io.StringIO(), io.StringIO()
     save_map(slam_map, a)
@@ -283,8 +283,8 @@ def test_covisibility_input_order_invariant():
     slam_map, _ = generate(SynthConfig(n_points=40, n_keyframes=6, dropout=0.2, seed=4))
     permuted = map_from_records(
         list(reversed(slam_map.keyframes)),
-        list(reversed(slam_map.points)),
-        list(reversed(slam_map.observations)),
+        list(slam_map.points)[::-1],
+        list(slam_map.observations)[::-1],
     )
     assert covisibility(slam_map) == covisibility(permuted)
 
@@ -682,26 +682,18 @@ def test_sorted_and_shuffled_columns_give_the_same_map(slam_map, data):
         assert maps_equal(got, expected)
 
 
-def test_point_and_observation_views_are_sequences_of_records(four_frame_map):
+def test_point_and_observation_views_iterate_records(four_frame_map):
     points, obs = four_frame_map.points, four_frame_map.observations
-    expected_points = tuple(MapPoint(i, tuple(x)) for i, x in zip(points.id.tolist(), points.xyz.tolist()))
-    expected_obs = tuple(
+    expected_points = [MapPoint(i, tuple(x)) for i, x in zip(points.id.tolist(), points.xyz.tolist())]
+    expected_obs = [
         Observation(*row) for row in zip(obs.point_id.tolist(), obs.keyframe_id.tolist(), obs.u.tolist(), obs.v.tolist())
-    )
-    assert expected_points == (MapPoint(0, (0.0, 0.0, 5.0)), MapPoint(1, (1.0, 0.0, 5.0)), MapPoint(2, (2.0, 0.0, 5.0)))
+    ]
+    assert expected_points == [MapPoint(0, (0.0, 0.0, 5.0)), MapPoint(1, (1.0, 0.0, 5.0)), MapPoint(2, (2.0, 0.0, 5.0))]
     assert expected_obs[0] == Observation(0, 0, 50.0, 50.0)
     for view, expected in ((points, expected_points), (obs, expected_obs)):
         assert len(view) == len(expected)
-        assert view == expected
-        assert expected == view
-        assert list(view) == list(expected)
-        assert view[0] == expected[0]
-        assert view[-1] == expected[-1]
-        assert view[1:3] == expected[1:3]
-        assert tuple(reversed(view)) == expected[::-1]
-        assert view != expected[:-1]
-        with pytest.raises(IndexError):
-            view[len(expected)]
+        assert list(view) == expected
+        assert not hasattr(view, "__getitem__")
     with pytest.raises(ValueError):
         points.xyz[0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -732,12 +724,12 @@ def test_maps_equal_compares_floats_bitwise():
     base = make_map([(0, 0, 0), (1, 0, 0)], {0: [(0, 10.0, 10.0), (1, 10.0, 10.0)]})
 
     def with_u(u):
-        return map_from_records(base.keyframes, base.points, [Observation(0, 0, u, 10.0), base.observations[1]])
+        return map_from_records(base.keyframes, base.points, [Observation(0, 0, u, 10.0), list(base.observations)[1]])
 
     assert maps_equal(with_u(0.0), with_u(0.0))
     assert not maps_equal(with_u(0.0), with_u(-0.0))
     assert maps_equal(with_u(math.nan), with_u(math.nan))
-    assert not maps_equal(base, map_from_records(base.keyframes, base.points, base.observations[:1]))
+    assert not maps_equal(base, map_from_records(base.keyframes, base.points, list(base.observations)[:1]))
 
 
 def _any_json():

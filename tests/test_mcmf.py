@@ -26,6 +26,9 @@ from mapsparse.sparsifier import SparsifyConfig, sparsify
 from mapsparse.synth import SynthConfig, generate
 from test_acceptance import CLUSTER_M, CLUSTER_SYNTH, SWEEP_SYNTH
 
+# An int64 overflow warning in the solver's run sums fails the test that raised it.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_single_path():
     graph = build_layered([(1, 6)], [(0, 0, 1, 0)], [(9, 10)])

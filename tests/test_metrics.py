@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import WORKLOAD_SHAPES, make_map, map_from_records
 from map_oracles import attribute_C_oracle, attribute_F_oracle, attribute_S_oracle
 from mapsparse import _quat, metrics
-from mapsparse.map_model import CameraIntrinsics, Observation
+from mapsparse.map_model import CameraIntrinsics, MapPoint, Observation
 from mapsparse.metrics import (
     AlignmentError,
     MetricsError,
@@ -29,6 +29,9 @@ from mapsparse.metrics import (
 )
 from mapsparse.synth import SynthConfig, generate, perturb_trajectory
 from test_map_model import messy_maps
+
+# A float warning (overflow, invalid value) in the metrics fails the test that raised it.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def random_trajectory(rng, n=25):
@@ -249,12 +252,12 @@ class TestAttributes:
     def test_S_order_invariant_and_monotone(self):
         slam_map = make_map([(0, 0, 0)], {0: [(0, 10, 10)], 1: [(0, 200, 200)]})
         reordered = map_from_records(
-            slam_map.keyframes, slam_map.points, list(reversed(slam_map.observations))
+            slam_map.keyframes, slam_map.points, list(slam_map.observations)[::-1]
         )
         assert attribute_S(slam_map) == attribute_S(reordered)
         grown = map_from_records(
             slam_map.keyframes,
-            list(slam_map.points) + [type(slam_map.points[0])(9, (0.0, 0.0, 1.0))],
+            list(slam_map.points) + [MapPoint(9, (0.0, 0.0, 1.0))],
             list(slam_map.observations) + [Observation(9, 0, 400.0, 400.0)],
         )
         assert attribute_S(grown) > attribute_S(slam_map)

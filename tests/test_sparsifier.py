@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -31,7 +32,7 @@ from mapsparse.sparsifier import (
     sparsify,
     underviewed_points,
 )
-from mapsparse.synth import SynthConfig, generate
+from mapsparse.synth import GenerationError, SynthConfig, generate
 from test_flow_graph import graph_configs, grid_maps
 from test_map_model import messy_maps
 
@@ -225,10 +226,44 @@ def test_config_validation():
         SparsifyConfig(graph=GraphConfig(capacity_m=1), keyframe_min_points=0)
 
 
+@pytest.mark.parametrize("config_type, field, value, error, what", [
+    (SparsifyConfig, "keyframe_min_points", True, ValueError, "an integer >= 1"),
+    (SparsifyConfig, "keyframe_min_points", 2.5, ValueError, "an integer >= 1"),
+    (SparsifyConfig, "keyframe_min_points", "3", ValueError, "an integer >= 1"),
+    (SparsifyConfig, "window", 2.0, ValueError, "an integer >= 0"),
+    (SparsifyConfig, "theta_ratio", "0.5", ValueError, "a number in"),
+    (SparsifyConfig, "theta_ratio", True, ValueError, "a number in"),
+    (SparsifyConfig, "theta_ratio", np.bool_(True), ValueError, "a number in"),
+    (SparsifyConfig, "theta_ratio", np.float32(0.5), ValueError, "a number in"),
+    (SparsifyConfig, "theta_ratio", float("nan"), ValueError, "a number in"),
+    (GraphConfig, "capacity_m", 2.0, GraphError, "an integer >= 1"),
+    (SynthConfig, "n_points", 2.5, GenerationError, "an integer >= 1"),
+    (SynthConfig, "n_points", True, GenerationError, "an integer >= 1"),
+    (SynthConfig, "n_keyframes", 2.0, GenerationError, "an integer >= 1"),
+    (SynthConfig, "seed", 1.5, GenerationError, "an integer >= 0"),
+    (SynthConfig, "seed", -1, GenerationError, "an integer >= 0"),
+])
+def test_configs_refuse_values_of_the_wrong_type_with_their_own_error(config_type, field, value, error, what):
+    base = {"capacity_m": 1} if config_type is GraphConfig else {}
+    if config_type is SparsifyConfig:
+        base["graph"] = GraphConfig(capacity_m=1)
+    with pytest.raises(error, match=f"^{field} must be {re.escape(what)}.*, got {re.escape(repr(value))}$"):
+        config_type(**{**base, field: value})
+
+
+def test_configs_take_python_and_numpy_numbers():
+    config = SparsifyConfig(graph=GraphConfig(capacity_m=np.int64(3)), theta_ratio=Fraction(1, 3),
+                            keyframe_min_points=np.int32(2), window=np.uint8(4))
+    assert (config.theta_ratio, config.keyframe_min_points, config.window) == (Fraction(1, 3), 2, 4)
+    SparsifyConfig(graph=GraphConfig(capacity_m=1), theta_ratio=np.float64(0.25))
+    SparsifyConfig(graph=GraphConfig(capacity_m=1), theta_ratio=1)
+    assert SynthConfig(n_points=np.int64(5), n_keyframes=np.int32(2), seed=np.uint64(7)).n_points == 5
+
+
 @pytest.mark.parametrize("keyframe_min_points", [0, -3])
 def test_cull_keyframes_rejects_a_minimum_below_one(keyframe_min_points):
     slam_map = make_map([(0, 0, 0), (1, 0, 0)], {0: [(0, 10, 10), (1, 10, 10)]})
-    with pytest.raises(ValueError, match="keyframe_min_points must be >= 1"):
+    with pytest.raises(ValueError, match=f"keyframe_min_points must be an integer >= 1, got {keyframe_min_points}"):
         cull_keyframes(slam_map, {0}, keyframe_min_points)
 
 

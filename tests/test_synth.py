@@ -47,7 +47,7 @@ def test_noiseless_observations_reproject_exactly():
         kf = keyframes[obs.keyframe_id]
         pt = points[obs.point_id]
         R = _quat.to_matrix(np.array(kf.pose.q))
-        local = R.T @ (np.array(pt.position) - kf.pose.center())
+        local = R.T @ (np.array(pt.position) - np.array(kf.pose.t))
         u = kf.intrinsics.fx * local[0] / local[2] + kf.intrinsics.cx
         v = kf.intrinsics.fy * local[1] / local[2] + kf.intrinsics.cy
         assert abs(u - obs.u) < 1e-6 and abs(v - obs.v) < 1e-6
