@@ -144,6 +144,8 @@ def _cmd_sparsify(args) -> int:
         )
     elif args.budget is None:
         raise ValueError("--budget is required for baseline strategies")
+    elif args.budget < 0:
+        raise ValueError("budget must be >= 0")
     slam_map = load_map(args.map)
     if args.strategy == "flow":
         selection = sparsify(slam_map, config)
@@ -216,9 +218,18 @@ def _compare_row(strategy, capacity, seed_label, slam_map, selection) -> dict:
 def _cmd_compare(args) -> int:
     capacities = [int(x) for x in args.capacities.split(",") if x]
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not capacities:
+        raise ValueError("--capacities must list at least one value")
+    if not strategies:
+        raise ValueError("--strategies must list at least one strategy")
     for s in strategies:
         if s != "flow" and s not in _BASELINES:
             raise ValueError(f"unknown strategy '{s}'")
+    # Checked before any map is read or made.
+    configs = [
+        SparsifyConfig(graph=GraphConfig(capacity_m=capacity), keyframe_min_points=args.min_kf_points)
+        for capacity in capacities
+    ]
     if args.map:
         cases = [("-", load_map(args.map))]
     elif args.seeds < 1:
@@ -230,12 +241,8 @@ def _cmd_compare(args) -> int:
             cases.append((seed, slam_map))
 
     rows = []
-    for capacity in capacities:
+    for capacity, config in zip(capacities, configs):
         for seed_label, slam_map in cases:
-            config = SparsifyConfig(
-                graph=GraphConfig(capacity_m=capacity),
-                keyframe_min_points=args.min_kf_points,
-            )
             flow_selection = sparsify(slam_map, config)
             budget = len(flow_selection.kept_point_ids)
             if "flow" in strategies:

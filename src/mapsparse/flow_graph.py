@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .map_model import ColumnView, SlamMap, _check_int
+from .map_model import ColumnView, SlamMap, _check_int, _frozen, _sealed
 
 # Costs stay far below 2**62 at any realistic map size; the solver relies on it.
 _COST_LIMIT = 1 << 62
@@ -75,14 +75,18 @@ class FlowGraph:
     layout, which also rules out parallel edges, rejects repeated point ids
     and repeated pairs, and requires capacity in [1, 2**62) and cost in
     [0, 2**62) on every edge.
+
+    Each array argument is kept or copied by the rule of
+    :func:`map_model._frozen`: a read-only int64 array that owns its data is
+    kept as it is, and any other is copied.
     """
 
     def __init__(self, point_ids, pairs, tail, head, capacity, cost):
         try:
             point_ids, tail, head, capacity, cost = (
-                np.array(a, np.int64) for a in (point_ids, tail, head, capacity, cost)
+                _frozen(a, np.int64) for a in (point_ids, tail, head, capacity, cost)
             )
-            pairs = np.array(pairs, np.int64).reshape(len(pairs), 2)
+            pairs = _frozen(pairs, np.int64).reshape(len(pairs), 2)
         except OverflowError as e:
             raise GraphError("ids must fit in int64 and edge fields lie in [0, 2**62)") from e
         if point_ids.ndim != 1 or tail.ndim != 1 or len({a.shape for a in (tail, head, capacity, cost)}) != 1:
@@ -105,8 +109,6 @@ class FlowGraph:
             if cost.min() < 0 or cost.max() >= _COST_LIMIT:
                 raise GraphError("edge cost must be in [0, 2**62)")
 
-        for a in (point_ids, pairs, tail, head, capacity, cost):
-            a.flags.writeable = False
         n_points, n_pairs, n_edges = len(point_ids), len(pairs), len(tail)
         self.point_ids, self.pairs = point_ids, pairs
         self.tail, self.head, self.capacity, self.cost = tail, head, capacity, cost
@@ -390,45 +392,48 @@ def build_graph(slam_map: SlamMap, config: GraphConfig, rows: np.ndarray | None 
     n_points = len(n)
     m = int(n.max())
 
+    # Counted before the pairs are enumerated, so that the counting's arrays and the pairs' are not held at once.
+    if config.enable_cs:
+        # Only the rows of eligible points are read, through first and second.
+        nearby = _nearby_counts(slam_map, config.box_width, config.box_height, np.repeat(eligible, n_run), rows)
+
     # Every (observation, later observation of the same point), in combinations order: one edge each.
     k = len(point)
     later = offsets[point + 1] - np.arange(k) - 1
     first = np.repeat(np.arange(k), later)
     second = np.arange(len(first)) + np.repeat(np.arange(k) + 1 - (np.cumsum(later) - later), later)
-    del later  # spent: dropped so that it does not raise the peak below
+    del later  # each array is dropped once spent, so that it does not raise the peak below
+    if config.enable_cs:
+        middle_cost = spatial_cost(nearby[first], nearby[second])
+        del nearby
+    else:
+        middle_cost = np.full(len(first), _DISABLED_COST)
     n_frames = len(slam_map.keyframes)
     pair_keys, pair_of = np.unique(frame[first] * n_frames + frame[second], return_inverse=True)
+    del second
     n_pairs = len(pair_keys)
-    point_rank = np.repeat(np.cumsum(eligible) - 1, n_run)
-
     pair_frames = np.column_stack(np.divmod(pair_keys, n_frames))
     pairs = slam_map._keyframe_ids[pair_frames]
 
     source_cost = connectivity_cost(n, m) if config.enable_cc else np.full(n_points, _DISABLED_COST)
-
-    if config.enable_cs:
-        # Only the rows of eligible points are read, through first and second.
-        nearby = _nearby_counts(slam_map, config.box_width, config.box_height, np.repeat(eligible, n_run), rows)
-        middle_cost = spatial_cost(nearby[first], nearby[second])
-    else:
-        middle_cost = np.full(len(first), _DISABLED_COST)
-
     if config.enable_cb:
         centers = np.array([kf.pose.t for kf in slam_map.keyframes], np.float64)
         sink_cost = baseline_cost(np.linalg.norm(centers[pair_frames[:, 0]] - centers[pair_frames[:, 1]], axis=1))
     else:
         sink_cost = np.full(n_pairs, _DISABLED_COST)
 
-    point_index = np.arange(1, n_points + 1)
+    point_rank = np.repeat(np.cumsum(eligible) - 1, n_run)
     pair_index = np.arange(n_points + 1, n_points + 1 + n_pairs)
-    return FlowGraph(
-        slam_map.points.id[eligible],
-        pairs,
-        np.concatenate([np.zeros(n_points, np.int64), 1 + point_rank[first], pair_index]),
-        np.concatenate([point_index, n_points + 1 + pair_of, np.full(n_pairs, n_points + n_pairs + 1)]),
-        np.concatenate([point_capacity(n), np.ones(len(first), np.int64), np.full(n_pairs, config.capacity_m)]),
-        np.concatenate([source_cost, middle_cost, sink_cost]),
-    )
+    tail = np.concatenate([np.zeros(n_points, np.int64), 1 + point_rank[first], pair_index])
+    sink = np.full(n_pairs, n_points + n_pairs + 1)
+    head = np.concatenate([np.arange(1, n_points + 1), n_points + 1 + pair_of, sink])
+    del pair_of
+    capacity = np.concatenate([point_capacity(n), np.ones(len(first), np.int64), np.full(n_pairs, config.capacity_m)])
+    del first
+    cost = np.concatenate([source_cost, middle_cost, sink_cost])
+    del middle_cost
+    # The columns are fresh, so the graph keeps them as they are.
+    return FlowGraph(*map(_sealed, (slam_map.points.id[eligible], pairs, tail, head, capacity, cost)))
 
 
 def to_dimacs(graph: FlowGraph, supply: int) -> str:

@@ -141,6 +141,26 @@ class ObservationView(ColumnView):
         return self._columns[3]
 
 
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: for a fresh array handed to a constructor, which then keeps it as it is."""
+    a.flags.writeable = False
+    return a
+
+
+def _frozen(a, dtype) -> np.ndarray:
+    """``a`` as a read-only ``dtype`` array that no other holder can write through.
+
+    The one rule for what a constructor copies: an ndarray is kept as it is
+    only when it is read-only, of ``dtype`` and owns its data (``base is
+    None``), as a :func:`_sealed` fresh array does. Any other ndarray, such
+    as a caller's writable array or a read-only view of one, is copied, and
+    anything else is converted once.
+    """
+    if not (isinstance(a, np.ndarray) and not a.flags.writeable and a.dtype == dtype and a.base is None):
+        a = _sealed(np.array(a, dtype))
+    return a
+
+
 def _repeats(sorted_ids: np.ndarray) -> np.ndarray:
     """Whether each entry of a sorted array equals the one before it."""
     out = np.zeros(len(sorted_ids), bool)
@@ -173,8 +193,11 @@ class SlamMap:
     ``observations`` is an :class:`ObservationView` over the columns
     ``point_id``, ``keyframe_id``, ``u`` and ``v``, sorted by (point id,
     keyframe id). The constructor takes the point columns (id, (P, 3) xyz)
-    and the observation columns (point id, keyframe id, u, v) in any order
-    and copies them; both sorts are stable, and every id must fit in int64.
+    and the observation columns (point id, keyframe id, u, v) in any order;
+    both sorts are stable, and every id must fit in int64. Columns that come
+    sorted are kept or copied by the rule of :func:`_frozen`: a read-only
+    column of the right dtype that owns its data is kept as it is, any other
+    is copied. Unsorted columns are gathered into sorted ones.
 
     Duplicate or dangling observations are tolerated at construction (so that
     :func:`validate` can report them); :meth:`observation_arrays` only holds
@@ -183,9 +206,9 @@ class SlamMap:
 
     def __init__(self, keyframes: Iterable[Keyframe], point_id, xyz, obs_point_id, obs_keyframe_id, u, v):
         point_id, obs_point_id, obs_keyframe_id = (
-            np.asarray(c, np.int64) for c in (point_id, obs_point_id, obs_keyframe_id)
+            _frozen(c, np.int64) for c in (point_id, obs_point_id, obs_keyframe_id)
         )
-        xyz, u, v = (np.asarray(c, np.float64) for c in (xyz, u, v))
+        xyz, u, v = (_frozen(c, np.float64) for c in (xyz, u, v))
         observation_columns = (obs_point_id, obs_keyframe_id, u, v)
         if (
             point_id.ndim != 1
@@ -196,18 +219,16 @@ class SlamMap:
         self.keyframes: tuple[Keyframe, ...] = tuple(sorted(keyframes, key=lambda k: k.id))
         self._keyframe_ids = np.array([kf.id for kf in self.keyframes], np.int64)
 
-        # load_map and _sub_map pass sorted columns, which are copied as they
+        # load_map and _sub_map pass sorted columns, which are kept as they
         # are: a stable sort would leave them in place.
-        if _sorted(point_id):
-            point_id, xyz = point_id.copy(), xyz.copy()
-        else:
+        if not _sorted(point_id):
             order = np.argsort(point_id, kind="stable")
-            point_id, xyz = point_id[order], xyz[order]
-        if _sorted(obs_point_id, obs_keyframe_id):
-            point, frame, u, v = (c.copy() for c in observation_columns)
-        else:
+            point_id, xyz = _sealed(point_id[order]), _sealed(xyz[order])
+        if not _sorted(obs_point_id, obs_keyframe_id):
             order = np.lexsort((obs_keyframe_id, obs_point_id))
-            point, frame, u, v = (c[order] for c in observation_columns)
+            observation_columns = tuple(_sealed(c[order]) for c in observation_columns)
+        point, frame, u, v = observation_columns
+        del observation_columns, obs_point_id, obs_keyframe_id  # free the unsorted columns, where they were gathered
 
         # Row of each observation's point and keyframe (the first entry of a
         # repeated id), or -1 where the id is missing.
@@ -219,7 +240,7 @@ class SlamMap:
         arrays = (point_pos, frame_pos, u, v)
         if not indexed.all():
             arrays = tuple(a[indexed] for a in arrays)
-        for a in (self._keyframe_ids, point_id, xyz, point, frame, u, v, point_pos, frame_pos, first, *arrays):
+        for a in (self._keyframe_ids, point_pos, frame_pos, first, *arrays):
             a.flags.writeable = False
 
         self.points: PointView = PointView(point_id, xyz)
@@ -266,7 +287,8 @@ def _sub_map(slam_map: SlamMap, keyframes: Iterable[Keyframe], point_ids: np.nda
     ``point_ids``, and the observations where the mask ``on_obs`` holds."""
     points, obs = slam_map.points, slam_map.observations
     on_point = _positions(point_ids, points.id) >= 0
-    return SlamMap(keyframes, points.id[on_point], points.xyz[on_point], *(c[on_obs] for c in obs._columns))
+    columns = (points.id[on_point], points.xyz[on_point], *(c[on_obs] for c in obs._columns))
+    return SlamMap(keyframes, *map(_sealed, columns))
 
 
 def maps_equal(a: SlamMap, b: SlamMap) -> bool:
@@ -634,10 +656,11 @@ def load_map(source: Source) -> SlamMap:
         if sections is None:
             text = data.decode("utf-8", "surrogatepass") if from_text else _read_text(io.BytesIO(data))
             sections = _parse_whole(text)
-    keyframes, (point_id, xyz), observations = sections
+    keyframes, points, observations = sections
     del sections
-    slam_map = SlamMap(keyframes, point_id, xyz, *observations)
-    del point_id, xyz, observations  # the map holds sorted copies; free the parsed columns before validating
+    # The parsed columns are fresh and sorted as save_map writes them, so the map keeps them without a copy.
+    slam_map = SlamMap(keyframes, *map(_sealed, (*points, *observations)))
+    del points, observations
     report = validate(slam_map)
     if not report.ok:
         raise MapIntegrityError("; ".join(report.violations))

@@ -37,6 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .flow_graph import FlowGraph, GraphError, _counts
+from .map_model import _frozen, _sealed
 
 # Every flow and cost sum of the closed form stays below this bound.
 _SUM_LIMIT = 1 << 62
@@ -48,7 +49,9 @@ class FlowResult:
 
     ``edge_flows`` is held as a read-only int64 array; the constructor
     converts a sequence or array of integers and raises ValueError on any
-    other. Two results are equal when their flows and totals are.
+    other. An array is kept or copied by the rule of
+    :func:`map_model._frozen`. Two results are equal when their flows and
+    totals are.
     """
 
     edge_flows: np.ndarray
@@ -56,9 +59,7 @@ class FlowResult:
     total_cost: int
 
     def __post_init__(self):
-        flows = _counts(self.edge_flows, "edge_flows").view()
-        flows.flags.writeable = False
-        object.__setattr__(self, "edge_flows", flows)
+        object.__setattr__(self, "edge_flows", _frozen(_counts(self.edge_flows, "edge_flows"), np.int64))
 
     def __eq__(self, other):
         if not isinstance(other, FlowResult):
@@ -126,20 +127,25 @@ def solve(graph: FlowGraph) -> FlowResult:
     Each pair fills itself to its budget with its cheapest candidates.
     Raises GraphError on a graph where a source edge can bind.
     """
-    pw = _pairwise(graph)
-    order = np.lexsort((pw.key, pw.pair))  # stable: a tie keeps point order
-    pair = pw.pair[order]
-    cap = pw.cap[order]
+    cap, pair, key, budget, point_runs = _pairwise(graph)
+    # Each edge-length array is dropped once spent, so that few are held at once.
+    order = np.lexsort((key, pair))  # stable: a tie keeps point order
+    del key
+    pair = pair[order]
+    cap = cap[order]
     ahead = np.concatenate(([0], np.cumsum(cap)))  # units ahead of each candidate, over all pairs
-    pair_runs = np.searchsorted(pair, np.arange(len(pw.budget) + 1))
+    pair_runs = np.searchsorted(pair, np.arange(len(budget) + 1))
     before = ahead[:-1] - np.repeat(ahead[pair_runs[:-1]], np.diff(pair_runs))
-    taken = np.clip(pw.budget[pair] - before, 0, cap)
+    del ahead
+    taken = np.clip(budget[pair] - before, 0, cap)
+    del pair, cap, before
 
     used = np.empty_like(taken)
     used[order] = taken
-    through_points = _run_sums(used, pw.point_runs)
+    del order
+    through_points = _run_sums(used, point_runs)
     flows = np.concatenate((through_points, used, _run_sums(taken, pair_runs)))
-    return FlowResult(flows, int(through_points.sum()), int(flows @ graph.cost))
+    return FlowResult(_sealed(flows), int(through_points.sum()), int(flows @ graph.cost))
 
 
 def verify_optimality(graph: FlowGraph, result: FlowResult) -> bool:

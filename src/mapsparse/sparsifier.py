@@ -11,7 +11,9 @@ from numbers import Rational
 import numpy as np
 
 from .flow_graph import FlowGraph, GraphConfig, build_graph
-from .map_model import _INT64_MAX, SlamMap, _check_int, _json_object, _json_rows, _positions, _repeats, _sub_map
+from .map_model import (
+    _INT64_MAX, SlamMap, _check_int, _frozen, _json_object, _json_rows, _positions, _repeats, _sealed, _sub_map
+)
 from .mcmf import FlowResult, solve
 
 
@@ -122,46 +124,39 @@ _ID_ITEM = "    %s"
 _POINT_FLOW_ITEM = '    "%s": {\n      "capacity": %s,\n      "flow": %s\n    }'
 
 
-def _sealed(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _id_array(ids) -> np.ndarray:
     """Any collection of ids as a sorted, read-only int64 array of distinct ids.
 
-    A read-only int64 array already in that form is returned as it is; any
-    other input is copied.
+    An array already in that form is kept or copied by the rule of
+    :func:`map_model._frozen`; any other input is sorted into a fresh array.
     """
-    a = np.asarray(ids, np.int64) if isinstance(ids, np.ndarray) else np.fromiter(ids, np.int64)
+    a = np.asarray(ids, np.int64) if isinstance(ids, np.ndarray) else _sealed(np.fromiter(ids, np.int64))
     if a.ndim != 1:
         raise ValueError("ids must form a 1-d collection")
-    if not (a[1:] > a[:-1]).all():
-        a = np.sort(a)
-        a = a[~_repeats(a)]
-    elif a is ids and a.flags.writeable:
-        a = a.copy()
-    return _sealed(a)
+    if (a[1:] > a[:-1]).all():
+        return _frozen(a, np.int64)
+    a = np.sort(a)
+    return _sealed(a[~_repeats(a)])
 
 
 def _flow_rows(point_flow) -> np.ndarray:
     """A ``{id: (flow, capacity)}`` mapping or (P, 3) rows as read-only (id, flow, capacity) rows in id order.
 
-    Read-only int64 rows already in id order are returned as they are; any
-    other input is copied.
+    Rows already in id order are kept or copied by the rule of
+    :func:`map_model._frozen`; any other input is sorted into a fresh array.
     """
     if isinstance(point_flow, np.ndarray):
         rows = np.asarray(point_flow, np.int64)
     else:
-        rows = np.array([(pid, flow, cap) for pid, (flow, cap) in point_flow.items()], np.int64).reshape(-1, 3)
+        items = ((pid, flow, cap) for pid, (flow, cap) in point_flow.items())
+        rows = _sealed(np.fromiter(items, np.dtype((np.int64, 3)), len(point_flow)))
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ValueError("point_flow must be (P, 3) rows of (point id, flow, capacity)")
-    if not (rows[1:, 0] > rows[:-1, 0]).all():
-        rows = rows[np.argsort(rows[:, 0], kind="stable")]
-        if _repeats(rows[:, 0]).any():
-            raise ValueError("point_flow lists a point id twice")
-    elif rows is point_flow and rows.flags.writeable:
-        rows = rows.copy()
+    if (rows[1:, 0] > rows[:-1, 0]).all():
+        return _frozen(rows, np.int64)
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    if _repeats(rows[:, 0]).any():
+        raise ValueError("point_flow lists a point id twice")
     return _sealed(rows)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quat
-from .map_model import CameraIntrinsics, Keyframe, Pose, SlamMap, _check_int
+from .map_model import CameraIntrinsics, Keyframe, Pose, SlamMap, _check_int, _sealed
 from .metrics import Trajectory
 
 TRAJECTORIES = ("circle", "line", "random_walk")
@@ -165,8 +165,7 @@ def generate(config: SynthConfig) -> tuple[SlamMap, Trajectory]:
         obs_u.append(u[seen])
         obs_v.append(v[seen])
 
-    slam_map = SlamMap(
-        keyframes,
+    columns = (
         np.arange(config.n_points),
         xyz,
         np.concatenate(obs_point),
@@ -174,6 +173,7 @@ def generate(config: SynthConfig) -> tuple[SlamMap, Trajectory]:
         np.concatenate(obs_u),
         np.concatenate(obs_v),
     )
+    slam_map = SlamMap(keyframes, *map(_sealed, columns))  # fresh columns: kept, or gathered once where unsorted
     if not (slam_map.observer_counts() >= 2).any():
         raise GenerationError("configuration produced no point observed by two keyframes")
     trajectory = Trajectory(

@@ -370,6 +370,31 @@ def test_compare_without_a_map_needs_a_seed(seeds, tmp_path, capsys):
     assert not out.exists()
 
 
+_COMPARE_LISTS = [
+    ("no-capacity", ["--capacities", ""], "--capacities must list at least one value"),
+    ("no-strategy", ["--strategies", ","], "--strategies must list at least one strategy"),
+    ("capacity-0", ["--capacities", "5,0"], "capacity_m must be an integer >= 1, got 0"),
+    ("min-kf-points-0", ["--min-kf-points", "0"], "keyframe_min_points must be an integer >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message, with_map", [
+    *(pytest.param(["compare", *options], message, with_map, id=f"{name}-{'map' if with_map else 'generated'}")
+      for name, options, message in _COMPARE_LISTS for with_map in (True, False)),
+    pytest.param(["sparsify", "--strategy", "topm", "--budget", "-5"], "budget must be >= 0", True,
+                 id="negative-budget"),
+])
+def test_lists_and_budgets_are_checked_before_any_map_is_read_or_made(argv, message, with_map, tmp_path, capsys):
+    # once: an empty list exited 0 with a CSV of only a header, and the other values failed only after the
+    # map was read or every seed's map generated
+    out = tmp_path / "out.csv"
+    source = ["--map", str(tmp_path / "missing.json")] if with_map else ["--seeds", "1", "--points", "80"]
+    with mock.patch("mapsparse.cli.synth.generate", side_effect=AssertionError("a map was generated")):
+        assert main(argv + source + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_no_command_builds_a_record(tmp_path):
     # Jobs read the map and graph columns only: with the record classes unable to
     # construct, each command writes what it writes unpatched.
