@@ -22,11 +22,9 @@ from .map_model import (
     Observation,
     Pose,
     SlamMap,
-    ValidationReport,
     load_map,
     maps_equal,
     save_map,
-    validate,
 )
 from .mcmf import FlowResult, solve, verify_optimality
 from .metrics import (

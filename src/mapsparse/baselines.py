@@ -110,26 +110,24 @@ def select_radius_suppressed(slam_map: SlamMap, budget: int) -> set[int]:
     # largest coordinate (radius 0 included, where a difference below about
     # 1e-162 squares to 0), so that rounding in floor(uv / side) and in d2
     # cannot hide a chosen keypoint within the radius beyond those cells.
-    finite = np.isfinite(uv).all(axis=1)
-    min_side = max(float(np.abs(uv[finite]).max(initial=0.0)) * 2**-40, 2**-500)
-    points = list(zip(uv[:, 0].tolist(), uv[:, 1].tolist(), finite.tolist()))
+    min_side = max(float(uv.max()) * 2**-40, 2**-500)
+    points = list(zip(uv[:, 0].tolist(), uv[:, 1].tolist()))
 
     def run(radius: float) -> list[int]:
         r2 = radius * radius
         side = max(radius, min_side) * (1 + 2**-8)
         cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
         chosen_idx: list[int] = []
-        for i, (x, y, is_finite) in enumerate(points):
-            if is_finite:  # a non-finite keypoint is within no radius
-                cx, cy = math.floor(x / side), math.floor(y / side)
-                if any(
-                    (px - x) * (px - x) + (py - y) * (py - y) <= r2
-                    for gx in (cx - 1, cx, cx + 1)
-                    for gy in (cy - 1, cy, cy + 1)
-                    for px, py in cells.get((gx, gy), ())
-                ):
-                    continue
-                cells.setdefault((cx, cy), []).append((x, y))
+        for i, (x, y) in enumerate(points):
+            cx, cy = math.floor(x / side), math.floor(y / side)
+            if any(
+                (px - x) * (px - x) + (py - y) * (py - y) <= r2
+                for gx in (cx - 1, cx, cx + 1)
+                for gy in (cy - 1, cy, cy + 1)
+                for px, py in cells.get((gx, gy), ())
+            ):
+                continue
+            cells.setdefault((cx, cy), []).append((x, y))
             chosen_idx.append(i)
         return chosen_idx
 

@@ -248,8 +248,7 @@ def _nearby_counts(
     The counts are aligned with ``slam_map.observation_arrays()``, or with its
     ``rows`` (whole keyframes' rows) where given; only the rows of ``wanted``, a
     boolean mask aligned with the counts, are counted, and the others read 0.
-    The box test is closed: |du| <= box_width/2 and |dv| <= box_height/2, and
-    a keypoint with a non-finite coordinate passes it with no other keypoint.
+    The box test is closed: |du| <= box_width/2 and |dv| <= box_height/2.
 
     A keypoint's count reads only its own keyframe, so the keyframes are
     counted in blocks of whole keyframes of about :data:`_FRAME_BLOCK`
@@ -282,9 +281,7 @@ def _nearby_block(frame, u, v, wanted, box_width: int, box_height: int) -> np.nd
     """
     half_u = box_width / 2.0
     half_v = box_height / 2.0
-    finite = np.flatnonzero(np.isfinite(u) & np.isfinite(v))
-    n = len(finite)
-    u, v = u[finite], v[finite]
+    n = len(u)
 
     # Columns are ranked among the distinct floor(u / box_width) values, and
     # cells among the distinct (frame, column) pairs, so that no key overflows.
@@ -295,7 +292,7 @@ def _nearby_block(frame, u, v, wanted, box_width: int, box_height: int) -> np.nd
     distinct[1:] = cols[1:] != cols[:-1]
     cols = cols[distinct]
     col = np.searchsorted(cols, col)
-    cells, cell = np.unique(frame[finite] * len(cols) + col, return_inverse=True)
+    cells, cell = np.unique(frame * len(cols) + col, return_inverse=True)
 
     # Grid order: by cell, then by v, through a key of cell and rank of v
     # (equal values share a rank). Each keypoint's v-run is a rank range too,
@@ -316,20 +313,19 @@ def _nearby_block(frame, u, v, wanted, box_width: int, box_height: int) -> np.nd
 
     # Queries go in grid order too, so that the searches below take sorted
     # needles. Arrays are dropped as soon as they are spent, to keep the peak low.
-    q = np.flatnonzero(wanted[finite[order]])
+    q = np.flatnonzero(wanted[order])
     qu, qv = u[q], v[q]
     q = order[q]
-    q_rows = finite[q]
-    del order, finite
+    del order
     # The visited columns are col + d for d in [d_lo, d_hi).
     d_lo = np.searchsorted(cols, np.floor((qu - (half_u + 1)) / box_width), "left") - col[q]
     d_hi = np.searchsorted(cols, np.floor((qu + (half_u + 1)) / box_width), "right") - col[q]
     q_cell, q_lo = cell[q], v_lo[q]
     q_span = v_hi[q] - q_lo
-    del q, col, cell, v_lo, v_hi
+    del col, cell, v_lo, v_hi
 
-    counts = np.full(len(q_rows), -1, np.int64)  # each query's own cell holds it
-    for d in range(int(d_lo.min()), int(d_hi.max())) if len(q_rows) else ():
+    counts = np.full(len(q), -1, np.int64)  # each query's own cell holds it
+    for d in range(int(d_lo.min()), int(d_hi.max())) if len(q) else ():
         # The queries that visit the cell d columns over from their own: for
         # others, cells + d may be a cell of another keyframe.
         sel = np.flatnonzero((d_lo <= d) & (d < d_hi))
@@ -345,7 +341,7 @@ def _nearby_block(frame, u, v, wanted, box_width: int, box_height: int) -> np.nd
         del needle
         counts[sel] += _count_near(u, v, qu[sel], qv[sel], lo, width, half_u, half_v)
     out = np.zeros(len(frame), np.int64)
-    out[q_rows] = counts
+    out[q] = counts
     return out
 
 
@@ -383,7 +379,7 @@ def build_graph(slam_map: SlamMap, config: GraphConfig, rows: np.ndarray | None 
     else:
         point, frame = point[rows], frame[rows]
         offsets = np.searchsorted(point, np.arange(slam_map.n_points + 1))
-    # Observations come in one run per point row, frames ascending; a repeated point id's later rows have none.
+    # Observations come in one run per point row, frames ascending.
     n_run = np.diff(offsets)
     eligible = n_run >= 2
     if not eligible.any():

@@ -28,7 +28,9 @@ class MapFormatError(ValueError):
 
 
 class MapIntegrityError(ValueError):
-    """Raised when a parsed map violates model invariants (dangling ids, bad ranges)."""
+    """Raised by the :class:`SlamMap` constructor, and so by :func:`load_map`, for a map that
+    violates a model invariant (repeated or dangling ids, bad ranges); the message joins every
+    violation with "; "."""
 
 
 @dataclass(frozen=True)
@@ -72,15 +74,6 @@ class Observation:
     v: float
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class ColumnView:
     """Records over equal-length numpy columns, built one at a time as they are iterated.
 
@@ -118,19 +111,24 @@ class PointView(ColumnView):
 
 
 class ObservationView(ColumnView):
-    """A map's observations, iterated as :class:`Observation`; columns ``point_id`` and
-    ``keyframe_id`` (int64), ``u`` and ``v`` (float64)."""
+    """A map's observations, iterated as :class:`Observation`; columns ``u`` and ``v``
+    (float64), and ``point_id`` and ``keyframe_id`` (int64), gathered from the map's
+    point and keyframe rows on each read."""
 
-    __slots__ = ()
-    _record_type = Observation
+    __slots__ = ("_point_ids", "_keyframe_ids")
+
+    def __init__(self, point_ids: np.ndarray, keyframe_ids: np.ndarray, *columns: np.ndarray):
+        super().__init__(*columns)
+        self._point_ids = point_ids
+        self._keyframe_ids = keyframe_ids
 
     @property
     def point_id(self) -> np.ndarray:
-        return self._columns[0]
+        return _sealed(self._point_ids[self._columns[0]])
 
     @property
     def keyframe_id(self) -> np.ndarray:
-        return self._columns[1]
+        return _sealed(self._keyframe_ids[self._columns[1]])
 
     @property
     def u(self) -> np.ndarray:
@@ -139,6 +137,9 @@ class ObservationView(ColumnView):
     @property
     def v(self) -> np.ndarray:
         return self._columns[3]
+
+    def __iter__(self):
+        return map(Observation, self.point_id.tolist(), self.keyframe_id.tolist(), self.u.tolist(), self.v.tolist())
 
 
 def _sealed(a: np.ndarray) -> np.ndarray:
@@ -189,19 +190,22 @@ class SlamMap:
     """Immutable map: keyframe objects plus point and observation columns.
 
     ``keyframes`` is a tuple of :class:`Keyframe` sorted by id. ``points`` is
-    a :class:`PointView` over the columns ``id`` and ``xyz``, sorted by id;
-    ``observations`` is an :class:`ObservationView` over the columns
-    ``point_id``, ``keyframe_id``, ``u`` and ``v``, sorted by (point id,
-    keyframe id). The constructor takes the point columns (id, (P, 3) xyz)
-    and the observation columns (point id, keyframe id, u, v) in any order;
-    both sorts are stable, and every id must fit in int64. Columns that come
-    sorted are kept or copied by the rule of :func:`_frozen`: a read-only
-    column of the right dtype that owns its data is kept as it is, any other
-    is copied. Unsorted columns are gathered into sorted ones.
+    a :class:`PointView` over the columns ``id`` and ``xyz``, sorted by id.
+    Each observation is held once, as the row of its point in ``points``, the
+    row of its keyframe in ``keyframes``, and its keypoint (u, v), sorted by
+    (point id, keyframe id): :meth:`observation_arrays` returns those four
+    columns, and ``observations`` is an :class:`ObservationView` over them.
 
-    Duplicate or dangling observations are tolerated at construction (so that
-    :func:`validate` can report them); :meth:`observation_arrays` only holds
-    the first occurrence of each (point, keyframe) pair with valid references.
+    The constructor takes the point columns (id, (P, 3) xyz) and the
+    observation columns (point id, keyframe id, u, v) in any order; both sorts
+    are stable, and every id must fit in int64. Columns that come sorted are
+    kept or copied by the rule of :func:`_frozen`: a read-only column of the
+    right dtype that owns its data is kept as it is, any other is copied.
+    Unsorted columns are gathered into sorted ones. The observation id
+    columns are read, not kept. The constructor checks every model invariant
+    (:func:`validate`) and raises :class:`MapIntegrityError` naming each
+    violation, so every map holds distinct ids, observations of existing
+    points and keyframes, and finite keypoints inside their images.
     """
 
     def __init__(self, keyframes: Iterable[Keyframe], point_id, xyz, obs_point_id, obs_keyframe_id, u, v):
@@ -217,7 +221,7 @@ class SlamMap:
         ):
             raise ValueError("points need ids (P,) and xyz (P, 3); observations need four 1-d columns of one length")
         self.keyframes: tuple[Keyframe, ...] = tuple(sorted(keyframes, key=lambda k: k.id))
-        self._keyframe_ids = np.array([kf.id for kf in self.keyframes], np.int64)
+        self._keyframe_ids = _sealed(np.array([kf.id for kf in self.keyframes], np.int64))
 
         # load_map and _sub_map pass sorted columns, which are kept as they
         # are: a stable sort would leave them in place.
@@ -227,31 +231,21 @@ class SlamMap:
         if not _sorted(obs_point_id, obs_keyframe_id):
             order = np.lexsort((obs_keyframe_id, obs_point_id))
             observation_columns = tuple(_sealed(c[order]) for c in observation_columns)
-        point, frame, u, v = observation_columns
-        del observation_columns, obs_point_id, obs_keyframe_id  # free the unsorted columns, where they were gathered
+        obs_point_id, obs_keyframe_id, u, v = observation_columns  # free the unsorted columns, where they were gathered
 
         # Row of each observation's point and keyframe (the first entry of a
         # repeated id), or -1 where the id is missing.
-        point_pos = _positions(point_id, point)
-        frame_pos = _positions(self._keyframe_ids, frame)
-        first = np.ones(len(point), bool)  # first observation of its (point, keyframe) pair
-        first[1:] = (point[1:] != point[:-1]) | (frame[1:] != frame[:-1])
-        indexed = first & (point_pos >= 0) & (frame_pos >= 0)
-        arrays = (point_pos, frame_pos, u, v)
-        if not indexed.all():
-            arrays = tuple(a[indexed] for a in arrays)
-        for a in (self._keyframe_ids, point_pos, frame_pos, first, *arrays):
-            a.flags.writeable = False
+        point = _sealed(_positions(point_id, obs_point_id))
+        frame = _sealed(_positions(self._keyframe_ids, obs_keyframe_id))
+        violations = validate(self.keyframes, (point_id, xyz), observation_columns, point, frame)
+        if violations:
+            raise MapIntegrityError("; ".join(violations))
 
         self.points: PointView = PointView(point_id, xyz)
-        self.observations: ObservationView = ObservationView(point, frame, u, v)
-        self._obs_point_pos = point_pos
-        self._obs_frame_pos = frame_pos
-        self._obs_first = first
-        self._observation_arrays = arrays
-        # The indexed observations of the point in row i are rows
+        self.observations: ObservationView = ObservationView(point_id, self._keyframe_ids, point, frame, u, v)
+        # The observations of the point in row i are rows
         # point_offsets[i]:point_offsets[i + 1] of observation_arrays().
-        self._point_offsets = np.searchsorted(arrays[0], np.arange(len(point_id) + 1))
+        self._point_offsets = _sealed(np.searchsorted(point, np.arange(len(point_id) + 1)))
 
     @property
     def n_keyframes(self) -> int:
@@ -266,36 +260,38 @@ class SlamMap:
         return len(self.observations)
 
     def observer_counts(self) -> np.ndarray:
-        """Per entry of :attr:`points`, the number of keyframes observing its id (int64)."""
-        ids = self.points.id
-        return np.diff(self._point_offsets)[np.searchsorted(ids, ids)]
+        """Per entry of :attr:`points`, the number of keyframes observing it (int64)."""
+        return np.diff(self._point_offsets)
 
     def observation_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(point, frame, u, v) of every indexed observation, in (point id, frame id) order.
+        """The held (point, frame, u, v) columns of every observation, in (point id, frame id) order.
 
-        ``point`` and ``frame`` are int64 positions in :attr:`points` and
-        :attr:`keyframes` (the first entry of a repeated id), so they sort
-        exactly as the ids do; ``u`` and ``v`` are float64. On a map whose
-        every observation is indexed, ``u`` and ``v`` are the
-        :attr:`observations` columns themselves. The arrays are read-only.
+        ``point`` and ``frame`` are int64 rows of :attr:`points` and
+        :attr:`keyframes`, so they sort exactly as the ids do; ``u`` and ``v``
+        are float64. The arrays are read-only.
         """
-        return self._observation_arrays
+        return self.observations._columns
 
 
-def _sub_map(slam_map: SlamMap, keyframes: Iterable[Keyframe], point_ids: np.ndarray, on_obs: np.ndarray) -> SlamMap:
-    """The map of ``keyframes``, the points whose ids are in the sorted array
-    ``point_ids``, and the observations where the mask ``on_obs`` holds."""
-    points, obs = slam_map.points, slam_map.observations
-    on_point = _positions(point_ids, points.id) >= 0
-    columns = (points.id[on_point], points.xyz[on_point], *(c[on_obs] for c in obs._columns))
-    return SlamMap(keyframes, *map(_sealed, columns))
+def _sub_map(slam_map: SlamMap, on_frame: np.ndarray, on_point: np.ndarray, on_obs: np.ndarray) -> SlamMap:
+    """The map of the keyframes, points and observations where the masks ``on_frame``, ``on_point`` and
+    ``on_obs`` hold; an observation must be of a point and a keyframe that are kept."""
+    points = slam_map.points
+    point, frame, u, v = slam_map.observation_arrays()
+    point, frame = point[on_obs], frame[on_obs]
+    columns = (
+        points.id[on_point], points.xyz[on_point],
+        points.id[point], slam_map._keyframe_ids[frame], u[on_obs], v[on_obs],
+    )
+    del point, frame
+    return SlamMap(itertools.compress(slam_map.keyframes, on_frame.tolist()), *map(_sealed, columns))
 
 
 def maps_equal(a: SlamMap, b: SlamMap) -> bool:
-    """Exact equality: keyframes field by field, point and observation columns bitwise."""
+    """Exact equality: keyframes field by field, point columns and held observation columns bitwise."""
 
     def columns(m: SlamMap):
-        return (*m.points._columns, *m.observations._columns)
+        return (*m.points._columns, *m.observation_arrays())
 
     return a.keyframes == b.keyframes and all(
         np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip(columns(a), columns(b))
@@ -627,12 +623,13 @@ def _parse_pieces(stream: IO[bytes]) -> tuple[list, tuple, tuple] | None:
 
 
 def load_map(source: Source) -> SlamMap:
-    """Parse a JSON map file and return a validated :class:`SlamMap`.
+    """Parse a JSON map file and return its :class:`SlamMap`.
 
     Raises :class:`MapFormatError` with a line/field location on malformed
-    input, and :class:`MapIntegrityError` naming the offending ids when the
-    parsed map violates invariants (e.g. an observation referencing a
-    missing point). Every integer field must fit in int64.
+    input. The map's constructor raises :class:`MapIntegrityError` naming the
+    offending ids when the parsed records violate invariants (e.g. an
+    observation referencing a missing point). Every integer field must fit
+    in int64.
 
     A path is read forward :data:`_CHUNK_CHARS` (2**16) bytes at a time. A document
     laid out as :func:`save_map` writes it has its points and observations
@@ -659,12 +656,7 @@ def load_map(source: Source) -> SlamMap:
     keyframes, points, observations = sections
     del sections
     # The parsed columns are fresh and sorted as save_map writes them, so the map keeps them without a copy.
-    slam_map = SlamMap(keyframes, *map(_sealed, (*points, *observations)))
-    del points, observations
-    report = validate(slam_map)
-    if not report.ok:
-        raise MapIntegrityError("; ".join(report.violations))
-    return slam_map
+    return SlamMap(keyframes, *map(_sealed, (*points, *observations)))
 
 
 # One point and one observation record as json.dumps(doc, indent=1) lays
@@ -675,21 +667,26 @@ _OBSERVATION_RECORD = '  {\n   "point": %s,\n   "frame": %s,\n   "uv": [\n    %s
 _ROW_BLOCK = 1 << 12
 
 
-def _json_numbers(column: np.ndarray) -> list:
-    """The column's values, each of which ``%s`` writes as json.dumps would."""
-    values = column.tolist()  # str() of a Python int or float is json's text for it
-    if column.dtype.kind == "f":
-        for i in np.flatnonzero(~np.isfinite(column)).tolist():
-            values[i] = json.dumps(values[i])  # NaN, Infinity, -Infinity
-    return values
+class _Gather:
+    """The column ``ids[rows]``, gathered a slice at a time as :func:`_json_rows` reads it."""
+
+    def __init__(self, ids: np.ndarray, rows: np.ndarray):
+        self.ids, self.rows = ids, rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, block: slice) -> np.ndarray:
+        return self.ids[self.rows[block]]
 
 
 def _json_rows(template: str, columns, indent: str, brackets: str = "[]") -> Iterator[str]:
     """One ``template`` entry per row of the columns, as a member of a top-level object laid out with ``indent``.
 
     ``brackets`` are the member's: ``"[]"`` for a list, ``"{}"`` for an
-    object whose template writes each entry's key. The text comes in blocks
-    of :data:`_ROW_BLOCK` rows.
+    object whose template writes each entry's key. The columns hold ints and
+    finite floats, whose ``%s`` text is json's. The text comes in blocks of
+    :data:`_ROW_BLOCK` rows.
     """
     n = len(columns[0])
     if not n:
@@ -700,7 +697,7 @@ def _json_rows(template: str, columns, indent: str, brackets: str = "[]") -> Ite
         rows = min(_ROW_BLOCK, n - lo)
         values = [None] * (width * rows)  # row by row: the first row's values, then the second's
         for i, column in enumerate(columns):
-            values[i::width] = _json_numbers(column[lo : lo + rows])
+            values[i::width] = column[lo : lo + rows].tolist()
         yield brackets[0] + "\n" if lo == 0 else ",\n"
         yield ",\n".join([template] * rows) % tuple(values)
     yield "\n" + indent + brackets[1]
@@ -731,8 +728,9 @@ def save_map(slam_map: SlamMap, sink: Union[str, Path, IO[bytes], IO[str]]) -> N
 
     Writes the bytes of ``json.dumps(doc, indent=1)`` plus a newline. The
     points and observations are formatted from the columns with fixed record
-    templates and written a block of records at a time; only the keyframes
-    go through :mod:`json`.
+    templates and written a block of records at a time, each observation's
+    ids gathered from its rows a block at a time; only the keyframes go
+    through :mod:`json`.
     """
     keyframes = [
         {
@@ -751,10 +749,10 @@ def save_map(slam_map: SlamMap, sink: Union[str, Path, IO[bytes], IO[str]]) -> N
         }
         for kf in slam_map.keyframes
     ]
-    xyz = slam_map.points.xyz
-    obs = slam_map.observations
-    points = (slam_map.points.id, xyz[:, 0], xyz[:, 1], xyz[:, 2])
-    observations = (obs.point_id, obs.keyframe_id, obs.u, obs.v)
+    point_id, xyz = slam_map.points.id, slam_map.points.xyz
+    point, frame, u, v = slam_map.observation_arrays()
+    points = (point_id, xyz[:, 0], xyz[:, 1], xyz[:, 2])
+    observations = (_Gather(point_id, point), _Gather(slam_map._keyframe_ids, frame), u, v)
     document = {
         "keyframes": keyframes,
         "points": _json_rows(_POINT_RECORD, points, " "),
@@ -766,18 +764,22 @@ def save_map(slam_map: SlamMap, sink: Union[str, Path, IO[bytes], IO[str]]) -> N
 _POSE_TOL = 1e-9
 
 
-def validate(slam_map: SlamMap) -> ValidationReport:
-    """Check every model invariant; violations are reported, never raised.
+def validate(keyframes, points, observations, point: np.ndarray, frame: np.ndarray) -> list[str]:
+    """Every violation of the model invariants, for the :class:`SlamMap` constructor to raise.
 
-    Every check runs on whole columns; only the flagged records are visited,
-    to word their violations. They come in order: keyframes by id, then
-    consecutive keyframes by seq_index, then points and observations.
+    ``keyframes`` come sorted by id, the ``points`` columns (id, xyz) by id,
+    and the ``observations`` columns (point id, keyframe id, u, v) by (point
+    id, keyframe id). ``point`` and ``frame`` are each observation's row in
+    the points and the keyframes (the first entry of a repeated id), or -1
+    where its id is missing. Every check runs on whole columns; only the
+    flagged records are visited, to word their violations. They come in
+    order: keyframes by id, then consecutive keyframes by seq_index, then
+    points and observations.
     """
     v: list[str] = []
 
-    keyframes = slam_map.keyframes
     intr = [kf.intrinsics for kf in keyframes]
-    kf_id = slam_map._keyframe_ids
+    kf_id = np.array([kf.id for kf in keyframes], np.int64)
     seq = np.array([kf.seq_index for kf in keyframes], np.int64)
     timestamp = np.array([kf.timestamp for kf in keyframes], np.float64)
     fx, fy, cx, cy = (np.array([getattr(c, name) for c in intr], np.float64) for name in ("fx", "fy", "cx", "cy"))
@@ -837,10 +839,10 @@ def validate(slam_map: SlamMap) -> ValidationReport:
         else:
             v.append(f"keyframes {a.id} and {b.id}: seq_index not strictly increasing with timestamp")
 
-    point_id = slam_map.points.id
+    point_id, xyz = points
     repeated = _repeats(point_id)
     negative = ~repeated & (point_id < 0)
-    non_finite = ~repeated & ~np.isfinite(slam_map.points.xyz).all(axis=1)
+    non_finite = ~repeated & ~np.isfinite(xyz).all(axis=1)
     for i in np.flatnonzero(repeated | negative | non_finite).tolist():
         pid = point_id.item(i)
         if repeated[i]:
@@ -851,19 +853,18 @@ def validate(slam_map: SlamMap) -> ValidationReport:
         if non_finite[i]:
             v.append(f"point {pid}: non-finite position")
 
-    obs = slam_map.observations
-    frame_pos = slam_map._obs_frame_pos
-    repeated = ~slam_map._obs_first
-    no_point = ~repeated & (slam_map._obs_point_pos < 0)
-    no_frame = ~repeated & ~no_point & (frame_pos < 0)
+    point_ids, frame_ids, obs_u, obs_v = observations
+    repeated = _repeats(point_ids) & _repeats(frame_ids)  # the (point id, keyframe id) pair of the row before
+    no_point = ~repeated & (point < 0)
+    no_frame = ~repeated & ~no_point & (frame < 0)
     rows = np.flatnonzero(~(repeated | no_point | no_frame))
-    bad_u = np.zeros(len(obs), bool)
-    bad_v = np.zeros(len(obs), bool)
-    for bad, coord, bound in ((bad_u, obs.u, width), (bad_v, obs.v, height)):
+    bad_u = np.zeros(len(obs_u), bool)
+    bad_v = np.zeros(len(obs_v), bool)
+    for bad, coord, bound in ((bad_u, obs_u, width), (bad_v, obs_v, height)):
         x = coord[rows]
-        bad[rows] = ~((0.0 <= x) & (x < bound[frame_pos[rows]]))
+        bad[rows] = ~((0.0 <= x) & (x < bound[frame[rows]]))
     for i in np.flatnonzero(repeated | no_point | no_frame | bad_u | bad_v).tolist():
-        pid, fid = obs.point_id.item(i), obs.keyframe_id.item(i)
+        pid, fid = point_ids.item(i), frame_ids.item(i)
         if repeated[i]:
             v.append(f"duplicate observation (point {pid}, frame {fid})")
         elif no_point[i]:
@@ -871,10 +872,10 @@ def validate(slam_map: SlamMap) -> ValidationReport:
         elif no_frame[i]:
             v.append(f"observation references missing keyframe id {fid}")
         else:
-            intr = keyframes[frame_pos[i]].intrinsics
+            intr = keyframes[frame[i]].intrinsics
             if bad_u[i]:
-                v.append(f"observation (point {pid}, frame {fid}): u {obs.u.item(i)} outside [0, {intr.width})")
+                v.append(f"observation (point {pid}, frame {fid}): u {obs_u.item(i)} outside [0, {intr.width})")
             if bad_v[i]:
-                v.append(f"observation (point {pid}, frame {fid}): v {obs.v.item(i)} outside [0, {intr.height})")
+                v.append(f"observation (point {pid}, frame {fid}): v {obs_v.item(i)} outside [0, {intr.height})")
 
-    return ValidationReport(v)
+    return v

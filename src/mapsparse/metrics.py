@@ -209,13 +209,12 @@ def attribute_C(slam_map: SlamMap) -> float:
     """Mean observing-keyframe count per map point."""
     if slam_map.n_points == 0:
         raise MetricsError("map has no points")
-    return int(slam_map.observer_counts().sum()) / slam_map.n_points
+    return slam_map.n_observations / slam_map.n_points
 
 
 def attribute_F(slam_map: SlamMap) -> int:
     """Largest seq_index span between keyframes observing a common point."""
-    seq_of = {kf.id: kf.seq_index for kf in slam_map.keyframes}  # a repeated id: its last entry
-    seq = np.array([seq_of[kf.id] for kf in slam_map.keyframes], np.int64)
+    seq = np.array([kf.seq_index for kf in slam_map.keyframes], np.int64)
     point, frame, _, _ = slam_map.observation_arrays()
     starts = np.flatnonzero(np.diff(point, prepend=-1))  # one run of frames per point
     seen_twice = np.diff(starts, append=len(point)) >= 2
@@ -249,8 +248,6 @@ def attribute_S(slam_map: SlamMap) -> float:
     new_cell = np.ones(len(frame), bool)
     new_cell[1:] = (frame[1:] != frame[:-1]) | (col[1:] != col[:-1]) | (row[1:] != row[:-1])
     occupied = np.bincount(frame[new_cell], minlength=slam_map.n_keyframes)
-    ids = slam_map._keyframe_ids
-    occupied = occupied[np.searchsorted(ids, ids)]  # a repeated id: the cells of its first entry
     cells = np.array(
         [math.ceil(kf.intrinsics.width / cell_width) * math.ceil(kf.intrinsics.height / cell_height)
          for kf in slam_map.keyframes],

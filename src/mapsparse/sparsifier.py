@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,9 +199,7 @@ def cull_keyframes(slam_map: SlamMap, kept_points, keyframe_min_points: int) -> 
     point, frame, _, _ = slam_map.observation_arrays()
     kept = _positions(_id_array(kept_points), slam_map.points.id) >= 0
     counts = np.bincount(frame[kept[point]], minlength=slam_map.n_keyframes)
-    # A repeated keyframe id shares the count of its first entry, the row its observations refer to.
     ids = slam_map._keyframe_ids
-    counts = counts[np.searchsorted(ids, ids)]
     culled = (counts < keyframe_min_points) & (ids != by_seq[0].id) & (ids != by_seq[-1].id)
     return _id_array(ids[culled])
 
@@ -291,11 +288,10 @@ def selection_from_kept(
 
 def apply_selection(slam_map: SlamMap, selection: SelectionResult) -> SlamMap:
     """New map containing only kept points, surviving keyframes, and their observations."""
-    kept, culled = selection.kept_point_ids, selection.culled_keyframe_ids
-    obs = slam_map.observations
-    on_obs = (_positions(kept, obs.point_id) >= 0) & (_positions(culled, obs.keyframe_id) < 0)
-    on_frame = _positions(culled, slam_map._keyframe_ids) < 0
-    return _sub_map(slam_map, itertools.compress(slam_map.keyframes, on_frame.tolist()), kept, on_obs)
+    on_point = _positions(selection.kept_point_ids, slam_map.points.id) >= 0
+    on_frame = _positions(selection.culled_keyframe_ids, slam_map._keyframe_ids) < 0
+    point, frame, _, _ = slam_map.observation_arrays()
+    return _sub_map(slam_map, on_frame, on_point, on_point[point] & on_frame[frame])
 
 
 def underviewed_points(slam_map: SlamMap) -> np.ndarray:

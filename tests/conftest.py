@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mapsparse.map_model import (
     CameraIntrinsics,
@@ -80,3 +83,52 @@ def four_frame_map():
             2: [(2, 550, 400), (3, 550, 400)],
         },
     )
+
+
+# Images of the drawn maps' keyframes: the default, the smallest allowed, and one of odd size.
+_IMAGES = [
+    DEFAULT_INTRINSICS,
+    CameraIntrinsics(fx=525.0, fy=525.0, cx=32.0, cy=24.0, width=64, height=48),
+    CameraIntrinsics(fx=math.inf, fy=5e-324, cx=50.5, cy=40.5, width=101, height=81),
+]
+
+
+def _coords(size: int):
+    """Keypoint coordinates in [0, size): the image edges, -0.0, the edges of 64x48 cells, or any."""
+    edges = [0.0, -0.0, 47.99999999999999, 48.0, 63.99999999999999, 64.0, math.nextafter(size, 0.0)]
+    return st.one_of(st.sampled_from([x for x in edges if x < size]), st.floats(0.0, size, exclude_max=True))
+
+
+@st.composite
+def valid_records(draw, ids=st.integers(0, 60), floats=st.floats(-1e3, 1e3)):
+    """(keyframes, points, observations) records of a valid map, each list in drawn order.
+
+    The ids have gaps, seq_index order differs from id order, some points
+    may have no observation, and keypoints may sit on the image edges. ``ids``
+    draws the keyframe and point ids, ``floats`` the point positions.
+    """
+    frame_ids = draw(st.lists(ids, min_size=1, max_size=5, unique=True))
+    n_frames = len(frame_ids)
+    seqs = sorted(draw(st.lists(ids, min_size=n_frames, max_size=n_frames, unique=True)))
+    stamps = sorted(draw(st.lists(st.floats(allow_nan=False), min_size=n_frames, max_size=n_frames, unique=True)))
+    ranks = draw(st.permutations(range(n_frames)))  # each keyframe's place in seq_index order
+    keyframes = [
+        Keyframe(kid, seqs[r], stamps[r], Pose(IDENTITY_Q, (float(r), 0.0, 0.0)), draw(st.sampled_from(_IMAGES)))
+        for kid, r in zip(frame_ids, ranks)
+    ]
+    points = [MapPoint(pid, draw(st.tuples(floats, floats, floats)))
+              for pid in draw(st.lists(ids, max_size=16, unique=True))]
+    keys = []
+    if points:
+        keys = draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from(keyframes)),
+                             unique_by=lambda key: (key[0].id, key[1].id), max_size=40))
+    observations = [
+        Observation(pt.id, kf.id, draw(_coords(kf.intrinsics.width)), draw(_coords(kf.intrinsics.height)))
+        for pt, kf in keys
+    ]
+    return keyframes, points, observations
+
+
+def valid_maps(**kwargs):
+    """Maps of :func:`valid_records`."""
+    return valid_records(**kwargs).map(lambda records: map_from_records(*records))

@@ -1,5 +1,6 @@
 """Record-by-record references for the columnar map code: writer, validator, indices, map
-filters, covisibility and the baselines."""
+filters, covisibility and the baselines. Every oracle but the writer's and the validator's
+takes a valid map."""
 
 import json
 import math
@@ -15,8 +16,13 @@ from mapsparse.map_model import SlamMap
 _POSE_TOL = 1e-9
 
 
-def save_map_oracle(slam_map: SlamMap) -> str:
-    """The map file text, written by json.dumps from one dict per record."""
+def map_records(slam_map: SlamMap) -> tuple[list, list, list]:
+    """(keyframes, points, observations) of a map, as record lists in the map's order."""
+    return list(slam_map.keyframes), list(slam_map.points), list(slam_map.observations)
+
+
+def save_map_oracle(keyframes, points, observations) -> str:
+    """The map file text of the records, in their order, written by json.dumps from one dict per record."""
     doc = {
         "keyframes": [
             {
@@ -33,23 +39,27 @@ def save_map_oracle(slam_map: SlamMap) -> str:
                     "height": kf.intrinsics.height,
                 },
             }
-            for kf in slam_map.keyframes
+            for kf in keyframes
         ],
-        "points": [{"id": pt.id, "xyz": list(pt.position)} for pt in slam_map.points],
-        "observations": [
-            {"point": o.point_id, "frame": o.keyframe_id, "uv": [o.u, o.v]}
-            for o in slam_map.observations
-        ],
+        "points": [{"id": pt.id, "xyz": list(pt.position)} for pt in points],
+        "observations": [{"point": o.point_id, "frame": o.keyframe_id, "uv": [o.u, o.v]} for o in observations],
     }
     return json.dumps(doc, indent=1) + "\n"
 
 
-def validate_oracle(slam_map: SlamMap) -> list[str]:
-    """Every violation of the model invariants, found by walking the records one at a time."""
+def validate_oracle(keyframes, points, observations) -> list[str]:
+    """Every violation of the model invariants by the records, found by walking them one at a time.
+
+    The records are first put in the map's order by Python's stable sort:
+    keyframes and points by id, observations by (point id, keyframe id).
+    """
+    keyframes = sorted(keyframes, key=lambda kf: kf.id)
+    points = sorted(points, key=lambda pt: pt.id)
+    observations = sorted(observations, key=lambda o: (o.point_id, o.keyframe_id))
     v: list[str] = []
 
     seen_kf: dict[int, object] = {}  # first keyframe of each id
-    for kf in slam_map.keyframes:
+    for kf in keyframes:
         if kf.id in seen_kf:
             v.append(f"duplicate keyframe id {kf.id}")
             continue
@@ -78,7 +88,7 @@ def validate_oracle(slam_map: SlamMap) -> list[str]:
         if not all(math.isfinite(x) for x in kf.pose.t):
             v.append(f"keyframe {kf.id}: non-finite translation")
 
-    ordered = sorted((kf for kf in slam_map.keyframes), key=lambda k: k.seq_index)
+    ordered = sorted(keyframes, key=lambda k: k.seq_index)
     for a, b in zip(ordered, ordered[1:]):
         if a.seq_index == b.seq_index:
             v.append(f"keyframes {a.id} and {b.id}: duplicate seq_index {a.seq_index}")
@@ -88,7 +98,7 @@ def validate_oracle(slam_map: SlamMap) -> list[str]:
             )
 
     seen_pt: set[int] = set()
-    for pt in slam_map.points:
+    for pt in points:
         if pt.id in seen_pt:
             v.append(f"duplicate point id {pt.id}")
             continue
@@ -99,7 +109,7 @@ def validate_oracle(slam_map: SlamMap) -> list[str]:
             v.append(f"point {pt.id}: non-finite position")
 
     seen_obs: set[tuple[int, int]] = set()
-    for obs in slam_map.observations:
+    for obs in observations:
         key = (obs.point_id, obs.keyframe_id)
         if key in seen_obs:
             v.append(f"duplicate observation (point {obs.point_id}, frame {obs.keyframe_id})")
@@ -128,21 +138,12 @@ def validate_oracle(slam_map: SlamMap) -> list[str]:
 
 def index_oracle(slam_map: SlamMap):
     """(frames of each point id, points of each keyframe id, observation of each (point id,
-    keyframe id)) as dicts, indexed record by record; id tuples sorted ascending.
-
-    Only the first observation of each (point, keyframe) pair whose point and
-    keyframe exist is indexed.
-    """
-    kf_ids = {kf.id for kf in slam_map.keyframes}
-    pt_ids = {pt.id for pt in slam_map.points}
+    keyframe id)) as dicts, indexed record by record; id tuples sorted ascending."""
     obs_by_key = {}
-    frames_of = {p: [] for p in pt_ids}
-    points_of = {k: [] for k in kf_ids}
+    frames_of = {pt.id: [] for pt in slam_map.points}
+    points_of = {kf.id: [] for kf in slam_map.keyframes}
     for obs in slam_map.observations:
-        key = (obs.point_id, obs.keyframe_id)
-        if key in obs_by_key or obs.point_id not in pt_ids or obs.keyframe_id not in kf_ids:
-            continue
-        obs_by_key[key] = obs
+        obs_by_key[(obs.point_id, obs.keyframe_id)] = obs
         frames_of[obs.point_id].append(obs.keyframe_id)
         points_of[obs.keyframe_id].append(obs.point_id)
     return (

@@ -24,7 +24,7 @@ from flow_cases import (
 from mapsparse import _quat
 from mapsparse.baselines import select_radius_suppressed
 from mapsparse.flow_graph import GraphConfig, baseline_cost, connectivity_cost, spatial_cost
-from mapsparse.map_model import validate
+from mapsparse.map_model import MapIntegrityError
 from mapsparse.mcmf import solve, verify_optimality
 from mapsparse.metrics import Trajectory, ate, ate_rot, attribute_C, attribute_F, attribute_S, transform_trajectory
 from mapsparse.sparsifier import SelectionResult, SparsifyConfig, apply_selection, sparsify
@@ -57,8 +57,10 @@ CLUSTER_M = 12
 def _integrity_check(slam_map, selection):
     """Criterion 8 inline checks; returns a list of failure descriptions."""
     failures = []
-    if not validate(apply_selection(slam_map, selection)).ok:
-        failures.append("apply_selection output failed validation")
+    try:
+        apply_selection(slam_map, selection)  # the map's constructor checks it
+    except MapIntegrityError as e:
+        failures.append(f"apply_selection output failed validation: {e}")
     point_flow = {pid: (flow, cap) for pid, flow, cap in selection.point_flow.tolist()}
     for pid in selection.kept_point_ids.tolist():
         flow, cap = point_flow[pid]

@@ -20,7 +20,7 @@ from conftest import make_map, map_from_records
 from map_oracles import window_maps_oracle
 from mapsparse.cli import main
 from mapsparse.flow_graph import FlowEdge
-from mapsparse.map_model import Keyframe, MapPoint, Observation, SlamMap, load_map, save_map, validate
+from mapsparse.map_model import Keyframe, MapPoint, Observation, SlamMap, load_map, save_map
 from mapsparse.metrics import load_trajectory, map_report
 from mapsparse.sparsifier import _window_rows
 from mapsparse.synth import SynthConfig, generate
@@ -40,10 +40,25 @@ def generated(tmp_path):
 
 def test_generate_writes_loadable_files(generated, capsys):
     map_path, gt_path = generated
-    slam_map = load_map(map_path)
+    slam_map = load_map(map_path)  # its constructor checks the map
     assert slam_map.n_points == 150
-    assert validate(slam_map).ok
     assert len(load_trajectory(gt_path)) == 10
+
+
+@pytest.mark.parametrize("command", [["sparsify", "--capacity-m", "5"], ["metrics"]], ids=["sparsify", "metrics"])
+def test_an_invalid_map_fails_with_one_error_line_naming_each_violation(command, generated, tmp_path, capsys):
+    map_path, _ = generated
+    doc = json.loads(map_path.read_text())
+    first, last = doc["observations"][0], doc["observations"][-1]
+    doc["observations"] += [dict(last), {"point": first["point"], "frame": 99, "uv": first["uv"]}]
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command[0], "--map", str(bad_path), *command[1:]]) == 1
+    assert capsys.readouterr().err == (
+        "error: observation references missing keyframe id 99; "
+        f"duplicate observation (point {last['point']}, frame {last['frame']})\n"
+    )
 
 
 def test_generate_echoes_seed(tmp_path, capsys):
@@ -77,9 +92,8 @@ def test_sparsify_flow_writes_map_and_report(generated, tmp_path):
         "--out", str(out_path), "--report", str(report_path),
     ])
     assert rc == 0
-    out_map = load_map(out_path)
+    out_map = load_map(out_path)  # its constructor checks the map
     report = json.loads(report_path.read_text())
-    assert validate(out_map).ok
     assert out_map.n_points == report["counts"]["kept_points"]
     assert report["counts"]["input_points"] == 150
     assert report["total_flow"] > 0
@@ -251,9 +265,10 @@ def test_window_maps_match_record_by_record_split(window, reverse_seq):
     slam_map, _ = generate(SynthConfig(n_points=400, n_keyframes=20, trajectory="line",
                                        trajectory_scale=60.0, extent=60.0, dropout=0.4, seed=4))
     if reverse_seq:  # windows then run from the highest keyframe id down
-        n = slam_map.n_keyframes
+        n, frames = slam_map.n_keyframes, slam_map.keyframes  # generated with seq_index == id
         slam_map = map_from_records(
-            [Keyframe(kf.id, n - 1 - kf.seq_index, kf.timestamp, kf.pose, kf.intrinsics) for kf in slam_map.keyframes],
+            [Keyframe(kf.id, n - 1 - kf.seq_index, frames[n - 1 - kf.seq_index].timestamp, kf.pose, kf.intrinsics)
+             for kf in frames],
             slam_map.points,
             slam_map.observations,
         )
@@ -264,7 +279,8 @@ def test_window_maps_match_record_by_record_split(window, reverse_seq):
     for rows, sub in zip(got, expected):
         assert (np.diff(rows) > 0).all()
         columns = (slam_map.points.id[point[rows]], slam_map._keyframe_ids[frame[rows]], u[rows], v[rows])
-        assert all(np.array_equal(a, b) for a, b in zip(columns, sub.observations._columns))
+        obs = sub.observations
+        assert all(np.array_equal(a, b) for a, b in zip(columns, (obs.point_id, obs.keyframe_id, obs.u, obs.v)))
 
 
 def test_metrics_map_attributes(generated, capsys):

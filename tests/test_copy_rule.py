@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mapsparse.flow_graph import FlowGraph, GraphConfig, build_graph
-from mapsparse.map_model import SlamMap
+from mapsparse.map_model import SlamMap, load_map, save_map
 from mapsparse.mcmf import FlowResult, solve
 from mapsparse.sparsifier import SelectionResult
 from mapsparse.synth import SynthConfig, generate
@@ -23,7 +23,8 @@ SOURCE_GRAPH = build_graph(SOURCE_MAP, GraphConfig(capacity_m=100))
 
 
 def map_columns(slam_map):
-    return (slam_map.points.id, slam_map.points.xyz, *slam_map.observations._columns)
+    obs = slam_map.observations
+    return slam_map.points.id, slam_map.points.xyz, obs.point_id, obs.keyframe_id, obs.u, obs.v
 
 
 def graph_columns(graph):
@@ -37,6 +38,9 @@ def selection_columns(selection):
 
 # Per constructor: its array arguments (sorted, so that none needs a sort), how
 # it is built from them, and the arrays it then holds for them, in that order.
+# A map holds the rows of each observation's point and keyframe in place of
+# their ids, so it keeps the point columns, u and v, but not the id columns.
+KEPT = {"SlamMap": [0, 1, 4, 5]}
 CONSTRUCTORS = {
     "SlamMap": (map_columns(SOURCE_MAP), lambda columns: SlamMap(SOURCE_MAP.keyframes, *columns), map_columns),
     "FlowGraph": (graph_columns(SOURCE_GRAPH), lambda columns: FlowGraph(*columns), graph_columns),
@@ -61,7 +65,8 @@ def fresh(columns, writeable):
 def test_a_read_only_array_that_owns_its_data_is_kept(name):
     columns, build, held = CONSTRUCTORS[name]
     given = fresh(columns, writeable=False)
-    for a, b in zip(held(build(given)), given, strict=True):
+    kept = KEPT.get(name, range(len(given)))
+    for a, b in zip([held(build(given))[i] for i in kept], [given[i] for i in kept], strict=True):
         assert np.shares_memory(a, b)
 
 
@@ -100,3 +105,21 @@ def test_building_from_sealed_arrays_holds_less_than_their_bytes(name):
         tracemalloc.stop()
     assert built is not None
     assert held < sum(a.nbytes for a in given)
+
+
+def test_a_loaded_map_holds_its_columns_and_32_bytes_per_observation(tmp_path):
+    # Each observation is held once: its point and keyframe rows and its u and v, 8 bytes each. Holding
+    # its ids as well as its rows took 49 bytes.
+    path = tmp_path / "map.json"
+    save_map(SOURCE_MAP, path)
+    numpy_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]  # array buffers, no Python objects
+    tracemalloc.start()
+    try:
+        slam_map = load_map(path)
+        held = sum(trace.size for trace in tracemalloc.take_snapshot().filter_traces(numpy_data).traces)
+    finally:
+        tracemalloc.stop()
+    keyframes = slam_map._keyframe_ids.nbytes
+    points = slam_map.points.id.nbytes + slam_map.points.xyz.nbytes
+    offsets = slam_map._point_offsets.nbytes
+    assert held <= keyframes + points + 32 * slam_map.n_observations + offsets

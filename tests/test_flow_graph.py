@@ -25,7 +25,7 @@ from mapsparse.flow_graph import (
     to_dimacs,
     _nearby_counts,
 )
-from mapsparse.map_model import Keyframe, Pose, SlamMap
+from mapsparse.map_model import CameraIntrinsics, Keyframe, Pose, SlamMap
 from mapsparse.mcmf import solve
 from mapsparse.synth import SynthConfig, generate
 
@@ -370,11 +370,14 @@ def graph_rows(slam_map):
     return np.bincount(point, minlength=slam_map.n_points)[point] >= 2
 
 
-def one_frame_map(keypoints):
-    """Map of two keyframes: frame 0 holds the (u, v) keypoints, each of its own point, and frame 1 one keypoint."""
+def one_frame_map(keypoints, image=(640, 480)):
+    """Map of two keyframes with images of ``image`` (width, height): frame 0 holds the (u, v) keypoints,
+    each of its own point, and frame 1 one keypoint."""
     point_obs = {i: [(0, u, v)] for i, (u, v) in enumerate(keypoints)}
     point_obs[len(keypoints)] = [(1, 5.0, 5.0)]
-    return make_map([(0, 0, 0), (0, 0, 1)], point_obs)
+    width, height = image
+    intrinsics = CameraIntrinsics(525.0, 525.0, width / 2, height / 2, width, height)
+    return make_map([(0, 0, 0), (0, 0, 1)], point_obs, intrinsics)
 
 
 class TestNearbyGrid:
@@ -387,7 +390,7 @@ class TestNearbyGrid:
             us = [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf), edge + half_u]
             vs = [200.0, 200.0 + half_v, np.nextafter(200.0 + half_v, np.inf)]
             keypoints += [(u, v) for u in us if u >= 0 for v in vs]
-        assert_counts_match(one_frame_map(keypoints), box_width, 48)
+        assert_counts_match(one_frame_map(keypoints, image=(1024, 480)), box_width, 48)
 
     def test_keypoints_on_the_image_edges(self):
         right, bottom = np.nextafter(640.0, 0.0), np.nextafter(480.0, 0.0)
@@ -422,13 +425,7 @@ class TestNearbyGrid:
         # onto v + box_height/2 and the box edge is the run's last value.
         base = 2.0**54
         keypoints = [(base + 4.0 * i, base + 4.0 * j) for i in range(-9, 10) for j in range(-7, 8)]
-        assert_counts_match(one_frame_map(keypoints), box_width, box_height)
-
-    def test_non_finite_keypoints_count_nothing(self):
-        nan, inf = float("nan"), float("inf")
-        slam_map = one_frame_map([(10.0, 10.0), (nan, 10.0), (10.0, inf), (inf, inf), (-inf, 12.0), (12.0, 12.0)])
-        assert every_count(slam_map, 64, 48).tolist() == [1, 0, 0, 0, 0, 1, 0]
-        assert_counts_match(slam_map, 64, 48)
+        assert_counts_match(one_frame_map(keypoints, image=(2**56, 2**56)), box_width, box_height)
 
     def test_only_wanted_rows_are_counted(self):
         slam_map, _ = generate(SynthConfig(n_points=200, n_keyframes=5, dropout=0.3, seed=2))
@@ -449,9 +446,8 @@ class TestNearbyGrid:
 
 @st.composite
 def uneven_keyframe_maps(draw):
-    """A map of up to six keyframes holding 0 to 12 keypoints each, some with a non-finite
-    coordinate, and a mask over its observation rows."""
-    coord = st.one_of(st.floats(0.0, 160.0), st.floats(0.0, 160.0), st.sampled_from([math.nan, math.inf, -math.inf]))
+    """A map of up to six keyframes holding 0 to 12 keypoints each, and a mask over its observation rows."""
+    coord = st.floats(0.0, 160.0)
     per_frame = draw(st.lists(st.integers(0, 12), min_size=1, max_size=6))
     point_obs = {}
     for frame, k in enumerate(per_frame):

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DEFAULT_INTRINSICS, IDENTITY_Q, WORKLOAD_SHAPES, make_map, map_from_records
-from map_oracles import covisibility_oracle, index_oracle, save_map_oracle, validate_oracle, window_maps_oracle
+from conftest import DEFAULT_INTRINSICS, IDENTITY_Q, WORKLOAD_SHAPES, make_map, map_from_records, valid_maps
+from map_oracles import (
+    covisibility_oracle, index_oracle, map_records, save_map_oracle, validate_oracle, window_maps_oracle,
+)
 from mapsparse import map_model
 from mapsparse.flow_graph import GraphConfig, GraphError, build_graph
 from mapsparse.map_model import (
@@ -34,7 +36,6 @@ from mapsparse.map_model import (
     load_map,
     maps_equal,
     save_map,
-    validate,
 )
 from mapsparse.synth import SynthConfig, generate
 
@@ -177,7 +178,14 @@ def test_save_orders_arrays_by_id():
 
 
 def test_validate_clean_map_is_empty(four_frame_map):
-    assert validate(four_frame_map).ok
+    assert maps_equal(map_from_records(*map_records(four_frame_map)), four_frame_map)
+
+
+def integrity_error(keyframes, points, observations) -> str:
+    """The message of the MapIntegrityError that building a map of the records raises."""
+    with pytest.raises(MapIntegrityError) as raised:
+        map_from_records(keyframes, points, observations)
+    return str(raised.value)
 
 
 def test_validate_duplicate_observation():
@@ -185,48 +193,29 @@ def test_validate_duplicate_observation():
         frame_positions=[(0, 0, 0), (1, 0, 0)],
         point_obs={0: [(0, 10, 10), (1, 10, 10)]},
     )
-    dup = map_from_records(
-        slam_map.keyframes,
-        slam_map.points,
-        list(slam_map.observations) + [Observation(0, 0, 99.0, 99.0)],
-    )
-    report = validate(dup)
-    assert len(report.violations) == 1
-    assert "duplicate observation" in report.violations[0]
+    keyframes, points, observations = map_records(slam_map)
+    message = integrity_error(keyframes, points, observations + [Observation(0, 0, 99.0, 99.0)])
+    assert message == "duplicate observation (point 0, frame 0)"
 
 
 def test_validate_u_at_width_boundary():
-    slam_map = make_map(
-        frame_positions=[(0, 0, 0), (1, 0, 0)],
-        point_obs={0: [(0, 640.0, 10), (1, 10, 10)]},
-    )
-    report = validate(slam_map)
-    assert len(report.violations) == 1
-    assert "outside [0, 640)" in report.violations[0]
+    with pytest.raises(MapIntegrityError) as raised:
+        make_map(frame_positions=[(0, 0, 0), (1, 0, 0)], point_obs={0: [(0, 640.0, 10), (1, 10, 10)]})
+    assert str(raised.value) == "observation (point 0, frame 0): u 640.0 outside [0, 640)"
 
 
 def test_validate_bad_quaternion_flagged():
     slam_map = make_map([(0, 0, 0)], {0: [(0, 5, 5)]})
     kf = slam_map.keyframes[0]
-    bad = map_from_records(
-        [type(kf)(kf.id, kf.seq_index, kf.timestamp, type(kf.pose)((2.0, 0.0, 0.0, 0.0), kf.pose.t), kf.intrinsics)],
-        slam_map.points,
-        slam_map.observations,
-    )
-    report = validate(bad)
-    assert any("quaternion" in msg for msg in report.violations)
+    bad = [type(kf)(kf.id, kf.seq_index, kf.timestamp, type(kf.pose)((2.0, 0.0, 0.0, 0.0), kf.pose.t), kf.intrinsics)]
+    assert "quaternion" in integrity_error(bad, slam_map.points, slam_map.observations)
 
 
 def test_validate_seq_timestamp_order():
     slam_map = make_map([(0, 0, 0), (1, 0, 0)], {0: [(0, 5, 5)]})
     k0, k1 = slam_map.keyframes
-    swapped = map_from_records(
-        [k0, type(k1)(k1.id, k1.seq_index, -1.0, k1.pose, k1.intrinsics)],
-        slam_map.points,
-        slam_map.observations,
-    )
-    report = validate(swapped)
-    assert any("strictly increasing" in msg for msg in report.violations)
+    swapped = [k0, type(k1)(k1.id, k1.seq_index, -1.0, k1.pose, k1.intrinsics)]
+    assert "strictly increasing" in integrity_error(swapped, slam_map.points, slam_map.observations)
 
 
 def covisibility(slam_map):
@@ -336,12 +325,15 @@ def _keyframe(kid, seq=None, timestamp=None, q=IDENTITY_Q, t=(0.0, 0.0, 0.0), in
 SPECIAL_FLOATS = [0.0, -0.0, 1e-07, 1e16, 1e22, 123456789.125, 5e-324, 1.7976931348623157e308,
                   math.nan, math.inf, -math.inf]
 any_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+finite_floats = st.one_of(st.sampled_from([x for x in SPECIAL_FLOATS if math.isfinite(x)]),
+                          st.floats(allow_nan=False, allow_infinity=False))
 int64s = st.integers(-(2**63), 2**63 - 1)
 
 
 @st.composite
-def code_built_maps(draw):
-    """Maps built in code: any int64 ids, any floats (non-finite too), sections possibly empty."""
+def any_records(draw):
+    """(keyframes, points, observations) records built in code: any int64 ids, any floats (non-finite
+    too), sections possibly empty."""
     keyframes = draw(st.lists(st.builds(
         Keyframe, int64s, int64s, any_floats,
         st.builds(Pose, st.tuples(*[any_floats] * 4), st.tuples(*[any_floats] * 3)),
@@ -349,13 +341,17 @@ def code_built_maps(draw):
     ), max_size=3))
     points = draw(st.lists(st.builds(MapPoint, int64s, st.tuples(*[any_floats] * 3)), max_size=12))
     observations = draw(st.lists(st.builds(Observation, int64s, int64s, any_floats, any_floats), max_size=12))
-    return map_from_records(keyframes, points, observations)
+    return keyframes, points, observations
+
+
+# Valid maps built in code: any non-negative int64 ids, and any finite floats for the point positions.
+code_built_maps = valid_maps(ids=st.integers(0, 2**63 - 1), floats=finite_floats)
 
 
 @settings(max_examples=200, deadline=None)
-@given(slam_map=code_built_maps())
+@given(slam_map=code_built_maps)
 def test_save_map_writes_the_bytes_of_json_dumps(slam_map):
-    expected = save_map_oracle(slam_map)
+    expected = save_map_oracle(*map_records(slam_map))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "map.json"
         for block in (1, 2, map_model._ROW_BLOCK):
@@ -378,7 +374,7 @@ _json_values = st.recursive(
 
 @st.composite
 def _bulk_members(draw):
-    """(ids, columns) of a :func:`map_model._json_rows` member: int64 and float64 columns, possibly empty.
+    """(ids, columns) of a :func:`map_model._json_rows` member: int64 and finite float64 columns, possibly empty.
 
     With ids, the member is an object from each id to its row, keyed in the
     order json's sort_keys gives; else ids is None and it is a list of rows.
@@ -386,7 +382,7 @@ def _bulk_members(draw):
     n = draw(st.integers(0, 5))
     kinds = draw(st.lists(st.sampled_from([np.int64, np.float64]), min_size=1, max_size=3))
     columns = tuple(
-        np.array(draw(st.lists(int64s if kind is np.int64 else any_floats, min_size=n, max_size=n)), kind)
+        np.array(draw(st.lists(int64s if kind is np.int64 else finite_floats, min_size=n, max_size=n)), kind)
         for kind in kinds
     )
     if not draw(st.booleans()):
@@ -423,7 +419,7 @@ def test_json_object_writes_the_text_of_json_dumps(members, indent, sort_keys):
 @pytest.mark.parametrize("synth, window", WORKLOAD_SHAPES)
 def test_save_of_load_reproduces_the_file(synth, window, tmp_path):
     generated, _ = generate(SynthConfig(seed=4, **synth))
-    text = save_map_oracle(generated)
+    text = save_map_oracle(*map_records(generated))
     path = tmp_path / "map.json"
     path.write_text(text, encoding="utf-8")
     loaded = load_map(path)
@@ -491,8 +487,9 @@ intrinsics = st.builds(
 
 
 @st.composite
-def messy_maps(draw):
-    """Small maps with every kind of violation: repeated and dangling ids, boundary u/v, bad poses and orders."""
+def messy_records(draw):
+    """(keyframes, points, observations) records with every kind of violation: repeated and dangling
+    ids, boundary u/v, bad poses and orders."""
     keyframes = draw(st.lists(st.builds(
         Keyframe, st.integers(-2, 4), st.integers(-1, 4), coords,
         st.builds(Pose, quaternions, st.tuples(coords, coords, coords)), intrinsics,
@@ -501,39 +498,34 @@ def messy_maps(draw):
     observations = draw(st.lists(
         st.builds(Observation, st.integers(-2, 7), st.integers(-2, 5), coords, coords), max_size=16
     ))
-    return map_from_records(keyframes, points, observations)
+    return keyframes, points, observations
 
 
 @settings(max_examples=200, deadline=None)
-@given(slam_map=messy_maps())
+@given(slam_map=valid_maps())
 def test_covisibility_matches_the_per_point_oracle(slam_map):
     assert covisibility(slam_map) == covisibility_oracle(slam_map)
 
 
-@settings(max_examples=300, deadline=None)
-@given(slam_map=messy_maps())
-def test_validate_matches_record_by_record_oracle(slam_map):
-    assert validate(slam_map).violations == validate_oracle(slam_map)
-
-
-def test_validate_reports_every_violation_kind_as_the_oracle_does():
-    bad_intrinsics = CameraIntrinsics(fx=0.0, fy=525.0, cx=700.0, cy=240.0, width=63, height=480)
-    keyframes = [
+_BAD_INTRINSICS = CameraIntrinsics(fx=0.0, fy=525.0, cx=700.0, cy=240.0, width=63, height=480)
+# Records with every kind of violation.
+EVERY_KIND = (
+    [
         _keyframe(0),
-        _keyframe(1, intrinsics=bad_intrinsics),
+        _keyframe(1, intrinsics=_BAD_INTRINSICS),
         _keyframe(1),  # repeated id
         _keyframe(-2, seq=-1, q=(2.0, 0.0, 0.0, 0.0)),
         _keyframe(3, q=(0.0, 1.0 + 5e-10, 0.0, 0.0)),  # norm within tolerance, rotation not
         _keyframe(4, seq=3, t=(math.inf, 0.0, 0.0)),  # repeated seq_index
         _keyframe(5, seq=5, timestamp=0.0),  # earlier than seq 3
-    ]
-    points = [
+    ],
+    [
         MapPoint(5, (0.0, 0.0, 1.0)),
         MapPoint(5, (1.0, 0.0, 1.0)),
         MapPoint(-1, (0.0, 0.0, 1.0)),
         MapPoint(7, (math.nan, 0.0, 1.0)),
-    ]
-    observations = [
+    ],
+    [
         Observation(5, 0, 10.0, 10.0),
         Observation(5, 0, 20.0, 20.0),
         Observation(99, 0, 10.0, 10.0),
@@ -541,10 +533,35 @@ def test_validate_reports_every_violation_kind_as_the_oracle_does():
         Observation(7, 0, 640.0, 479.99),
         Observation(-1, 0, -0.0, 480.0),
         Observation(5, 3, math.nan, 10.0),
-    ]
-    slam_map = map_from_records(keyframes, points, observations)
-    violations = validate(slam_map).violations
-    assert violations == validate_oracle(slam_map)
+    ],
+)
+# This quaternion's own norm (a dot product) exceeds 1 + 1e-9 by a few ulps,
+# where a norm taken over a batch of rows may not.
+NEAR_TOLERANCE = (
+    [_keyframe(0, q=(-0.3047746039910224, 0.19743447247407622, 0.8087358375867766, 0.46268608888080237)),
+     _keyframe(1)],
+    [],
+    [],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=messy_records())
+@example(records=EVERY_KIND)
+@example(records=NEAR_TOLERANCE)
+def test_building_from_records_raises_the_violations_the_oracle_finds(records):
+    expected = "; ".join(validate_oracle(*records))
+    for build in (lambda: map_from_records(*records), lambda: load_map(io.StringIO(save_map_oracle(*records)))):
+        try:
+            build()
+        except MapIntegrityError as e:
+            assert str(e) == expected
+        else:
+            assert not expected
+
+
+def test_every_violation_kind_is_named():
+    message = integrity_error(*EVERY_KIND)
     for kind in [
         "duplicate keyframe id", "keyframe -2: id must be non-negative", "seq_index must be non-negative",
         "focal lengths", "principal point", "at least 64x48", "quaternion norm", "rotation times its inverse",
@@ -552,19 +569,11 @@ def test_validate_reports_every_violation_kind_as_the_oracle_does():
         "point -1: id must be non-negative", "non-finite position", "duplicate observation",
         "missing point id 99", "missing keyframe id 42", "u 640.0 outside", "v 480.0 outside", "u nan outside",
     ]:
-        assert any(kind in message for message in violations), kind
-
-
-def test_validate_measures_quaternions_near_the_tolerance_one_at_a_time():
-    # This quaternion's own norm (a dot product) exceeds 1 + 1e-9 by a few
-    # ulps, where a norm taken over a batch of rows may not.
-    q = (-0.3047746039910224, 0.19743447247407622, 0.8087358375867766, 0.46268608888080237)
-    slam_map = map_from_records([_keyframe(0, q=q), _keyframe(1)], [], [])
-    assert validate(slam_map).violations == validate_oracle(slam_map)
+        assert kind in message, kind
 
 
 @settings(max_examples=200, deadline=None)
-@given(slam_map=messy_maps())
+@given(slam_map=valid_maps())
 def test_indices_match_record_by_record_oracle(slam_map):
     assert_indices_match_oracle(slam_map)
 
@@ -577,14 +586,15 @@ def test_indices_on_workload_shaped_maps(synth, window):
 
 
 def assert_indices_match_oracle(slam_map):
-    """Observer counts and observation arrays against :func:`index_oracle`."""
+    """Observer counts, observation arrays and their id gathers against :func:`index_oracle`."""
     frames_of, _, obs_by_key = index_oracle(slam_map)
     assert slam_map.observer_counts().tolist() == [len(frames_of[p.id]) for p in slam_map.points]
 
     point, frame, u, v = slam_map.observation_arrays()
     ids = slam_map.points.id
     assert [(ids[p], slam_map.keyframes[f].id) for p, f in zip(point, frame)] == sorted(obs_by_key)
-    assert (np.searchsorted(ids, ids[point]) == point).all()  # first entry of a repeated id
+    obs = slam_map.observations
+    assert list(zip(obs.point_id.tolist(), obs.keyframe_id.tolist())) == sorted(obs_by_key)
     assert [repr((x, y)) for x, y in zip(u.tolist(), v.tolist())] == [
         repr((obs_by_key[key].u, obs_by_key[key].v)) for key in sorted(obs_by_key)
     ]
@@ -620,16 +630,18 @@ def test_positions_cases(sorted_ids, keys, expected):
 
 
 @settings(max_examples=200, deadline=None)
-@given(slam_map=messy_maps(), data=st.data())
+@given(slam_map=valid_maps(), data=st.data())
 def test_sub_map_keeps_the_given_keyframes_points_and_observations(slam_map, data):
-    on_frame = data.draw(st.lists(st.booleans(), min_size=slam_map.n_keyframes, max_size=slam_map.n_keyframes))
-    keyframes = list(itertools.compress(slam_map.keyframes, on_frame))
-    point_ids = sorted(data.draw(st.lists(st.integers(-2, 7), max_size=8)))  # repeats allowed
-    on_obs = data.draw(st.lists(st.booleans(), min_size=slam_map.n_observations, max_size=slam_map.n_observations))
-    got = map_model._sub_map(slam_map, keyframes, np.array(point_ids, np.int64), np.array(on_obs, bool))
+    def mask(n):
+        return np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
+
+    on_frame, on_point = mask(slam_map.n_keyframes), mask(slam_map.n_points)
+    point, frame, _, _ = slam_map.observation_arrays()
+    on_obs = mask(slam_map.n_observations) & on_point[point] & on_frame[frame]  # of kept points and keyframes
+    got = map_model._sub_map(slam_map, on_frame, on_point, on_obs)
     expected = map_from_records(
-        keyframes,
-        [pt for pt in slam_map.points if pt.id in point_ids],
+        itertools.compress(slam_map.keyframes, on_frame),
+        itertools.compress(slam_map.points, on_point),
         itertools.compress(slam_map.observations, on_obs),
     )
     assert maps_equal(got, expected)
@@ -648,21 +660,26 @@ def _map_of_sorted_records(keyframes, point_rows, obs_rows):
 
 
 @settings(max_examples=200, deadline=None)
-@given(slam_map=messy_maps(), data=st.data())
+@given(slam_map=valid_maps(), data=st.data())
 def test_sorted_and_shuffled_columns_give_the_same_map(slam_map, data):
     keyframes = slam_map.keyframes
-    # A map's own columns are sorted, as load_map and _sub_map pass them: taken without a sort.
-    columns = [c.copy() for c in (*slam_map.points._columns, *slam_map.observations._columns)]
-    no_sort = AssertionError("sorted columns were sorted again")
-    with mock.patch.object(np, "argsort", side_effect=no_sort), mock.patch.object(np, "lexsort", side_effect=no_sort):
-        from_sorted = SlamMap(keyframes, *columns)
+    obs = slam_map.observations
+    columns = [c.copy() for c in (*slam_map.points._columns, obs.point_id, obs.keyframe_id, obs.u, obs.v)]
+    # A map's own columns are sorted, as load_map and _sub_map pass them: read-only ones are kept as they
+    # are, so none was sorted again.
+    sealed = [c.copy() for c in columns]
+    for c in sealed:
+        c.flags.writeable = False
+    from_sorted = SlamMap(keyframes, *sealed)
     assert maps_equal(from_sorted, slam_map)
+    kept = (*from_sorted.points._columns, *from_sorted.observation_arrays()[2:])
+    assert all(a is b for a, b in zip(kept, sealed[:2] + sealed[4:], strict=True))
 
-    # Shuffled columns, repeated ids among them, sort as Python's stable sort does:
-    # shuffled whole, or the observations only within each point, still in point order.
+    # Shuffled columns sort as Python's stable sort does: shuffled whole, or
+    # the observations only within each point, still in point order.
     point_order = np.array(data.draw(st.permutations(range(slam_map.n_points))), np.intp)
     shuffle = np.array(data.draw(st.permutations(range(slam_map.n_observations))), np.intp)
-    maps, inputs = [(from_sorted, slam_map)], list(columns)
+    maps, inputs = [], []
     for obs_order in (shuffle, np.lexsort((shuffle, columns[2]))):
         shuffled = [c[point_order] for c in columns[:2]] + [c[obs_order] for c in columns[2:]]
         got = SlamMap(keyframes, *shuffled)
@@ -672,6 +689,7 @@ def test_sorted_and_shuffled_columns_give_the_same_map(slam_map, data):
             zip(*(c.tolist() for c in shuffled[2:])),
         )
         assert maps_equal(got, expected)
+        assert maps_equal(got, slam_map)
         maps.append((got, expected))
         inputs += shuffled
 
@@ -728,7 +746,7 @@ def test_maps_equal_compares_floats_bitwise():
 
     assert maps_equal(with_u(0.0), with_u(0.0))
     assert not maps_equal(with_u(0.0), with_u(-0.0))
-    assert maps_equal(with_u(math.nan), with_u(math.nan))
+    assert maps_equal(with_u(5e-324), with_u(5e-324))
     assert not maps_equal(base, map_from_records(base.keyframes, base.points, list(base.observations)[:1]))
 
 
@@ -799,7 +817,7 @@ def test_any_json_document_loads_or_raises_a_map_error(doc):
         return
     # The column-by-column parse agrees with parsing every record on its own.
     try:
-        expected = map_from_records(
+        records = (
             _parse_records(_section(doc, "keyframes"), "keyframes", _parse_keyframe),
             _parse_records(_section(doc, "points"), "points", _parse_point),
             _parse_records(_section(doc, "observations"), "observations", _parse_observation),
@@ -807,11 +825,11 @@ def test_any_json_document_loads_or_raises_a_map_error(doc):
     except MapFormatError as e:
         assert isinstance(error, MapFormatError) and str(error) == str(e)
         return
-    violations = validate_oracle(expected)
+    violations = validate_oracle(*records)
     if violations:
         assert isinstance(error, MapIntegrityError) and str(error) == "; ".join(violations)
     else:
-        assert error is None and maps_equal(slam_map, expected)
+        assert error is None and maps_equal(slam_map, map_from_records(*records))
 
 
 def _bytes(fragment) -> bytes:
@@ -895,17 +913,17 @@ _edits = st.lists(st.one_of(
 
 # Three frames seeing six points: observation records of about 80
 # characters, so that 200-character chunks hold three of them.
-_SMALL_MAP = make_map([(0, 0, 0), (1, 0, 0), (2, 0, 0)],
-                      {p: [(f, 10.0 + p, 20.0) for f in range(3)] for p in range(6)})
+_SMALL = map_records(make_map([(0, 0, 0), (1, 0, 0), (2, 0, 0)],
+                              {p: [(f, 10.0 + p, 20.0) for f in range(3)] for p in range(6)}))
 
 
-# Maps that validate: three keyframes, up to eight points seen in up to three of them.
-_valid_maps = st.builds(make_map, st.just([(0, 0, 0), (1, 0, 0), (2, 0, 0)]), st.dictionaries(
+# Records of maps that validate: three keyframes, up to eight points seen in up to three of them.
+_valid_records = st.builds(make_map, st.just([(0, 0, 0), (1, 0, 0), (2, 0, 0)]), st.dictionaries(
     st.integers(0, 1000),
     st.lists(st.tuples(st.integers(0, 2), st.floats(0.0, 639.0), st.floats(0.0, 479.0)),
              min_size=1, max_size=3, unique_by=lambda o: o[0]),
     max_size=8,
-))
+)).map(map_records)
 
 
 class _Pipe(io.BytesIO):
@@ -929,47 +947,48 @@ def _load_outcome(source):
         return e
 
 
-# _SMALL_MAP's file has 2709 bytes; its points array starts at byte 965 and
+# _SMALL's file has 2709 bytes; its points array starts at byte 965 and
 # its observations array at byte 1370. Read 200 bytes at a time, offsets
 # 1000 and 2000 start a piece.
 @settings(max_examples=300, deadline=None)
-@given(slam_map=st.one_of(_valid_maps, code_built_maps(), messy_maps()), edits=_edits)
-@example(slam_map=_SMALL_MAP, edits=[("note", i, "},") for i in range(27)])  # every cut falls inside a string
-@example(slam_map=_SMALL_MAP, edits=[("duplicate", '[{"id": 1, "xyz": [0, 0, 0]}]')])
-@example(slam_map=_SMALL_MAP, edits=[("swap",)])
-@example(slam_map=_SMALL_MAP, edits=[("strip",)])
-@example(slam_map=_SMALL_MAP, edits=[("replace", ("\n  }\n ]", "\n  },\n ]"), 2)])  # a trailing comma
-@example(slam_map=_SMALL_MAP, edits=[("replace", ("\n}\n", ",}\n"), 0)])
-@example(slam_map=_SMALL_MAP, edits=[("member", 4, "points"), ("member", 12, "observations")])
-@example(slam_map=map_from_records([_keyframe(0)], [], []), edits=[])
-@example(slam_map=map_from_records(_SMALL_MAP.keyframes, _SMALL_MAP.points, []), edits=[])
-@example(slam_map=map_from_records([_keyframe(0)], [MapPoint(0, (math.nan, math.inf, -math.inf))],
-                                   [Observation(0, 0, -math.inf, math.nan)]), edits=[])
-@example(slam_map=_SMALL_MAP, edits=[("replace", ('"point": ', '"point": 0.5, "p": '), 7)])  # in the third chunk
-@example(slam_map=_SMALL_MAP, edits=[("newline", "\r\n")])  # CRLF line endings
-@example(slam_map=_SMALL_MAP, edits=[("newline", "\r")])
-@example(slam_map=_SMALL_MAP, edits=[("replace", ("\n", "\r"), 100)])  # a lone \r in the points
-@example(slam_map=_SMALL_MAP, edits=[("insert", 0, "\ufeff")])  # a UTF-8 byte order mark
-@example(slam_map=_SMALL_MAP, edits=[("insert", 999, b"\xff")])  # the last byte of a piece
-@example(slam_map=_SMALL_MAP, edits=[("insert", 1000, b"\xff")])  # the first byte of a piece
-@example(slam_map=_SMALL_MAP, edits=[("insert", 1001, b"\xff")])
-@example(slam_map=_SMALL_MAP, edits=[("insert", 2000, b"\xe2\x82")])  # a character cut short
-@example(slam_map=_SMALL_MAP, edits=[("replace", ("\n  },", "\n  }\xff,"), 5)])  # in a cut
-@example(slam_map=_SMALL_MAP, edits=[("note", 4, "ab"), ("replace", ('"ab"', b'"a\xffb"'), 0)])  # in a string
-@example(slam_map=_SMALL_MAP, edits=[("note", 1, "ab"), ("replace", ('"ab"', b'"a\xe2\x82b"'), 0)])  # in the head
-@example(slam_map=_SMALL_MAP, edits=[("replace", (',\n "points": [', ',\n "points": '), 0)])  # no opening [
-@example(slam_map=_SMALL_MAP, edits=[("replace", ("\n  },", "\n  },\xff"), 5)])
+@given(records=st.one_of(_valid_records, code_built_maps.map(map_records), any_records(), messy_records()),
+       edits=_edits)
+@example(records=_SMALL, edits=[("note", i, "},") for i in range(27)])  # every cut falls inside a string
+@example(records=_SMALL, edits=[("duplicate", '[{"id": 1, "xyz": [0, 0, 0]}]')])
+@example(records=_SMALL, edits=[("swap",)])
+@example(records=_SMALL, edits=[("strip",)])
+@example(records=_SMALL, edits=[("replace", ("\n  }\n ]", "\n  },\n ]"), 2)])  # a trailing comma
+@example(records=_SMALL, edits=[("replace", ("\n}\n", ",}\n"), 0)])
+@example(records=_SMALL, edits=[("member", 4, "points"), ("member", 12, "observations")])
+@example(records=([_keyframe(0)], [], []), edits=[])
+@example(records=(*_SMALL[:2], []), edits=[])
+@example(records=([_keyframe(0)], [MapPoint(0, (math.nan, math.inf, -math.inf))],
+                  [Observation(0, 0, -math.inf, math.nan)]), edits=[])
+@example(records=_SMALL, edits=[("replace", ('"point": ', '"point": 0.5, "p": '), 7)])  # in the third chunk
+@example(records=_SMALL, edits=[("newline", "\r\n")])  # CRLF line endings
+@example(records=_SMALL, edits=[("newline", "\r")])
+@example(records=_SMALL, edits=[("replace", ("\n", "\r"), 100)])  # a lone \r in the points
+@example(records=_SMALL, edits=[("insert", 0, "\ufeff")])  # a UTF-8 byte order mark
+@example(records=_SMALL, edits=[("insert", 999, b"\xff")])  # the last byte of a piece
+@example(records=_SMALL, edits=[("insert", 1000, b"\xff")])  # the first byte of a piece
+@example(records=_SMALL, edits=[("insert", 1001, b"\xff")])
+@example(records=_SMALL, edits=[("insert", 2000, b"\xe2\x82")])  # a character cut short
+@example(records=_SMALL, edits=[("replace", ("\n  },", "\n  }\xff,"), 5)])  # in a cut
+@example(records=_SMALL, edits=[("note", 4, "ab"), ("replace", ('"ab"', b'"a\xffb"'), 0)])  # in a string
+@example(records=_SMALL, edits=[("note", 1, "ab"), ("replace", ('"ab"', b'"a\xe2\x82b"'), 0)])  # in the head
+@example(records=_SMALL, edits=[("replace", (',\n "points": [', ',\n "points": '), 0)])  # no opening [
+@example(records=_SMALL, edits=[("replace", ("\n  },", "\n  },\xff"), 5)])
 # 900 bytes of three-byte characters in a point record: of any three
 # consecutive piece starts, two fall inside a character.
-@example(slam_map=_SMALL_MAP, edits=[("note", 4, "€" * 300)])
-@example(slam_map=_SMALL_MAP, edits=[("truncate", 2000)])
-@example(slam_map=_SMALL_MAP, edits=[("append", "\n")])  # bytes after the final \n}\n
-@example(slam_map=_SMALL_MAP, edits=[("append", "x")])
-@example(slam_map=_SMALL_MAP, edits=[("repeat",)])  # a repeated points member
-def test_chunked_and_whole_document_loads_agree(slam_map, edits):
-    data = _saved(slam_map).encode("utf-8")
+@example(records=_SMALL, edits=[("note", 4, "€" * 300)])
+@example(records=_SMALL, edits=[("truncate", 2000)])
+@example(records=_SMALL, edits=[("append", "\n")])  # bytes after the final \n}\n
+@example(records=_SMALL, edits=[("append", "x")])
+@example(records=_SMALL, edits=[("repeat",)])  # a repeated points member
+def test_chunked_and_whole_document_loads_agree(records, edits):
+    data = save_map_oracle(*records).encode("utf-8")
     with mock.patch.object(map_model, "_CHUNK_CHARS", 200), tempfile.TemporaryDirectory() as tmp:
-        assert map_model._parse_pieces(io.BytesIO(data)) is not None  # save_map's own layout is read in pieces
+        assert map_model._parse_pieces(io.BytesIO(data)) is not None  # save_map's layout is read in pieces
         for edit in edits:
             data = _edit(data, edit)
         path = Path(tmp) / "map.json"

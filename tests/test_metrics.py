@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WORKLOAD_SHAPES, make_map, map_from_records
+from conftest import WORKLOAD_SHAPES, make_map, map_from_records, valid_maps
 from map_oracles import attribute_C_oracle, attribute_F_oracle, attribute_S_oracle
 from mapsparse import _quat, metrics
 from mapsparse.map_model import CameraIntrinsics, MapPoint, Observation
@@ -28,7 +28,6 @@ from mapsparse.metrics import (
     transform_trajectory,
 )
 from mapsparse.synth import SynthConfig, generate, perturb_trajectory
-from test_map_model import messy_maps
 
 # A float warning (overflow, invalid value) in the metrics fails the test that raised it.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -371,11 +370,9 @@ def assert_attributes_match_oracles(slam_map):
 
 
 @settings(max_examples=150, deadline=None)
-@given(slam_map=messy_maps())
+@given(slam_map=valid_maps())
 def test_attributes_match_record_by_record_oracles(slam_map):
-    # finite keypoints only: the oracle's int() of a non-finite grid cell raises
-    finite = [o for o in slam_map.observations if math.isfinite(o.u) and math.isfinite(o.v)]
-    assert_attributes_match_oracles(map_from_records(slam_map.keyframes, slam_map.points, finite))
+    assert_attributes_match_oracles(slam_map)
 
 
 @pytest.mark.parametrize("synth, window", WORKLOAD_SHAPES)

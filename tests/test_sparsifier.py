@@ -11,14 +11,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_map, map_from_records
+from conftest import make_map, map_from_records, valid_maps
 from flow_cases import build_layered
 from map_oracles import (
     apply_selection_oracle, cull_keyframes_oracle, index_oracle, selection_json_oracle, window_maps_oracle,
 )
 from mapsparse import map_model
 from mapsparse.flow_graph import FlowGraph, GraphConfig, GraphError, build_graph
-from mapsparse.map_model import Keyframe, maps_equal, validate
+from mapsparse.map_model import Keyframe, maps_equal
 from mapsparse.mcmf import FlowResult, solve
 from mapsparse.sparsifier import (
     SelectionResult,
@@ -34,7 +34,6 @@ from mapsparse.sparsifier import (
 )
 from mapsparse.synth import GenerationError, SynthConfig, generate
 from test_flow_graph import graph_configs, grid_maps
-from test_map_model import messy_maps
 
 
 ID_FIELDS = ("kept_point_ids", "dropped_point_ids", "culled_keyframe_ids", "underviewed_point_ids")
@@ -160,8 +159,7 @@ class TestCullKeyframes:
 def test_apply_selection_output_validates():
     slam_map, _ = generate(SynthConfig(n_points=150, n_keyframes=10, dropout=0.3, seed=2))
     selection = sparsify(slam_map, config(3))
-    out = apply_selection(slam_map, selection)
-    assert validate(out).ok
+    out = apply_selection(slam_map, selection)  # the constructor checks the map
     assert out.points.id.tolist() == selection.kept_point_ids.tolist()
     assert {k.id for k in out.keyframes}.isdisjoint(selection.culled_keyframe_ids.tolist())
 
@@ -268,9 +266,9 @@ def test_cull_keyframes_rejects_a_minimum_below_one(keyframe_min_points):
 
 
 @settings(max_examples=150, deadline=None)
-@given(slam_map=messy_maps(), data=st.data())
+@given(slam_map=valid_maps(), data=st.data())
 def test_column_steps_match_record_by_record_oracles(slam_map, data):
-    # repeated and dangling ids included: the steps must index maps as the oracles do
+    # ids that the map lacks included: the steps must index maps as the oracles do
     point_ids = sorted({p.id for p in slam_map.points} | {o.point_id for o in slam_map.observations} | {-5})
     frame_ids = sorted({k.id for k in slam_map.keyframes} | {o.keyframe_id for o in slam_map.observations} | {-5})
     kept = frozenset(data.draw(st.lists(st.sampled_from(point_ids))))
@@ -303,7 +301,7 @@ def test_report_json_is_the_bytes_of_json_dumps(include_timings):
 
 
 @settings(max_examples=150, deadline=None)
-@given(slam_map=messy_maps(), data=st.data())
+@given(slam_map=valid_maps(), data=st.data())
 def test_array_and_set_inputs_give_one_selection(slam_map, data):
     # frozensets plus a {id: (flow, capacity)} mapping, the form perfbench's gate passes, and arrays in any
     # order with repeats must both be held as sorted, distinct, read-only int64 arrays
@@ -433,7 +431,6 @@ def window_run_oracle(slam_map, config):
 @given(case=window_runs())
 def test_a_window_run_is_the_runs_on_each_windows_own_map(case):
     slam_map, config = case
-    assert validate(slam_map).ok
     got = sparsify(slam_map, config)
     assert got.to_json(include_timings=False) == window_run_oracle(slam_map, config).to_json(include_timings=False)
     assert len(got.point_flow) == 0 and got.total_flow is None and got.total_cost is None
